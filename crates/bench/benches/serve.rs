@@ -1,4 +1,4 @@
-//! Shared-map serving: one frozen snapshot serving every session vs.
+//! Shared-map serving: one published epoch serving every session vs.
 //! each session rebuilding the map for itself.
 //!
 //! Besides the human-readable comparison, the run emits a
@@ -21,7 +21,7 @@ fn main() {
 
     let result = run_shared_vs_rebuild_comparison(sessions, 7, runs);
     println!(
-        "shared snapshot   {:>8.3} frames/s  ({:?} total: 1 map build + {} sessions)",
+        "shared epoch      {:>8.3} frames/s  ({:?} total: 1 map build + {} sessions)",
         result.shared_fps, result.shared_time, result.sessions
     );
     println!(

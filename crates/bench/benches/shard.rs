@@ -1,4 +1,4 @@
-//! Sharded serving: tile-routed map queries vs. the whole-snapshot
+//! Sharded serving: tile-routed map queries vs. whole-map
 //! fan-out, on a map that outgrows the scanner.
 //!
 //! Besides the human-readable comparison, the run emits a
@@ -29,7 +29,7 @@ fn main() {
         result.mean_covering_fraction, result.probes
     );
     println!(
-        "whole snapshot    {:>8.1} probes/s  ({:?} total)",
+        "whole map         {:>8.1} probes/s  ({:?} total)",
         result.whole_qps, result.whole_time
     );
     println!(

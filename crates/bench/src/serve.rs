@@ -1,17 +1,17 @@
-//! Shared-map serving throughput: one frozen [`MapSnapshot`] serving
-//! every session vs. each session rebuilding the map for itself.
+//! Shared-map serving throughput: one published [`SnapshotEpoch`]
+//! serving every session vs. each session rebuilding the map for itself.
 //!
 //! The comparison answers the serving layer's existence question: what
-//! does freezing + sharing buy over the naive architecture where every
+//! does publishing + sharing buy over the naive architecture where every
 //! localization client constructs its own `Mapper` from the same
 //! recorded sequence before it can answer "where am I"? Both paths run
 //! the exact same localization scripts and must produce bit-identical
-//! poses (the shared snapshot and each rebuilt map are deterministic
+//! poses (the shared epoch and each rebuilt map are deterministic
 //! images of the same stream); only the map-construction work differs.
 //!
 //! The same logic backs `benches/serve.rs` (which also emits the
 //! machine-readable `BENCH_serve.json` baseline in CI) and the
-//! release-scale acceptance test `tests/serve_speedup.rs` (snapshot
+//! release-scale acceptance test `tests/serve_speedup.rs` (epoch
 //! sharing must deliver ≥3× over per-session rebuild at 4 sessions).
 
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use tigris_data::{LidarConfig, Sequence, SequenceConfig};
 use tigris_geom::RigidTransform;
 use tigris_map::{Mapper, MapperConfig};
-use tigris_serve::{LocalizationService, MapSnapshot, ServeConfig};
+use tigris_serve::shard::{EpochPublisher, ShardConfig, ShardService, SnapshotEpoch};
 
 use crate::report::BenchReport;
 
@@ -31,7 +31,7 @@ const COLD_STARTS: [usize; 4] = [2, 58, 61, 63];
 /// Tracked frames following each session's cold start.
 const TRACK_STEPS: usize = 2;
 
-/// One shared-snapshot vs. rebuild-per-session comparison.
+/// One shared-epoch vs. rebuild-per-session comparison.
 #[derive(Debug, Clone)]
 pub struct ServeBenchResult {
     /// Concurrent localization sessions served.
@@ -40,7 +40,7 @@ pub struct ServeBenchResult {
     pub queries_per_session: usize,
     /// Frames in the mapping sequence each map build consumes.
     pub map_frames: usize,
-    /// Best-of-N wall-clock for build-once + freeze + serve-everyone.
+    /// Best-of-N wall-clock for build-once + publish + serve-everyone.
     pub shared_time: Duration,
     /// Best-of-N wall-clock for rebuild-the-map-per-session + serve.
     pub rebuild_time: Duration,
@@ -138,16 +138,16 @@ struct ServeObservations {
     stats: tigris_serve::ServeStats,
 }
 
-/// Serves every script against one snapshot, returning the localized
+/// Serves every script against one epoch, returning the localized
 /// poses in script order plus the per-session cold-start latencies
 /// (each script's first `localize` — the relocalization request) and
 /// the service-wide stats.
 fn serve_scripts(
-    snapshot: &Arc<MapSnapshot>,
+    epoch: Arc<SnapshotEpoch>,
     seq: &Sequence,
     scripts: &[Vec<usize>],
 ) -> (Vec<RigidTransform>, ServeObservations) {
-    let service = LocalizationService::new(Arc::clone(snapshot), ServeConfig::default());
+    let service = ShardService::with_epoch(epoch, ShardConfig::default());
     let mut poses = Vec::new();
     let mut cold_start_seconds = Vec::with_capacity(scripts.len());
     for script in scripts {
@@ -165,26 +165,30 @@ fn serve_scripts(
     (poses, ServeObservations { cold_start_seconds, stats })
 }
 
-/// Shared path: build the map once, freeze once, serve every session
-/// from the `Arc`-shared snapshot.
+/// Publishes a freshly built map as one epoch.
+fn publish(seq: &Sequence) -> Arc<SnapshotEpoch> {
+    EpochPublisher::new().publish(&build_mapper(seq)).expect("publish failed")
+}
+
+/// Shared path: build the map once, publish once, serve every session
+/// from the `Arc`-shared epoch.
 fn run_shared(
     seq: &Sequence,
     scripts: &[Vec<usize>],
 ) -> (Duration, Vec<RigidTransform>, ServeObservations) {
     let t0 = Instant::now();
-    let snapshot = Arc::new(MapSnapshot::freeze(build_mapper(seq)).expect("freeze failed"));
-    let (poses, obs) = serve_scripts(&snapshot, seq, scripts);
+    let (poses, obs) = serve_scripts(publish(seq), seq, scripts);
     (t0.elapsed(), poses, obs)
 }
 
 /// Rebuild path: every session constructs its own map from the same
-/// sequence before localizing — the architecture the snapshot replaces.
+/// sequence before localizing — the architecture the shared epoch
+/// replaces.
 fn run_rebuild(seq: &Sequence, scripts: &[Vec<usize>]) -> (Duration, Vec<RigidTransform>) {
     let t0 = Instant::now();
     let mut poses = Vec::new();
     for script in scripts {
-        let snapshot = Arc::new(MapSnapshot::freeze(build_mapper(seq)).expect("freeze failed"));
-        poses.extend(serve_scripts(&snapshot, seq, std::slice::from_ref(script)).0);
+        poses.extend(serve_scripts(publish(seq), seq, std::slice::from_ref(script)).0);
     }
     (t0.elapsed(), poses)
 }
@@ -202,7 +206,7 @@ pub fn run_shared_vs_rebuild_comparison(
     let scripts = scripts(sessions);
     let queries_per_session = TRACK_STEPS + 1;
 
-    // Correctness first: the shared snapshot and every per-session
+    // Correctness first: the shared epoch and every per-session
     // rebuild are deterministic images of the same stream, so both
     // paths must localize every frame to the bit-identical pose.
     let (_, shared_poses, _) = run_shared(&seq, &scripts);

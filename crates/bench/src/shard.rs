@@ -1,13 +1,14 @@
-//! Tile-routed sharded serving vs. whole-snapshot fan-out.
+//! Tile-routed serving vs. whole-map fan-out.
 //!
 //! The comparison answers the shard layer's existence question: on a map
 //! big enough that the scanner no longer out-ranges it, what does
-//! routing each map probe to its covering spatial tiles buy over the
-//! frozen snapshot's fan-out across every submap? Both paths answer the
-//! exact same probe stream over the *same* map image (the epoch is
-//! published from the very mapper the snapshot then freezes), and the
-//! comparison asserts their answers bit-identical — neighbor for
-//! neighbor, in order — before any timing runs.
+//! routing each map probe to its covering spatial tiles buy over fanning
+//! it out across every submap? Both services serve the *same* published
+//! epoch — one under the default tiling, one under
+//! [`whole_map_config`]'s map-sized tiles — and both are asserted
+//! bit-identical to `Mapper::query` on the mapper the epoch was
+//! published from, neighbor for neighbor and in order, before any
+//! timing runs.
 //!
 //! The same fixture backs `benches/shard.rs` (which also emits the
 //! machine-readable `BENCH_shard.json` baseline in CI) and the
@@ -21,10 +22,7 @@ use std::time::{Duration, Instant};
 use tigris_data::{LidarConfig, Sequence, SequenceConfig};
 use tigris_geom::Vec3;
 use tigris_map::{Mapper, MapperConfig};
-use tigris_serve::shard::{
-    EpochPublisher, EpochView, ShardConfig, ShardService, SnapshotEpoch, TilingConfig,
-};
-use tigris_serve::MapSnapshot;
+use tigris_serve::shard::{EpochPublisher, EpochView, ShardConfig, ShardService, TilingConfig};
 
 use crate::report::BenchReport;
 
@@ -32,7 +30,7 @@ use crate::report::BenchReport;
 /// correspondence scale.
 pub const PROBE_RADIUS: f64 = 2.0;
 
-/// One tile-routed vs. whole-snapshot comparison.
+/// One tile-routed vs. whole-map comparison.
 #[derive(Debug, Clone)]
 pub struct ShardBenchResult {
     /// Map probes answered per timed run.
@@ -46,15 +44,15 @@ pub struct ShardBenchResult {
     /// Mean fraction of tiles a probe routes to (the routing
     /// selectivity; 1.0 would mean tiling buys nothing).
     pub mean_covering_fraction: f64,
-    /// Best-of-N wall-clock for the whole-snapshot fan-out.
+    /// Best-of-N wall-clock for the whole-map service.
     pub whole_time: Duration,
     /// Best-of-N wall-clock for the tile-routed path (warm cache).
     pub tiled_time: Duration,
-    /// Per-run wall-clock samples (seconds), whole-snapshot path.
+    /// Per-run wall-clock samples (seconds), whole-map service.
     pub whole_samples: Vec<f64>,
     /// Per-run wall-clock samples (seconds), tile-routed path.
     pub tiled_samples: Vec<f64>,
-    /// Probes per second, whole-snapshot path.
+    /// Probes per second, whole-map service.
     pub whole_qps: f64,
     /// Probes per second, tile-routed path.
     pub tiled_qps: f64,
@@ -111,26 +109,27 @@ pub fn trajectory_probes(mapper_poses: &[tigris_geom::RigidTransform], stride: u
         .collect()
 }
 
-/// Publishes an epoch and freezes a snapshot from the *same* mapper, so
-/// the two serving paths answer over the identical map image.
-pub fn publish_and_freeze(mapper: Mapper) -> (Arc<SnapshotEpoch>, Arc<MapSnapshot>) {
-    let mut publisher = EpochPublisher::new();
-    let epoch = publisher.publish(&mapper).expect("epoch publish failed");
-    let snapshot = Arc::new(MapSnapshot::freeze(mapper).expect("freeze failed"));
-    (epoch, snapshot)
+/// The whole-map reference configuration: a tile edge far longer than
+/// any fixture map and the default unbounded tile budget. The tile grid
+/// is anchored at the world origin, so this still cuts a map that
+/// straddles a world axis into one tile per occupied orthant of the
+/// submap centers (the fixture circuits cross x = 0) — but no budget
+/// ever evicts, and the few coarse tiles leave routing almost nothing to
+/// exclude.
+pub fn whole_map_config() -> ShardConfig {
+    ShardConfig { tiling: TilingConfig { tile_size: 1.0e9 }, ..ShardConfig::default() }
 }
 
 /// Runs the comparison on the `scale`× fixture: `probes` trajectory
-/// probes answered by both paths, answers asserted bit-identical,
-/// best-of-`runs` timing per path.
+/// probes answered by both services, answers asserted bit-identical to
+/// `Mapper::query` on the published mapper, best-of-`runs` timing per
+/// service.
 pub fn run_tiled_vs_whole_comparison(scale: usize, seed: u64, runs: usize) -> ShardBenchResult {
     assert!(scale >= 1 && runs >= 1);
     let seq = Sequence::generate(&fixture_config(scale), seed);
     let mapper = build_mapper(&seq);
     let probes = trajectory_probes(mapper.poses(), 3);
-    let map_points = mapper.total_points();
-    let submaps = mapper.submaps().len();
-    let (epoch, snapshot) = publish_and_freeze(mapper);
+    let epoch = EpochPublisher::new().publish(&mapper).expect("epoch publish failed");
 
     let view = EpochView::new(Arc::clone(&epoch), &TilingConfig::default());
     let tiles = view.router().tiles().len();
@@ -140,42 +139,41 @@ pub fn run_tiled_vs_whole_comparison(scale: usize, seed: u64, runs: usize) -> Sh
         .sum::<f64>()
         / probes.len() as f64;
 
-    let service = ShardService::with_epoch(Arc::clone(&epoch), ShardConfig::default());
-    let batch = snapshot.registration_config().parallel;
+    let tiled = ShardService::with_epoch(Arc::clone(&epoch), ShardConfig::default());
+    let whole = ShardService::with_epoch(epoch, whole_map_config());
 
-    // Correctness first: both paths must answer every probe with the
-    // bit-identical neighbor list (same points, same order).
-    let expected = snapshot.query_batch(&probes, PROBE_RADIUS, &batch);
-    let tiled = service.query_batch(&probes, PROBE_RADIUS).expect("tiled batch failed");
-    assert_eq!(expected.len(), tiled.len());
-    for (i, (a, b)) in expected.iter().zip(&tiled).enumerate() {
-        assert_eq!(a, b, "probe {i}: tile-routed answer diverged from the whole snapshot");
+    // Correctness first: both services must answer every probe with the
+    // neighbor list `Mapper::query` gives (same points, same order).
+    let expected: Vec<_> = probes.iter().map(|&p| mapper.query(p, PROBE_RADIUS)).collect();
+    for (name, service) in [("whole-map", &whole), ("tile-routed", &tiled)] {
+        let answers = service.query_batch(&probes, PROBE_RADIUS).expect("batch query failed");
+        assert_eq!(expected.len(), answers.len());
+        for (i, (a, b)) in expected.iter().zip(&answers).enumerate() {
+            assert_eq!(a, b, "probe {i}: {name} answer diverged from Mapper::query");
+        }
     }
 
-    let whole_runs: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            let answers = snapshot.query_batch(&probes, PROBE_RADIUS, &batch);
-            assert_eq!(answers.len(), probes.len());
-            t0.elapsed()
-        })
-        .collect();
-    let tiled_runs: Vec<Duration> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            let answers = service.query_batch(&probes, PROBE_RADIUS).expect("tiled batch failed");
-            assert_eq!(answers.len(), probes.len());
-            t0.elapsed()
-        })
-        .collect();
+    let time_runs = |service: &ShardService| -> Vec<Duration> {
+        (0..runs)
+            .map(|_| {
+                let t0 = Instant::now();
+                let answers =
+                    service.query_batch(&probes, PROBE_RADIUS).expect("batch query failed");
+                assert_eq!(answers.len(), probes.len());
+                t0.elapsed()
+            })
+            .collect()
+    };
+    let whole_runs = time_runs(&whole);
+    let tiled_runs = time_runs(&tiled);
     let whole_time = *whole_runs.iter().min().expect("runs >= 1");
     let tiled_time = *tiled_runs.iter().min().expect("runs >= 1");
 
     ShardBenchResult {
         probes: probes.len(),
         tiles,
-        submaps,
-        map_points,
+        submaps: mapper.submaps().len(),
+        map_points: mapper.total_points(),
         mean_covering_fraction,
         whole_time,
         tiled_time,

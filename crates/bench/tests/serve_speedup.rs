@@ -1,4 +1,4 @@
-//! Release-scale acceptance: serving a frozen, `Arc`-shared map snapshot
+//! Release-scale acceptance: serving one published, `Arc`-shared map epoch
 //! must beat per-session map rebuilding by at least 3× at 4 sessions.
 //!
 //! The floor is structural, not incidental: the shared path builds the

@@ -1,9 +1,12 @@
 //! Release-scale acceptance for sharded serving: on a 10× map, tile
-//! routing must be genuinely selective, concurrent sessions under a
-//! tile budget far below the whole map must localize bit-identically to
-//! the whole-snapshot service, an epoch hot-swap mid-stream must drop
-//! no session and diverge no pose, and peak resident bytes must stay
-//! bounded below the everything-resident baseline. Run explicitly:
+//! routing must be genuinely selective and answer exactly like
+//! `Mapper::query`, concurrent sessions under a tile budget far below
+//! the whole map must localize bit-identically to an unbounded
+//! whole-map service, every accepted cold start must report the
+//! structure overlap the live mapper's own submap gives, an epoch
+//! hot-swap mid-stream must drop no session and diverge no pose, and
+//! peak resident bytes must stay bounded below the everything-resident
+//! baseline. Run explicitly:
 //!
 //! ```text
 //! cargo test -p tigris-bench --release --test shard_bounds -- --ignored --nocapture
@@ -11,11 +14,13 @@
 
 use std::sync::{Arc, Barrier};
 
-use tigris_bench::shard::{fixture_config, publish_and_freeze, trajectory_probes, PROBE_RADIUS};
+use tigris_bench::shard::{fixture_config, trajectory_probes, whole_map_config, PROBE_RADIUS};
 use tigris_data::Sequence;
+use tigris_map::retrieval::structure_overlap_batched;
 use tigris_map::{Mapper, MapperConfig};
+use tigris_pipeline::prepare_frame;
 use tigris_serve::shard::{EpochPublisher, EpochView, ShardConfig, ShardService, TilingConfig};
-use tigris_serve::{LocalizationService, ServeConfig, SessionStep};
+use tigris_serve::{ServeConfig, SessionStep, StepKind};
 
 /// The 10× floor the acceptance criteria name: a 600 m circuit vs. the
 /// 60 m serving fixture.
@@ -48,10 +53,10 @@ fn run_scripts_sequentially(
     scripts
         .iter()
         .map(|script| {
-            let mut session = service.open_session().expect("control admission");
+            let mut session = service.open_session().expect("reference admission");
             script
                 .iter()
-                .map(|&f| session.localize(seq.frame(f)).expect("control localize"))
+                .map(|&f| session.localize(seq.frame(f)).expect("reference localize"))
                 .collect()
         })
         .collect()
@@ -85,7 +90,8 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
     );
     drop(live);
 
-    // The whole-snapshot oracle: an identical prefix build, frozen whole.
+    // The oracle: an identical prefix build, kept live (never served
+    // through tiles) and published on its own for the whole-map service.
     let mut oracle = Mapper::new(MapperConfig::serving());
     let oracle_seq = Sequence::generate(&fixture_config(SCALE), 7);
     for i in 0..prefix {
@@ -93,7 +99,7 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
     }
     let whole_map_bytes: usize = oracle.submaps().iter().map(|s| s.memory_bytes()).sum();
     let poses = oracle.poses().to_vec();
-    let (oracle_epoch, snapshot) = publish_and_freeze(oracle);
+    let oracle_epoch = EpochPublisher::new().publish(&oracle).expect("oracle publish");
     assert_eq!(oracle_epoch.total_points(), epoch1.total_points(), "prefix builds must agree");
 
     // Selectivity: at this scale the map outgrows the scanner, so
@@ -120,33 +126,31 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
         tile_budget_bytes: budget,
         ..ShardConfig::default()
     };
-    let service = ShardService::with_epoch(Arc::clone(&epoch1), config.clone());
+    let service = ShardService::with_epoch(Arc::clone(&epoch1), config);
 
     // Tile-routed answers under the budget are bit-identical to the
-    // whole snapshot's.
-    let batch = snapshot.registration_config().parallel;
-    let expected = snapshot.query_batch(&probes, PROBE_RADIUS, &batch);
+    // live mapper's own queries.
     let tiled = service.query_batch(&probes, PROBE_RADIUS).expect("tiled batch");
-    for (i, (a, b)) in expected.iter().zip(&tiled).enumerate() {
-        assert_eq!(a, b, "probe {i}: budgeted tile routing diverged from the whole snapshot");
+    for (i, (&p, got)) in probes.iter().zip(&tiled).enumerate() {
+        assert_eq!(
+            got,
+            &oracle.query(p, PROBE_RADIUS),
+            "probe {i}: budgeted tile routing diverged from Mapper::query"
+        );
     }
 
-    // Control pose streams: the same scripts served start-to-finish by a
-    // service that never swaps epochs.
+    // The reference pose streams: the same scripts served one session
+    // at a time by the unbounded whole-map service over the oracle's own
+    // epoch, which never swaps.
     let scripts = session_scripts();
-    let control_service = ShardService::with_epoch(Arc::clone(&epoch1), config);
-    let control = run_scripts_sequentially(&control_service, &seq, &scripts);
-    let frozen_service = LocalizationService::new(Arc::clone(&snapshot), ServeConfig::default());
-    let mut frozen_session = frozen_service.open_session().expect("frozen admission");
-    let frozen_steps: Vec<SessionStep> = scripts[0]
-        .iter()
-        .map(|&f| frozen_session.localize(seq.frame(f)).expect("frozen localize"))
-        .collect();
+    let whole_service = ShardService::with_epoch(oracle_epoch, whole_map_config());
+    let whole = run_scripts_sequentially(&whole_service, &seq, &scripts);
+    assert_eq!(whole_service.stats().tiles.evictions, 0, "the whole-map service never evicts");
 
     // The swap run: four threads localize concurrently under the
     // budget; between their first and second frames the main thread
     // hot-swaps in epoch 2. Every session must finish on its pinned
-    // epoch with the control's exact poses — zero drops, zero
+    // epoch with the reference's exact poses — zero drops, zero
     // divergence.
     let barrier = Barrier::new(SESSIONS + 1);
     let swapped: Vec<Vec<SessionStep>> = std::thread::scope(|scope| {
@@ -178,21 +182,36 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
         handles.into_iter().map(|h| h.join().expect("no session thread may die")).collect()
     });
 
-    // Zero pose divergence: swap run vs. never-swapped control, and the
-    // first script vs. the frozen whole-snapshot service.
-    for (s, (got, want)) in swapped.iter().zip(&control).enumerate() {
+    // Zero pose divergence: the concurrent, budgeted, hot-swapped run
+    // vs. the sequential, unbounded, never-swapped reference.
+    for (s, (got, want)) in swapped.iter().zip(&whole).enumerate() {
         for (f, (a, b)) in got.iter().zip(want).enumerate() {
             assert!(
                 a.pose.translation == b.pose.translation && a.pose.rotation == b.pose.rotation,
-                "session {s} frame {f}: hot swap diverged a pose"
+                "session {s} frame {f}: budgeted, hot-swapped pose diverged from the whole-map service"
             );
         }
     }
-    for (f, (a, b)) in swapped[0].iter().zip(&frozen_steps).enumerate() {
-        assert!(
-            a.pose.translation == b.pose.translation && a.pose.rotation == b.pose.rotation,
-            "frame {f}: sharded pose diverged from the frozen snapshot service"
-        );
+
+    // Every accepted cold start reports exactly the structure overlap
+    // the oracle's live submap index gives for the same evidence.
+    let registration = &oracle.config().registration;
+    for (script, steps) in scripts.iter().zip(&swapped) {
+        for (&f, step) in script.iter().zip(steps) {
+            let StepKind::Relocalized(reloc) = step.kind else { continue };
+            let prepared = prepare_frame(seq.frame(f), registration).expect("prepare");
+            let live = structure_overlap_batched(
+                prepared.points(),
+                &reloc.relative,
+                &oracle.submaps()[reloc.submap],
+                &registration.parallel,
+            );
+            assert_eq!(
+                live.to_bits(),
+                reloc.structure_overlap.to_bits(),
+                "frame {f}: served structure overlap diverged from the live submap's"
+            );
+        }
     }
 
     // New sessions pin the swapped-in epoch; the bounded-residency

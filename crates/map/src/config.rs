@@ -125,7 +125,7 @@ impl Default for MapperConfig {
 
 impl MapperConfig {
     /// The serving-oriented mapping profile: denser submaps, denser loop
-    /// closures — for maps destined to be frozen and *localized against*
+    /// closures — for maps destined to be published and *localized against*
     /// (`tigris-serve`), where global pose accuracy and keyframe
     /// coverage matter more than build cost.
     ///

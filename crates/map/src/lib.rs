@@ -65,6 +65,6 @@ pub mod retrieval;
 pub mod submap;
 
 pub use config::{ClosureConfig, MapperConfig, SubmapConfig};
-pub use mapper::{FrozenMap, LoopClosure, Mapper, MapperStats, MapperStep};
+pub use mapper::{LoopClosure, Mapper, MapperStats, MapperStep};
 pub use retrieval::{RetrievalHit, SignatureIndex};
 pub use submap::{descriptor_mean, sort_map_neighbors, MapNeighbor, Submap};

@@ -143,32 +143,6 @@ pub struct MapperStep {
     pub closure: Option<LoopClosure>,
 }
 
-/// A finished map, moved out of its [`Mapper`] by [`Mapper::freeze`]:
-/// the submaps (points, indices, stored keyframes), the corrected and
-/// raw trajectories, the accepted closures and the lifetime counters.
-///
-/// Freezing is a *move*, not a copy — no point cloud, index or keyframe
-/// is duplicated. The frozen map is the hand-off between the write side
-/// (one `Mapper` building the map) and the read side (`tigris-serve`'s
-/// `MapSnapshot`, which shares it immutably across many localization
-/// sessions).
-#[derive(Debug)]
-pub struct FrozenMap {
-    /// The configuration the map was built under (its registration
-    /// front-end knobs are what query frames must be prepared with).
-    pub config: MapperConfig,
-    /// The submaps, with their dynamic indices and stored keyframes.
-    pub submaps: Vec<Submap>,
-    /// Corrected world pose per trajectory frame.
-    pub poses: Vec<RigidTransform>,
-    /// Raw odometry world pose per trajectory frame (drift baseline).
-    pub raw_poses: Vec<RigidTransform>,
-    /// Every accepted loop closure, in order.
-    pub closures: Vec<LoopClosure>,
-    /// The mapper's lifetime counters at freeze time.
-    pub stats: MapperStats,
-}
-
 /// The incremental mapping service; see the [module docs](self).
 #[derive(Debug)]
 pub struct Mapper {
@@ -256,21 +230,6 @@ impl Mapper {
     /// Total points aggregated across all submaps.
     pub fn total_points(&self) -> usize {
         self.submaps.iter().map(Submap::len).sum()
-    }
-
-    /// Freezes the mapper, moving its map out as an immutable
-    /// [`FrozenMap`] (zero point copies). The wrapped odometer — and with
-    /// it the current reference frame's preparation — is dropped: a
-    /// frozen map no longer consumes frames.
-    pub fn freeze(self) -> FrozenMap {
-        FrozenMap {
-            config: self.config,
-            submaps: self.submaps,
-            poses: self.poses,
-            raw_poses: self.raw_poses,
-            closures: self.closures,
-            stats: self.metrics.snapshot(),
-        }
     }
 
     /// Consumes one LiDAR frame (sensor coordinates).
@@ -549,8 +508,7 @@ impl Mapper {
             if scalars_pass { self.closure_overlap(&result.transform, submap_id) } else { 0.0 };
         let pass = scalars_pass && overlap >= gate.min_structure_overlap;
         // The gate values as one structured event per verified candidate
-        // (this replaced the TIGRIS_MAP_DEBUG eprintln path; enable with
-        // TIGRIS_TRACE and read it in any exporter).
+        // (enable with TIGRIS_TRACE and read it in any exporter).
         tigris_obs::event!(
             "closure.candidate",
             frame = frame,

@@ -8,7 +8,7 @@
 //!   drift-estimated pose offset and travel-scaled deviation allowances
 //!   (the mapper has a pose estimate to compare against).
 //! * **Cold-start relocalization** (`tigris-serve`): "where am I?"
-//!   against a *frozen* map — no odometry history exists, so only the
+//!   against a *published* map — no odometry history exists, so only the
 //!   geometry-vs-geometry gates apply.
 //!
 //! Both share the three stages this module owns:
@@ -60,8 +60,8 @@ pub struct RetrievalHit {
 /// both loop closure and relocalization rank candidates with.
 ///
 /// The mapper rebuilds one per closure attempt over the frame's eligible
-/// submaps (eligibility is pose- and recency-dependent); a frozen map
-/// snapshot builds one once over every verifiable submap and shares it
+/// submaps (eligibility is pose- and recency-dependent); a published
+/// serving epoch builds one once over every verifiable submap and shares it
 /// across sessions ([`SignatureIndex`] queries take `&self`).
 #[derive(Debug)]
 pub struct SignatureIndex {
@@ -231,11 +231,9 @@ pub fn structure_overlap(points: &[Vec3], relative: &RigidTransform, submap: &Su
 }
 
 /// [`structure_overlap`] with the per-point NN lookups batched through
-/// the submap index's shared read-only batch path — the form the serving
-/// layer uses, where one relocalization issues hundreds of NN queries
-/// against an `Arc`-shared frozen submap. Answers are bit-identical to
-/// the serial form (the index is exact and per-query answers are
-/// independent); only the scheduling differs.
+/// the submap index's shared read-only batch path. Answers are
+/// bit-identical to the serial form (the index is exact and per-query
+/// answers are independent); only the scheduling differs.
 pub fn structure_overlap_batched(
     points: &[Vec3],
     relative: &RigidTransform,

@@ -17,10 +17,10 @@ use tigris_pipeline::PreparedFrame;
 
 /// Sorts map-query results into the canonical order every map consumer
 /// shares: ascending by `(distance, submap, index)`. `Mapper::query`
-/// and the serving snapshot's `query`/`query_batch` all sort through
-/// this one function, so the "snapshot answers exactly like the mapper
-/// it was frozen from" guarantee is structural, not a pair of
-/// hand-copied comparators kept in sync.
+/// and the serving layer's tile-routed `query`/`query_batch` all sort
+/// through this one function, so the "served epoch answers exactly like
+/// the mapper it was published from" guarantee is structural, not a
+/// pair of hand-copied comparators kept in sync.
 pub fn sort_map_neighbors(neighbors: &mut [MapNeighbor]) {
     neighbors.sort_by(|a, b| {
         a.distance_squared
@@ -172,7 +172,7 @@ impl Submap {
     }
 
     /// The stored keyframe preparation, shared. Epoch publishers clone
-    /// the `Arc` so a serving snapshot verifies against the very same
+    /// the `Arc` so a serving epoch verifies against the very same
     /// preparation the live mapper keeps using; both sides lock per
     /// verification.
     pub fn keyframe(&self) -> Option<&Arc<Mutex<PreparedFrame>>> {
@@ -184,15 +184,6 @@ impl Submap {
     pub(crate) fn set_keyframe(&mut self, keyframe: PreparedFrame) {
         self.keyframe = Some(Arc::new(Mutex::new(keyframe)));
         self.revision += 1;
-    }
-
-    /// Moves the stored keyframe preparation out of the submap, leaving
-    /// `None` behind. The serving layer's freeze path uses this to place
-    /// keyframes behind their own locks while the submap's points and
-    /// index stay lock-free for shared reads; a submap stripped this way
-    /// can no longer verify revisits itself.
-    pub fn take_keyframe(&mut self) -> Option<Arc<Mutex<PreparedFrame>>> {
-        self.keyframe.take()
     }
 
     /// Content revision: bumped on every payload change (frame insert,

@@ -1,8 +1,7 @@
 //! Environment-driven tracing configuration: `TIGRIS_TRACE` selects
 //! the export mode (and enables recording), `TIGRIS_TRACE_FILE`
 //! overrides the output path, `TIGRIS_TRACE_BUF` sizes the per-thread
-//! ring buffers. This replaces the old ad-hoc `TIGRIS_SERVE_DEBUG`
-//! eprintln switch.
+//! ring buffers.
 //!
 //! The always-on flight recorder ([`crate::recorder`]) is switched
 //! here too: it defaults **on** whenever [`init_from_env`] runs (every

@@ -1,10 +1,10 @@
 //! Serving-layer configuration: admission budgets and relocalization
-//! gates layered over the frozen map's own registration configuration.
+//! gates layered over the served map's own registration configuration.
 //!
 //! The front-end knobs (voxel size, descriptors, search backend …) are
 //! *not* configurable here: query frames must be prepared exactly like
-//! the map's frames were, so the snapshot's `MapperConfig.registration`
-//! is authoritative and the service reads it from the snapshot.
+//! the map's frames were, so the epoch's `MapperConfig.registration`
+//! is authoritative and sessions read it from their pinned epoch.
 
 /// Gates applied to a cold-start relocalization attempt.
 ///
@@ -61,7 +61,7 @@ impl Default for RelocConfig {
 /// Full serving configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Concurrent session budget: [`crate::LocalizationService::open_session`]
+    /// Concurrent session budget: [`crate::shard::ShardService::open_session`]
     /// rejects with [`crate::ServeError::SessionsExhausted`] beyond it.
     pub max_sessions: usize,
     /// Concurrent localization budget across all sessions: a

@@ -34,13 +34,13 @@ pub enum ServeError {
     /// The query frame failed in the registration pipeline (empty cloud,
     /// unknown backend, mismatched preparation…).
     Registration(RegistrationError),
-    /// The map offered for freezing holds no points.
+    /// The map offered for publishing holds no points.
     EmptyMap,
-    /// The map offered for freezing has no submap with both a stored
+    /// The map offered for publishing has no submap with both a stored
     /// keyframe and a signature — nothing could ever verify a cold-start
     /// query against it.
     UnverifiableMap,
-    /// The sharded service has no published epoch installed yet: there
+    /// The service has no published epoch installed yet: there
     /// is no map version to pin a session or a query to.
     NoEpoch,
 }
@@ -61,12 +61,12 @@ impl std::fmt::Display for ServeError {
                 )
             }
             ServeError::Registration(err) => write!(f, "registration failed: {err}"),
-            ServeError::EmptyMap => write!(f, "cannot freeze an empty map"),
+            ServeError::EmptyMap => write!(f, "cannot publish an empty map"),
             ServeError::UnverifiableMap => {
-                write!(f, "cannot freeze a map with no verifiable (keyframed, signed) submap")
+                write!(f, "cannot publish a map with no verifiable (keyframed, signed) submap")
             }
             ServeError::NoEpoch => {
-                write!(f, "no epoch installed: the sharded service has nothing to serve yet")
+                write!(f, "no epoch installed: the service has nothing to serve yet")
             }
         }
     }

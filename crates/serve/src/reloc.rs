@@ -7,104 +7,23 @@
 //! deviate from):
 //!
 //! 1. the query frame's mean descriptor is matched against the
-//!    snapshot's submap signatures ([`SignatureIndex`] retrieval);
+//!    epoch's submap signatures ([`SignatureIndex`] retrieval);
 //! 2. each candidate is geometrically verified by registering the
 //!    prepared query frame against the candidate's stored keyframe
 //!    (no front-end rerun, keyframe briefly locked);
 //! 3. survivors pass the inlier, offset and structure-overlap gates;
-//! 4. the first acceptance becomes a world pose: the keyframe's frozen
-//!    pose composed with the verified relative transform.
+//! 4. the first acceptance becomes a world pose: the keyframe's
+//!    published pose composed with the verified relative transform.
 //!
 //! [`SignatureIndex`]: tigris_map::retrieval::SignatureIndex
 
-use tigris_core::BatchConfig;
 use tigris_geom::RigidTransform;
 use tigris_map::descriptor_mean;
-use tigris_map::retrieval::RetrievalHit;
-use tigris_pipeline::{PreparedFrame, RegistrationResult};
+use tigris_pipeline::PreparedFrame;
 
 use crate::config::RelocConfig;
 use crate::error::ServeError;
-use crate::snapshot::MapSnapshot;
-
-/// A map a cold start can relocalize against: signature retrieval,
-/// keyframe verification, structure overlap and frozen poses.
-///
-/// Two backings implement it — the whole-snapshot [`MapSnapshot`] and
-/// the sharded `shard` epoch view — so [`relocalize_prepared`] is *one*
-/// gate pipeline however the map is stored, and "sharded relocalization
-/// answers exactly like whole-snapshot relocalization" is structural.
-pub trait RelocTarget {
-    /// Dimension of the indexed submap signatures.
-    fn signature_dim(&self) -> usize;
-    /// Ranks candidate submaps by signature distance (best first).
-    fn retrieve(
-        &self,
-        signature: &[f64],
-        candidates: usize,
-        max_distance: f64,
-    ) -> Vec<RetrievalHit>;
-    /// Registers the prepared frame against `submap`'s stored keyframe.
-    fn verify_against(
-        &self,
-        submap: usize,
-        frame: &mut PreparedFrame,
-    ) -> Option<RegistrationResult>;
-    /// Structure-overlap fraction of `points` against `submap` under
-    /// `relative`.
-    fn structure_overlap(
-        &self,
-        points: &[tigris_geom::Vec3],
-        relative: &RigidTransform,
-        submap: usize,
-        cfg: &BatchConfig,
-    ) -> f64;
-    /// Trajectory index of `submap`'s anchor keyframe.
-    fn anchor_frame(&self, submap: usize) -> usize;
-    /// Frozen world pose of trajectory frame `frame`.
-    fn frame_pose(&self, frame: usize) -> RigidTransform;
-}
-
-impl RelocTarget for MapSnapshot {
-    fn signature_dim(&self) -> usize {
-        MapSnapshot::signature_dim(self)
-    }
-
-    fn retrieve(
-        &self,
-        signature: &[f64],
-        candidates: usize,
-        max_distance: f64,
-    ) -> Vec<RetrievalHit> {
-        self.retrieval().retrieve(signature, candidates, max_distance)
-    }
-
-    fn verify_against(
-        &self,
-        submap: usize,
-        frame: &mut PreparedFrame,
-    ) -> Option<RegistrationResult> {
-        MapSnapshot::verify_against(self, submap, frame)
-    }
-
-    fn structure_overlap(
-        &self,
-        points: &[tigris_geom::Vec3],
-        relative: &RigidTransform,
-        submap: usize,
-        cfg: &BatchConfig,
-    ) -> f64 {
-        MapSnapshot::structure_overlap(self, points, relative, submap, cfg)
-    }
-
-    fn anchor_frame(&self, submap: usize) -> usize {
-        self.submaps()[submap].anchor_frame()
-    }
-
-    fn frame_pose(&self, frame: usize) -> RigidTransform {
-        self.poses()[frame]
-    }
-}
+use crate::shard::service::EpochTarget;
 
 /// A successful cold-start relocalization, with the evidence that
 /// backs it — the service's *confidence report*.
@@ -135,8 +54,8 @@ pub struct Relocalization {
     pub confidence: f64,
 }
 
-/// Relocalizes a prepared query frame against any [`RelocTarget`]; see
-/// the [module docs](self).
+/// Relocalizes a prepared query frame against a pinned epoch; see the
+/// [module docs](self).
 ///
 /// # Errors
 ///
@@ -144,32 +63,32 @@ pub struct Relocalization {
 /// candidate or every verified candidate fails a gate. The prepared
 /// frame remains valid — callers retry with the next frame or hand the
 /// preparation to tracking once a later attempt succeeds.
-pub fn relocalize_prepared<T: RelocTarget + ?Sized>(
-    snapshot: &T,
+pub(crate) fn relocalize_prepared(
+    target: &EpochTarget<'_>,
     frame: &mut PreparedFrame,
     cfg: &RelocConfig,
 ) -> Result<Relocalization, ServeError> {
+    let epoch = target.view.epoch();
     let mut candidates_tried = 0usize;
     let Some(signature) = descriptor_mean(frame.descriptors()) else {
         return Err(ServeError::RelocalizationFailed { candidates_tried });
     };
-    if signature.len() != snapshot.signature_dim() {
+    if signature.len() != epoch.signature_dim() {
         return Err(ServeError::RelocalizationFailed { candidates_tried });
     }
 
     // The gate pipeline traces structured: one span per attempt, one
     // event per candidate carrying the gate values (inliers, keyframe
-    // offset, structure overlap) that the old TIGRIS_SERVE_DEBUG
-    // eprintln path printed as text. Enable with TIGRIS_TRACE=chrome.
+    // offset, structure overlap). Enable with TIGRIS_TRACE=chrome.
     let _span = tigris_obs::span!("serve.reloc", candidates = cfg.candidates);
     let batch = frame.config().parallel;
-    let hits = snapshot.retrieve(&signature, cfg.candidates, cfg.max_descriptor_distance);
+    let hits = epoch.retrieval().retrieve(&signature, cfg.candidates, cfg.max_descriptor_distance);
     for hit in hits {
         // Every retrieved candidate reaches geometric verification
         // (retrieval only indexes keyframed submaps), so it counts
         // whether or not the registration produces a match.
         candidates_tried += 1;
-        let Some(result) = snapshot.verify_against(hit.submap, frame) else {
+        let Some(result) = target.verify_against(hit.submap, frame) else {
             tigris_obs::event!(
                 "reloc.candidate",
                 submap = hit.submap,
@@ -185,7 +104,7 @@ pub fn relocalize_prepared<T: RelocTarget + ?Sized>(
         let scalars_pass = result.inlier_correspondences >= cfg.min_inliers
             && result.transform.translation_norm() <= cfg.max_keyframe_offset;
         let overlap = if scalars_pass {
-            snapshot.structure_overlap(frame.points(), &result.transform, hit.submap, &batch)
+            target.structure_overlap(frame.points(), &result.transform, hit.submap, &batch)
         } else {
             0.0
         };
@@ -205,7 +124,7 @@ pub fn relocalize_prepared<T: RelocTarget + ?Sized>(
             continue;
         }
 
-        let anchor_frame = snapshot.anchor_frame(hit.submap);
+        let anchor_frame = epoch.payloads()[hit.submap].anchor_frame();
         let inliers = result.inlier_correspondences;
         let saturation = inliers as f64 / (inliers + cfg.min_inliers.max(1)) as f64;
         tigris_obs::event!(
@@ -218,7 +137,7 @@ pub fn relocalize_prepared<T: RelocTarget + ?Sized>(
             candidates_tried = candidates_tried,
         );
         return Ok(Relocalization {
-            pose: snapshot.frame_pose(anchor_frame) * result.transform,
+            pose: epoch.poses()[anchor_frame] * result.transform,
             submap: hit.submap,
             matched_frame: anchor_frame,
             relative: result.transform,

@@ -1,27 +1,19 @@
-//! The multi-session localization service: admission control, shared
-//! snapshot access and service-wide metering.
+//! Admission control and service-wide request metering for the serving
+//! front end.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use tigris_geom::Vec3;
-use tigris_map::MapNeighbor;
-use tigris_obs::sampler::{RequestOutcome, TailConfig, TailSampler};
 use tigris_obs::{Counter, Gauge, Registry};
 
-use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::session::Session;
-use crate::snapshot::MapSnapshot;
 use crate::stats::LATENCY_HISTOGRAM;
 use crate::stats::{LatencyRecorder, LatencySummary, ServeStats, SessionStats, TileStats};
 
-/// Admission control and request metering, shared by the whole-snapshot
-/// [`LocalizationService`] and the sharded `shard::ShardService` — one
-/// implementation of the session/in-flight budgets and the service-wide
-/// counters, so both serving front ends reject, release and meter
-/// identically. Callers hold it behind one service lock and touch it
-/// only at request boundaries; all heavy work runs lock-free.
+/// Admission control and request metering for `shard::ShardService`:
+/// the session/in-flight budgets and the service-wide counters. The
+/// service holds it behind its state lock and touches it only at
+/// request boundaries; all heavy work runs lock-free.
 ///
 /// Every counter is a handle into the owning service's obs
 /// [`Registry`] (names under `serve.`): [`ServeStats`] is assembled
@@ -152,180 +144,6 @@ impl RequestGate {
     }
 }
 
-/// The state shared between a [`LocalizationService`] and its sessions.
-#[derive(Debug)]
-pub(crate) struct ServiceCore {
-    pub(crate) snapshot: Arc<MapSnapshot>,
-    pub(crate) config: ServeConfig,
-    pub(crate) registry: Arc<Registry>,
-    pub(crate) sampler: Arc<TailSampler>,
-    state: Mutex<RequestGate>,
-}
-
-impl ServiceCore {
-    fn lock(&self) -> std::sync::MutexGuard<'_, RequestGate> {
-        self.state.lock().expect("service state lock poisoned")
-    }
-
-    /// Admission control for one localize call: claims an in-flight slot
-    /// or rejects typed, before any work runs.
-    pub(crate) fn begin_request(&self) -> Result<(), ServeError> {
-        self.lock().begin_request(self.config.max_inflight)
-    }
-
-    /// Releases the in-flight slot and meters the completed request.
-    pub(crate) fn finish_request(&self, latency: Duration, delta: SessionStats) {
-        self.lock().finish_request(latency, delta);
-    }
-
-    /// Feeds one finished request to the tail sampler: retained (with
-    /// its span subtree, if the flight recorder is on) when slow against
-    /// the service's own `serve.latency_us` percentile history or when
-    /// it failed; dropped otherwise. Runs after [`finish_request`]
-    /// (`Self::finish_request`) so the percentile baseline already
-    /// includes this request, and outside the service lock — the
-    /// sampler synchronizes internally.
-    pub(crate) fn observe_tail(&self, root: Option<u64>, latency: Duration, failed: bool) {
-        let outcome = if failed { RequestOutcome::Failed } else { RequestOutcome::Completed };
-        self.sampler.observe(root, latency, outcome, false);
-    }
-
-    /// A session closed (dropped).
-    pub(crate) fn close_session(&self) {
-        self.lock().close_session();
-    }
-}
-
-/// Serves one frozen [`MapSnapshot`] to many concurrent localization
-/// sessions.
-///
-/// The service owns no per-frame state — that lives in each
-/// [`Session`] — only the admission budgets and the service-wide
-/// counters. Heavy per-request work (frame preparation, retrieval,
-/// verification, tracking) runs entirely against the `Arc`-shared
-/// snapshot, so sessions on separate threads proceed in parallel;
-/// the service lock is touched only at request boundaries.
-///
-/// # Example
-///
-/// ```no_run
-/// use std::sync::Arc;
-/// use tigris_data::{Sequence, SequenceConfig};
-/// use tigris_map::{Mapper, MapperConfig};
-/// use tigris_serve::{LocalizationService, MapSnapshot, ServeConfig};
-///
-/// // Build a map once…
-/// let seq = Sequence::generate(&SequenceConfig::loop_circuit(60.0, 6), 7);
-/// let mut mapper = Mapper::new(MapperConfig::default());
-/// for i in 0..seq.len() {
-///     mapper.push(seq.frame(i)).unwrap();
-/// }
-/// // …freeze it, and serve it.
-/// let snapshot = Arc::new(MapSnapshot::freeze(mapper).unwrap());
-/// let service = LocalizationService::new(snapshot, ServeConfig::default());
-/// let mut session = service.open_session().unwrap();
-/// let step = session.localize(seq.frame(3)).unwrap();
-/// println!("cold start localized to {}", step.pose);
-/// ```
-#[derive(Debug)]
-pub struct LocalizationService {
-    core: Arc<ServiceCore>,
-}
-
-impl LocalizationService {
-    /// A service over the given snapshot and budgets.
-    pub fn new(snapshot: Arc<MapSnapshot>, config: ServeConfig) -> Self {
-        tigris_obs::init_from_env();
-        let registry = Arc::new(Registry::new());
-        let gate = RequestGate::new(Arc::clone(&registry));
-        let latency = registry.histogram_with("serve.latency_us", LATENCY_HISTOGRAM);
-        let sampler = Arc::new(TailSampler::new(TailConfig::from_env(latency)));
-        tigris_obs::ops::register_service("serve", &registry, Some(&sampler));
-        LocalizationService {
-            core: Arc::new(ServiceCore {
-                snapshot,
-                config,
-                registry,
-                sampler,
-                state: Mutex::new(gate),
-            }),
-        }
-    }
-
-    /// The served snapshot.
-    pub fn snapshot(&self) -> &Arc<MapSnapshot> {
-        &self.core.snapshot
-    }
-
-    /// This service's obs metrics registry — the backing store
-    /// [`LocalizationService::stats`] snapshots from. Every counter the
-    /// service meters (admissions, rejections, tracking, the
-    /// `serve.latency_us` histogram) lives here under `serve.*` names;
-    /// exporters and dashboards read it without a service lock.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.core.registry
-    }
-
-    /// This service's tail-based trace sampler: every finished localize
-    /// call is offered to it, and it retains (bounded, FIFO) the span
-    /// trees of requests that were slow against the service's own
-    /// latency history or that failed. Inspect or drain the retained
-    /// set for debugging; the ops monitor snapshots it into post-mortem
-    /// bundles automatically.
-    pub fn sampler(&self) -> &Arc<TailSampler> {
-        &self.core.sampler
-    }
-
-    /// The serving configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.core.config
-    }
-
-    /// Admits a new localization session, or rejects it when the session
-    /// budget ([`ServeConfig::max_sessions`]) is fully allocated.
-    ///
-    /// The returned [`Session`] is independent of the service handle: it
-    /// can move to another thread, and dropping it releases its slot.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::SessionsExhausted`] at the budget.
-    pub fn open_session(&self) -> Result<Session, ServeError> {
-        let id = self.core.lock().admit_session(self.core.config.max_sessions)?;
-        Ok(Session::new(id, Arc::clone(&self.core)))
-    }
-
-    /// Sessions currently open.
-    pub fn active_sessions(&self) -> usize {
-        self.core.lock().active_sessions()
-    }
-
-    /// Batched map probes across sessions: many world-frame radius
-    /// queries answered in one call, batched per submap through the
-    /// snapshot's shared read path ([`MapSnapshot::query_batch`]). This
-    /// is the service's cross-session batching entry point — callers
-    /// aggregating probes from several sessions (collision checks,
-    /// map-coverage telemetry) pay one fan-out instead of one per
-    /// session.
-    pub fn query_batch(&self, queries: &[Vec3], radius: f64) -> Vec<Vec<MapNeighbor>> {
-        let batch = self.core.snapshot.registration_config().parallel;
-        self.core.snapshot.query_batch(queries, radius, &batch)
-    }
-
-    /// A consistent point-in-time copy of the service-wide counters and
-    /// the latency distribution.
-    ///
-    /// Only an O(n) copy of the recorded samples happens under the
-    /// service lock; the percentile sort runs after it is released, so
-    /// a stats poll never stalls in-flight admission or completion for
-    /// the sort.
-    pub fn stats(&self) -> ServeStats {
-        let (mut stats, recorder) = self.core.lock().stats_and_recorder();
-        stats.latency = recorder.summarize();
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,7 +157,7 @@ mod tests {
         assert_eq!(gate.active_sessions(), 2);
 
         // A closed session's slot is re-admittable — this is the
-        // invariant `Session`'s `Drop` impl relies on for abnormal
+        // invariant `ShardSession`'s `Drop` impl relies on for abnormal
         // teardown (a panicking session thread still runs `Drop`).
         gate.close_session();
         assert_eq!(gate.active_sessions(), 1);

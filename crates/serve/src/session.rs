@@ -1,7 +1,8 @@
 //! One client's localization stream: cold start → tracking → (on loss)
 //! cold start again.
 //!
-//! A [`Session`] is the per-client state machine of the serving layer:
+//! The per-client state machine of the serving layer, driven by every
+//! [`crate::shard::ShardSession`]:
 //!
 //! ```text
 //!             ┌────────────────────────────────────────────┐
@@ -18,15 +19,12 @@
 //! ```
 //!
 //! Cold: the next frame runs cold-start relocalization against the
-//! snapshot ([`crate::reloc`]). Tracking: the next frame registers
-//! against the session's previous frame with the constant-velocity
-//! prior — the same prepare-once/reuse streaming pattern as the
+//! session's pinned epoch ([`crate::reloc`]). Tracking: the next frame
+//! registers against the session's previous frame with the
+//! constant-velocity prior — the same prepare-once/reuse streaming pattern as the
 //! odometer, with the pose chained from the relocalized world pose. A
 //! tracking loss beyond [`crate::ServeConfig::max_track_failures`]
 //! falls back to relocalization with the already-prepared frame.
-
-use std::sync::Arc;
-use std::time::Instant;
 
 use tigris_geom::{PointCloud, RigidTransform};
 use tigris_pipeline::{
@@ -34,8 +32,7 @@ use tigris_pipeline::{
 };
 
 use crate::error::ServeError;
-use crate::reloc::{relocalize_prepared, Relocalization};
-use crate::service::ServiceCore;
+use crate::reloc::Relocalization;
 use crate::stats::SessionStats;
 
 /// Which public phase a session is in.
@@ -76,8 +73,8 @@ impl std::fmt::Debug for TrackState {
 /// How one localized frame got its pose.
 #[derive(Debug, Clone, Copy)]
 pub enum StepKind {
-    /// Cold-start relocalization against the snapshot, with its
-    /// confidence report.
+    /// Cold-start relocalization against the map, with its confidence
+    /// report.
     Relocalized(Relocalization),
     /// Frame-to-frame tracking from the previous pose.
     Tracked {
@@ -95,7 +92,7 @@ pub enum StepKind {
 pub struct SessionStep {
     /// Session-local index of the frame (0-based over admitted frames).
     pub frame: usize,
-    /// Estimated world pose of the frame (sensor → world, in the frozen
+    /// Estimated world pose of the frame (sensor → world, in the served
     /// map's frame).
     pub pose: RigidTransform,
     /// How the pose was obtained.
@@ -103,12 +100,9 @@ pub struct SessionStep {
 }
 
 /// The session state machine itself — cold start, velocity-prior
-/// tracking, loss budgets and per-session counters — detached from any
-/// particular map backing. The whole-snapshot [`Session`] and the
-/// sharded `shard::ShardSession` both drive this one implementation,
-/// supplying only their own relocalization closure; "the two serving
-/// front ends track identically" is therefore structural, not a pair of
-/// hand-copied state machines kept in sync.
+/// tracking, loss budgets and per-session counters — detached from the
+/// map: `shard::ShardSession` drives it, supplying the relocalization
+/// closure over its pinned epoch.
 #[derive(Debug)]
 pub(crate) struct TrackCore {
     state: TrackState,
@@ -147,8 +141,7 @@ impl TrackCore {
 
     /// Localizes one raw frame: prepare exactly once, then cold-start
     /// through `reloc` or track against the previous frame with the
-    /// constant-velocity prior. `reloc` is the only map access — it is
-    /// what distinguishes whole-snapshot from sharded serving.
+    /// constant-velocity prior. `reloc` is the only map access.
     pub(crate) fn localize_with<R>(
         &mut self,
         frame: &PointCloud,
@@ -258,93 +251,5 @@ impl TrackCore {
                 Err(err)
             }
         }
-    }
-}
-
-/// One client's localization session; see the [module docs](self).
-///
-/// Obtained from [`crate::LocalizationService::open_session`]; dropping
-/// it releases its admission slot. Sessions are independent and `Send`:
-/// move each to its own thread and localize concurrently — all shared
-/// access goes through the `Arc`-shared snapshot.
-#[derive(Debug)]
-pub struct Session {
-    id: usize,
-    core: Arc<ServiceCore>,
-    track: TrackCore,
-}
-
-impl Session {
-    pub(crate) fn new(id: usize, core: Arc<ServiceCore>) -> Self {
-        Session { id, core, track: TrackCore::new() }
-    }
-
-    /// The session's service-assigned id (dense, in admission order).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The session's current phase.
-    pub fn phase(&self) -> SessionPhase {
-        self.track.phase()
-    }
-
-    /// The current world-pose estimate (`None` while cold).
-    pub fn pose(&self) -> Option<&RigidTransform> {
-        self.track.pose()
-    }
-
-    /// This session's lifetime counters.
-    pub fn stats(&self) -> &SessionStats {
-        self.track.stats()
-    }
-
-    /// Localizes one raw frame (sensor coordinates) against the shared
-    /// map: cold-start relocalization when the session has no pose,
-    /// velocity-prior tracking otherwise. The frame's front end runs
-    /// exactly once either way, and a successful frame's preparation is
-    /// carried as the next step's tracking reference.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Saturated`] when the service's in-flight budget
-    /// rejects the call (no work done);
-    /// [`ServeError::Registration`] when the frame fails to prepare (the
-    /// session state is unchanged) or a within-budget tracking loss
-    /// occurred (the session keeps its previous reference);
-    /// [`ServeError::RelocalizationFailed`] when a cold start (initial
-    /// or after tracking loss) finds no verifiable pose — the session is
-    /// cold afterwards.
-    pub fn localize(&mut self, frame: &PointCloud) -> Result<SessionStep, ServeError> {
-        self.core.begin_request()?;
-        // The root of the request's trace tree: everything the frame
-        // touches — preparation, relocalization gates, tracking, map
-        // search — nests under this span.
-        let _span = tigris_obs::span!("serve.localize", session = self.id, points = frame.len());
-        let t0 = Instant::now();
-        let before = *self.track.stats();
-        let core = &self.core;
-        let result = self.track.localize_with(
-            frame,
-            core.snapshot.registration_config(),
-            core.config.max_track_failures,
-            |prepared| relocalize_prepared(&*core.snapshot, prepared, &core.config.reloc),
-        );
-        let delta = self.track.stats().delta_since(&before);
-        let latency = t0.elapsed();
-        self.core.finish_request(latency, delta);
-        // Tail sampling runs after metering (so the percentile baseline
-        // includes this request) and after the root span is closed (so
-        // its End record is in the flight ring when the subtree is cut).
-        let root = _span.id();
-        drop(_span);
-        self.core.observe_tail(root, latency, result.is_err());
-        result
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        self.core.close_session();
     }
 }

@@ -270,8 +270,10 @@ impl EpochPublisher {
             .collect();
 
         // Verifiable payloads: a keyframe plus a signature of the map's
-        // common dimension (same eligibility rule as the whole-map
-        // freeze in `MapSnapshot::from_frozen`).
+        // common dimension. The dimension is taken from the first
+        // verifiable payload (one front-end config built the whole map,
+        // so disagreement means an unusable signature, not a second
+        // population).
         let signature_dim = payloads
             .iter()
             .find(|p| p.has_keyframe() && !p.signature.is_empty())

@@ -1,34 +1,35 @@
-//! tigris-shard: spatially tiled snapshot serving with versioned epoch
-//! hot-swap.
+//! The serving front end: spatially tiled map serving with versioned
+//! epoch hot-swap.
 //!
-//! The whole-snapshot serving layer ([`crate::LocalizationService`])
-//! answers one question well — *serve a finished map, forever* — at two
-//! costs that grow with the map: every session holds the entire map
-//! resident, and picking up new mapping work means freezing a whole new
-//! snapshot and restarting every session. This module removes both:
+//! Serving a map well has two costs that grow with the map: every
+//! session would hold the entire map resident, and picking up new
+//! mapping work would mean rebuilding the served map and restarting
+//! every session. This module removes both:
 //!
 //! * **Spatial tiling** ([`tile`], [`router`]) — an epoch's submaps are
 //!   partitioned into grid tiles; a query fans out only to the tiles
 //!   whose conservative world bounds its sphere intersects. Routing is
 //!   provably conservative, so tile-routed answers are bit-identical to
-//!   whole-map fan-out.
+//!   `Mapper::query` on the published map.
 //! * **Lazy residency** ([`residency`]) — a tile's search indices are
 //!   rebuilt on first session demand and evicted least-recently-touched
 //!   under an explicit byte budget; correctness never depends on what is
-//!   resident, only latency does.
-//! * **Versioned epochs** ([`epoch`]) — a live, still-mapping
-//!   [`tigris_map::Mapper`] is published copy-on-write at submap
+//!   resident, only latency does, so a budgeted service answers exactly
+//!   like an unbounded one.
+//! * **Versioned epochs** ([`epoch`]) — a [`tigris_map::Mapper`],
+//!   finished or still mapping, is published copy-on-write at submap
 //!   granularity: unchanged submaps are shared by `Arc` across epochs,
 //!   and only changed ones are re-archived. [`ShardService::install_epoch`]
 //!   hot-swaps the served version: new sessions pin the newest epoch,
 //!   in-flight sessions drain on the epoch they started with, and a
-//!   superseded epoch frees when its last session unpins.
+//!   superseded epoch frees when its last session unpins. A finished
+//!   map is one epoch that is never replaced.
 //!
-//! Sessions ([`ShardSession`]) drive the exact state machine and
-//! relocalization gates of the whole-snapshot [`crate::Session`] — the
-//! implementations are shared, not parallel — so a sharded session's
-//! pose stream over epoch N is bit-identical to a frozen-snapshot
-//! session over the same map.
+//! Sessions ([`ShardSession`]) drive the serving state machine
+//! ([`crate::session`]) and the relocalization gate pipeline
+//! ([`crate::reloc`]) against their pinned epoch, so a session's pose
+//! stream over epoch N is the same whatever the tiling, the tile budget
+//! or the epochs installed after N.
 
 pub mod epoch;
 pub mod residency;

@@ -8,9 +8,9 @@ use std::time::Duration;
 
 use tigris_core::{BatchConfig, SearchStats};
 use tigris_geom::{RigidTransform, Vec3};
-use tigris_map::retrieval::{self, RetrievalHit};
+use tigris_map::retrieval;
 use tigris_map::{sort_map_neighbors, MapNeighbor};
-use tigris_obs::sampler::{RequestOutcome, TailConfig, TailSampler};
+use tigris_obs::sampler::{TailConfig, TailSampler};
 use tigris_obs::Registry;
 use tigris_pipeline::{PreparedFrame, RegistrationResult};
 
@@ -21,7 +21,6 @@ use super::session::ShardSession;
 use super::tile::TilingConfig;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::reloc::RelocTarget;
 use crate::service::RequestGate;
 use crate::stats::{ServeStats, SessionStats};
 
@@ -29,9 +28,7 @@ use crate::stats::{ServeStats, SessionStats};
 /// tiling, and the residency byte budget.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Session/in-flight budgets and relocalization gates — shared with
-    /// the whole-snapshot service, so both front ends admit and gate
-    /// identically.
+    /// Session/in-flight budgets and relocalization gates.
     pub serve: ServeConfig,
     /// How published epochs are cut into tiles.
     pub tiling: TilingConfig,
@@ -107,14 +104,6 @@ impl ShardCore {
         self.lock_state().0.finish_request(latency, delta);
     }
 
-    /// Feeds one finished request to the tail sampler (same contract as
-    /// `ServiceCore::observe_tail` in the whole-snapshot service): runs
-    /// after `finish_request`, outside the service lock.
-    pub(crate) fn observe_tail(&self, root: Option<u64>, latency: Duration, failed: bool) {
-        let outcome = if failed { RequestOutcome::Failed } else { RequestOutcome::Completed };
-        self.sampler.observe(root, latency, outcome, false);
-    }
-
     /// A session closed: release its admission slot and unpin its epoch.
     /// When the last session of a superseded epoch unpins, that epoch's
     /// resident tiles are purged (its payload archives free with the
@@ -139,17 +128,18 @@ impl ShardCore {
     }
 }
 
-/// Serves a live, growing map to many concurrent localization sessions
-/// through spatial tiles and versioned copy-on-write epochs.
+/// Serves a map to many concurrent localization sessions through
+/// spatial tiles and versioned copy-on-write epochs.
 ///
-/// Where [`crate::LocalizationService`] serves one frozen
-/// [`crate::MapSnapshot`] forever, a `ShardService` serves whatever
-/// epoch was last [installed](ShardService::install_epoch):
+/// A `ShardService` serves whatever epoch was last
+/// [installed](ShardService::install_epoch). A finished map is served
+/// by installing one epoch and never replacing it:
+/// `ShardService::with_epoch(EpochPublisher::new().publish(&mapper)?, config)`.
 ///
 /// * **sessions pin their epoch** — a session admitted on epoch N
 ///   drains on N however many newer epochs arrive, so its pose stream
-///   is exactly what a frozen-snapshot session over the same map would
-///   produce; new sessions pin the newest epoch;
+///   is exactly what a never-swapped service over epoch N produces; new
+///   sessions pin the newest epoch;
 /// * **queries route by tile** — the router fans a query sphere out to
 ///   only the covering tiles (bit-identical to whole-map fan-out by the
 ///   conservative-bounds argument in the [tiling docs](super::tile));
@@ -202,9 +192,12 @@ impl ShardService {
         &self.core.registry
     }
 
-    /// This service's tail-based trace sampler (see
-    /// [`crate::LocalizationService::sampler`] — the sharded front end
-    /// samples identically).
+    /// This service's tail-based trace sampler: every finished localize
+    /// call is offered to it, and it retains (bounded, FIFO) the span
+    /// trees of requests that were slow against the service's own
+    /// latency history or that failed. Inspect or drain the retained
+    /// set for debugging; the ops monitor snapshots it into post-mortem
+    /// bundles automatically.
     pub fn sampler(&self) -> &Arc<TailSampler> {
         &self.core.sampler
     }
@@ -260,7 +253,8 @@ impl ShardService {
     }
 
     /// A tile-routed map query against the *current* epoch; answers
-    /// exactly like [`crate::MapSnapshot::query`] over the same map.
+    /// exactly like `Mapper::query` on the mapper the epoch was
+    /// published from.
     /// Session-pinned queries live on [`ShardSession::query`].
     ///
     /// # Errors
@@ -303,31 +297,19 @@ impl ShardService {
     }
 }
 
-/// The [`RelocTarget`] over a pinned epoch view: retrieval and keyframe
-/// verification read the epoch directly; structure overlap touches the
-/// candidate submap's tile (loading it when cold). Driving the *same*
-/// `relocalize_prepared` gate pipeline as the whole-snapshot service is
-/// what makes sharded cold starts structurally identical to frozen ones.
+/// A pinned epoch view as a relocalization target: retrieval and
+/// keyframe verification read the epoch directly; structure overlap
+/// touches the candidate submap's tile (loading it when cold).
 pub(crate) struct EpochTarget<'a> {
     pub(crate) core: &'a ShardCore,
     pub(crate) view: &'a EpochView,
 }
 
-impl RelocTarget for EpochTarget<'_> {
-    fn signature_dim(&self) -> usize {
-        self.view.epoch().signature_dim()
-    }
-
-    fn retrieve(
-        &self,
-        signature: &[f64],
-        candidates: usize,
-        max_distance: f64,
-    ) -> Vec<RetrievalHit> {
-        self.view.epoch().retrieval().retrieve(signature, candidates, max_distance)
-    }
-
-    fn verify_against(
+impl EpochTarget<'_> {
+    /// Registers the prepared frame against `submap`'s stored keyframe
+    /// (locking that keyframe for the duration); `None` when the submap
+    /// stores no keyframe or the pair fails to match.
+    pub(crate) fn verify_against(
         &self,
         submap: usize,
         frame: &mut PreparedFrame,
@@ -338,7 +320,10 @@ impl RelocTarget for EpochTarget<'_> {
         retrieval::verify_geometry(frame, &mut keyframe, epoch.registration_config())
     }
 
-    fn structure_overlap(
+    /// Structure-overlap fraction of `points` against `submap` under
+    /// `relative`, NN lookups batched through the submap's rebuilt tile
+    /// index.
+    pub(crate) fn structure_overlap(
         &self,
         points: &[Vec3],
         relative: &RigidTransform,
@@ -357,22 +342,13 @@ impl RelocTarget for EpochTarget<'_> {
         };
         retrieval::structure_overlap_indexed(points, relative, &loaded.index, bounds, cfg)
     }
-
-    fn anchor_frame(&self, submap: usize) -> usize {
-        self.view.epoch().payloads()[submap].anchor_frame()
-    }
-
-    fn frame_pose(&self, frame: usize) -> RigidTransform {
-        self.view.epoch().poses()[frame]
-    }
 }
 
 /// Tile-routed serial map query over a pinned view: fan out to the
 /// covering tiles, apply each member submap's own local-bounds gate,
-/// and merge in the canonical order. Bit-identical to
-/// [`crate::MapSnapshot::query`] over the same map (conservative
-/// routing + the rebuild-identical index contract + the one shared
-/// [`sort_map_neighbors`] comparator).
+/// and merge in the canonical order. Bit-identical to `Mapper::query`
+/// on the published map (conservative routing + the rebuild-identical
+/// index contract + the one shared [`sort_map_neighbors`] comparator).
 pub(crate) fn query_view(
     core: &ShardCore,
     view: &EpochView,
@@ -406,9 +382,8 @@ pub(crate) fn query_view(
 }
 
 /// Batched [`query_view`]: queries grouped per covering tile, then
-/// batched per member submap through the shared read path — the sharded
-/// analogue of [`crate::MapSnapshot::query_batch`], bit-identical to
-/// per-element [`query_view`].
+/// batched per member submap through the shared read path —
+/// bit-identical to per-element [`query_view`].
 pub(crate) fn query_batch_view(
     core: &ShardCore,
     view: &EpochView,

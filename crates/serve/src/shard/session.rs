@@ -1,11 +1,12 @@
-//! A sharded localization session: the whole-snapshot session's state
-//! machine, pinned to one epoch and relocalizing through tiles.
+//! A localization session: the serving state machine, pinned to one
+//! epoch and relocalizing through tiles.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use tigris_geom::{PointCloud, RigidTransform, Vec3};
 use tigris_map::MapNeighbor;
+use tigris_obs::sampler::RequestOutcome;
 
 use super::router::EpochView;
 use super::service::{query_batch_view, query_view, EpochTarget, ShardCore};
@@ -16,13 +17,13 @@ use crate::stats::SessionStats;
 
 /// One client's localization session against a [`super::ShardService`].
 ///
-/// Behaviorally a [`crate::Session`] — both drive the *same* internal
-/// state machine (cold start → velocity-prior tracking → loss budget →
-/// cold start) and the same relocalization gate pipeline — but pinned
+/// Drives the serving state machine (cold start → velocity-prior
+/// tracking → loss budget → cold start; see [`crate::session`]) pinned
 /// to the epoch that was current at admission: the session's answers
 /// are those of that epoch however many newer epochs are installed
-/// while it runs. Dropping the session releases its admission slot and
-/// its epoch pin.
+/// while it runs. Sessions are independent and `Send`: move each to its
+/// own thread and localize concurrently. Dropping the session releases
+/// its admission slot and its epoch pin.
 #[derive(Debug)]
 pub struct ShardSession {
     id: usize,
@@ -61,21 +62,32 @@ impl ShardSession {
         self.track.stats()
     }
 
-    /// Localizes one raw frame against the pinned epoch — the sharded
-    /// counterpart of [`crate::Session::localize`]: cold-start
-    /// relocalization when the session has no pose (retrieval over the
-    /// epoch, verification against shared keyframes, structure overlap
-    /// through the candidate's tile), velocity-prior tracking otherwise
-    /// (tracking registers against the session's own previous frame and
-    /// touches no tile at all).
+    /// Localizes one raw frame (sensor coordinates) against the pinned
+    /// epoch: cold-start relocalization when the session has no pose
+    /// (retrieval over the epoch, verification against shared
+    /// keyframes, structure overlap through the candidate's tile),
+    /// velocity-prior tracking otherwise (tracking registers against the
+    /// session's own previous frame and touches no tile at all). The
+    /// frame's front end runs exactly once either way, and a successful
+    /// frame's preparation is carried as the next step's tracking
+    /// reference.
     ///
     /// # Errors
     ///
-    /// As [`crate::Session::localize`].
+    /// [`ServeError::Saturated`] when the service's in-flight budget
+    /// rejects the call (no work done);
+    /// [`ServeError::Registration`] when the frame fails to prepare (the
+    /// session state is unchanged) or a within-budget tracking loss
+    /// occurred (the session keeps its previous reference);
+    /// [`ServeError::RelocalizationFailed`] when a cold start (initial
+    /// or after tracking loss) finds no verifiable pose — the session is
+    /// cold afterwards.
     pub fn localize(&mut self, frame: &PointCloud) -> Result<SessionStep, ServeError> {
         self.core.begin_request()?;
-        // Root of the request's trace tree, as in the whole-snapshot
-        // session; the pinned epoch version rides along as a field.
+        // The root of the request's trace tree: everything the frame
+        // touches — preparation, relocalization gates, tile loads,
+        // tracking, map search — nests under this span; the pinned
+        // epoch version rides along as a field.
         let _span = tigris_obs::span!(
             "serve.localize",
             session = self.id,
@@ -97,16 +109,20 @@ impl ShardSession {
         let delta = self.track.stats().delta_since(&before);
         let latency = t0.elapsed();
         self.core.finish_request(latency, delta);
-        // Tail sampling after metering and after the root span closes,
-        // as in the whole-snapshot session.
+        // Tail sampling runs after metering (so the percentile baseline
+        // includes this request) and after the root span is closed (so
+        // its End record is in the flight ring when the subtree is cut).
         let root = _span.id();
         drop(_span);
-        self.core.observe_tail(root, latency, result.is_err());
+        let outcome =
+            if result.is_err() { RequestOutcome::Failed } else { RequestOutcome::Completed };
+        self.core.sampler.observe(root, latency, outcome, false);
         result
     }
 
     /// A tile-routed map query against the *pinned* epoch; answers
-    /// exactly like [`crate::MapSnapshot::query`] over the same map.
+    /// exactly like `Mapper::query` on the mapper the epoch was
+    /// published from.
     pub fn query(&self, point: Vec3, radius: f64) -> Vec<MapNeighbor> {
         query_view(&self.core, &self.view, point, radius)
     }

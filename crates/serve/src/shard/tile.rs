@@ -10,7 +10,7 @@
 //! sphere that could reach a member's points intersects the tile
 //! bounds. Routing by tile therefore never drops an answering submap,
 //! which is what makes tile-routed queries bit-identical to
-//! whole-snapshot fan-out.
+//! whole-map fan-out.
 
 use std::collections::BTreeMap;
 

@@ -9,7 +9,7 @@ use tigris_obs::{Histogram, HistogramConfig};
 /// Counters for one session's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Frames submitted to [`crate::Session::localize`] (admitted ones;
+    /// Frames submitted to [`crate::shard::ShardSession::localize`] (admitted ones;
     /// saturation rejections are counted service-wide only).
     pub frames: usize,
     /// Cold-start relocalizations attempted.
@@ -56,7 +56,7 @@ impl SessionStats {
 }
 
 /// Service-wide counters and latency summary, as returned by
-/// [`crate::LocalizationService::stats`] (a consistent point-in-time
+/// [`crate::shard::ShardService::stats`] (a consistent point-in-time
 /// copy).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
@@ -93,9 +93,7 @@ pub struct ServeStats {
     pub prepare_scratch_reuses: u64,
     /// Latency distribution over every completed localize call.
     pub latency: LatencySummary,
-    /// Tile residency counters — all zero for the whole-snapshot
-    /// [`crate::LocalizationService`], live for the sharded
-    /// [`crate::shard::ShardService`].
+    /// Tile residency counters.
     pub tiles: TileStats,
 }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use tigris::data::{LidarConfig, Sequence, SequenceConfig};
 use tigris::map::{Mapper, MapperConfig};
 use tigris::obs;
-use tigris::serve::{LocalizationService, MapSnapshot, ServeConfig};
+use tigris::serve::shard::{EpochPublisher, ShardConfig, ShardService};
 
 fn main() {
     // Tracing covers the whole run: the mapper's insert/closure/optimize
@@ -44,8 +44,8 @@ fn main() {
     );
 
     // ---- Read side: four sessions, each one request tree ---------------
-    let snapshot = Arc::new(MapSnapshot::freeze(mapper).expect("freeze failed"));
-    let service = LocalizationService::new(Arc::clone(&snapshot), ServeConfig::default());
+    let epoch = EpochPublisher::new().publish(&mapper).expect("publish failed");
+    let service = ShardService::with_epoch(epoch, ShardConfig::default());
     let scripts: Vec<Vec<usize>> =
         vec![vec![2, 3, 4], vec![58, 59, 60], vec![61, 62], vec![63, 64]];
     std::thread::scope(|scope| {

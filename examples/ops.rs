@@ -13,10 +13,9 @@
 //! environment:
 //! ```text
 //! TIGRIS_SLO='serve.latency_us:p99<=250ms' TIGRIS_TAIL_SLOW_US=5000 \
-//!   cargo run --release --example serve
+//!   cargo run --release --example shard_serve
 //! ```
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use tigris::data::{LidarConfig, Sequence, SequenceConfig};
@@ -24,7 +23,7 @@ use tigris::map::{Mapper, MapperConfig};
 use tigris::obs;
 use tigris::obs::ops::{OpsConfig, OpsMonitor};
 use tigris::obs::slo::parse_specs;
-use tigris::serve::{LocalizationService, MapSnapshot, ServeConfig};
+use tigris::serve::shard::{EpochPublisher, ShardConfig, ShardService};
 
 fn main() {
     // The flight recorder runs continuously (it defaults on in every
@@ -43,7 +42,7 @@ fn main() {
     for i in 0..seq.len() {
         mapper.push(seq.frame(i)).expect("mapping frame failed");
     }
-    let snapshot = Arc::new(MapSnapshot::freeze(mapper).expect("freeze failed"));
+    let epoch = EpochPublisher::new().publish(&mapper).expect("publish failed");
 
     // ---- The operational tier ------------------------------------------
     // An SLO no real request can meet (p99 ≤ 1 µs) stands in for a
@@ -61,7 +60,7 @@ fn main() {
     // to show; production would keep the default self-calibrating p99
     // threshold (or set `TIGRIS_TAIL_SLOW_US`).
     std::env::set_var("TIGRIS_TAIL_SLOW_US", "0");
-    let service = LocalizationService::new(Arc::clone(&snapshot), ServeConfig::default());
+    let service = ShardService::with_epoch(epoch, ShardConfig::default());
     std::env::remove_var("TIGRIS_TAIL_SLOW_US");
     let label = ops.register("serve", service.registry(), Some(service.sampler()));
     println!("registered service as '{label}' with SLO serve.latency_us:p99<=1us");

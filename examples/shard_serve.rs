@@ -1,4 +1,4 @@
-//! Sharded serving with epoch hot-swap: a live mapper publishes
+//! Serving with epoch hot-swap: a live mapper publishes
 //! copy-on-write map epochs while sessions localize against spatial
 //! tiles that load on demand under a byte budget.
 //!
@@ -52,7 +52,7 @@ fn main() {
 
     // A deliberately tight tile budget: tiles load on demand and evict
     // LRU, so resident index bytes stay bounded while answers stay
-    // bit-identical to the whole-snapshot fan-out.
+    // bit-identical to `Mapper::query` on the published map.
     let config = ShardConfig { tile_budget_bytes: 2 << 20, ..ShardConfig::default() };
     let service = ShardService::with_epoch(Arc::clone(&epoch1), config);
 

@@ -22,8 +22,8 @@ use tigris::data::{LidarConfig, Sequence, SequenceConfig};
 use tigris::map::{Mapper, MapperConfig};
 use tigris::obs::json::Json;
 use tigris::obs::{self, RecordKind, Trace};
-use tigris::serve::shard::{EpochPublisher, ShardConfig, ShardService};
-use tigris::serve::{LocalizationService, MapSnapshot, ServeConfig, SessionStep};
+use tigris::serve::shard::{EpochPublisher, ShardConfig, ShardService, SnapshotEpoch};
+use tigris::serve::SessionStep;
 
 /// Tests in this file toggle the process-global tracing switch and
 /// drain the shared collectors; they must not interleave.
@@ -33,7 +33,7 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The serving fixture of `serve_integration.rs`: a ~66-frame, 60 m
+/// The serving fixture of `shard_integration.rs`: a ~66-frame, 60 m
 /// closed circuit at the low-resolution scanner.
 fn fixture_config() -> SequenceConfig {
     let mut cfg = SequenceConfig::loop_circuit(60.0, 6);
@@ -43,7 +43,7 @@ fn fixture_config() -> SequenceConfig {
 
 struct Fixture {
     seq: Sequence,
-    snapshot: Arc<MapSnapshot>,
+    epoch: Arc<SnapshotEpoch>,
 }
 
 /// Built once, with tracing disabled, so fixture work never pollutes a
@@ -57,15 +57,21 @@ fn fixture() -> &'static Fixture {
         for i in 0..seq.len() {
             mapper.push(seq.frame(i)).unwrap_or_else(|e| panic!("map frame {i} failed: {e}"));
         }
-        let snapshot = Arc::new(MapSnapshot::freeze(mapper).expect("freeze must succeed"));
-        Fixture { seq, snapshot }
+        let epoch = EpochPublisher::new().publish(&mapper).expect("publish must succeed");
+        Fixture { seq, epoch }
     })
 }
 
+/// A fresh service over the fixture epoch, created before any test
+/// turns tracing on (the install would otherwise record an
+/// `epoch.install` event outside every request tree).
+fn fixture_service(fx: &Fixture) -> ShardService {
+    ShardService::with_epoch(Arc::clone(&fx.epoch), ShardConfig::default())
+}
+
 /// One cold start (frame 3) and one tracked frame (frame 4) through a
-/// fresh whole-snapshot session.
-fn serve_two_frames(fx: &Fixture) -> Vec<SessionStep> {
-    let service = LocalizationService::new(Arc::clone(&fx.snapshot), ServeConfig::default());
+/// fresh session of `service`.
+fn serve_two_frames(fx: &Fixture, service: &ShardService) -> Vec<SessionStep> {
     let mut session = service.open_session().expect("session admission");
     [3, 4]
         .iter()
@@ -123,11 +129,12 @@ fn serve_request_yields_one_connected_trace_tree() {
     let fx = fixture();
 
     // Baseline: the same two frames with tracing off.
-    let baseline = serve_two_frames(fx);
+    let baseline = serve_two_frames(fx, &fixture_service(fx));
 
+    let traced_service = fixture_service(fx);
     obs::drain(); // discard anything earlier tests left behind
     obs::set_enabled(true);
-    let traced = serve_two_frames(fx);
+    let traced = serve_two_frames(fx, &traced_service);
     obs::set_enabled(false);
     let trace = obs::drain();
 
@@ -156,7 +163,7 @@ fn serve_request_yields_one_connected_trace_tree() {
         assert_descends(&trace, name, cold_root);
     }
     // The relocalization gate values arrive as structured events under
-    // the same root (satellite: the old TIGRIS_SERVE_DEBUG eprintlns).
+    // the same root.
     let accepts = trace.find(RecordKind::Instant, "reloc.accept");
     assert!(!accepts.is_empty(), "the cold start must record reloc.accept");
     assert!(trace.has_ancestor(accepts[0].id, cold_root));
@@ -236,10 +243,11 @@ fn sharded_request_connects_tiles_and_index_builds_under_the_root() {
         "the tile's index rebuild must nest under the request root"
     );
 
-    // Sharded answers equal whole-snapshot answers — tracing does not
-    // change that either (the deeper equivalence is shard_integration's
-    // job; here we pin the traced path).
-    let baseline = serve_two_frames(fx);
+    // Answers over a traced publish equal the untraced fixture epoch's —
+    // tracing changes neither publishing nor serving (the deeper
+    // equivalences are shard_integration's job; here we pin the traced
+    // path).
+    let baseline = serve_two_frames(fx, &fixture_service(fx));
     assert_eq!(cold.pose, baseline[0].pose);
     assert_eq!(tracked.pose, baseline[1].pose);
 

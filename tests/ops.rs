@@ -27,7 +27,8 @@ use tigris::obs::ops::{OpsConfig, OpsMonitor};
 use tigris::obs::sampler::TailDecision;
 use tigris::obs::slo::parse_specs;
 use tigris::obs::{self, RecordKind};
-use tigris::serve::{LocalizationService, MapSnapshot, ServeConfig, SessionStep};
+use tigris::serve::shard::{EpochPublisher, ShardConfig, ShardService, SnapshotEpoch};
+use tigris::serve::SessionStep;
 
 /// Tests here toggle the process-global recorder, read/write the
 /// sampler's environment knobs and drain shared state; they must not
@@ -41,8 +42,8 @@ fn serial() -> MutexGuard<'static, ()> {
 /// The serving fixture of `observability.rs`: a ~66-frame, 60 m closed
 /// circuit at the low-resolution scanner, built once with every sink
 /// off.
-fn fixture() -> &'static (Sequence, Arc<MapSnapshot>) {
-    static FIXTURE: OnceLock<(Sequence, Arc<MapSnapshot>)> = OnceLock::new();
+fn fixture() -> &'static (Sequence, Arc<SnapshotEpoch>) {
+    static FIXTURE: OnceLock<(Sequence, Arc<SnapshotEpoch>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let mut cfg = SequenceConfig::loop_circuit(60.0, 6);
         cfg.lidar = LidarConfig::tiny();
@@ -55,17 +56,17 @@ fn fixture() -> &'static (Sequence, Arc<MapSnapshot>) {
         for i in 0..seq.len() {
             mapper.push(seq.frame(i)).unwrap_or_else(|e| panic!("map frame {i} failed: {e}"));
         }
-        let snapshot = Arc::new(MapSnapshot::freeze(mapper).expect("freeze must succeed"));
-        (seq, snapshot)
+        let epoch = EpochPublisher::new().publish(&mapper).expect("publish must succeed");
+        (seq, epoch)
     })
 }
 
 /// A service whose tail sampler uses a fixed cutoff of `slow_us`
 /// microseconds (0 retains everything), built under the serial lock so
 /// the environment round-trip cannot interleave.
-fn service_with_cutoff(snapshot: &Arc<MapSnapshot>, slow_us: u64) -> LocalizationService {
+fn service_with_cutoff(epoch: &Arc<SnapshotEpoch>, slow_us: u64) -> ShardService {
     std::env::set_var("TIGRIS_TAIL_SLOW_US", slow_us.to_string());
-    let service = LocalizationService::new(Arc::clone(snapshot), ServeConfig::default());
+    let service = ShardService::with_epoch(Arc::clone(epoch), ShardConfig::default());
     std::env::remove_var("TIGRIS_TAIL_SLOW_US");
     service
 }
@@ -113,13 +114,13 @@ fn assert_chrome_balanced(json: &Json) -> Vec<String> {
 #[test]
 fn slo_breach_writes_postmortem_with_the_offending_request_tree() {
     let _guard = serial();
-    let (seq, snapshot) = fixture();
+    let (seq, epoch) = fixture();
     obs::set_recorder(true);
     obs::recorder::reset();
 
     // Cutoff 0: every request is "slow" — each one is an induced
     // anomaly whose tree the sampler must keep.
-    let service = service_with_cutoff(snapshot, 0);
+    let service = service_with_cutoff(epoch, 0);
     let ops = monitor("breach", "serve.latency_us:p99<=1us");
     ops.register("serve", service.registry(), Some(service.sampler()));
 
@@ -210,12 +211,12 @@ fn slo_breach_writes_postmortem_with_the_offending_request_tree() {
 #[test]
 fn tail_sampler_retains_slow_and_failed_and_drops_fast() {
     let _guard = serial();
-    let (seq, snapshot) = fixture();
+    let (seq, epoch) = fixture();
     obs::set_recorder(true);
     obs::recorder::reset();
 
     // One-hour cutoff: healthy requests are all "fast".
-    let service = service_with_cutoff(snapshot, 3_600_000_000);
+    let service = service_with_cutoff(epoch, 3_600_000_000);
     let mut session = service.open_session().expect("session admission");
     for i in [3usize, 4] {
         session.localize(seq.frame(i)).expect("fixture frames must localize");
@@ -245,7 +246,7 @@ fn tail_sampler_retains_slow_and_failed_and_drops_fast() {
     );
 
     // Cutoff 0 flips the same workload to all-retained-slow.
-    let eager = service_with_cutoff(snapshot, 0);
+    let eager = service_with_cutoff(epoch, 0);
     let mut session = eager.open_session().expect("session admission");
     session.localize(seq.frame(3)).expect("fixture frame must localize");
     let stats = eager.sampler().stats();
@@ -258,9 +259,9 @@ fn tail_sampler_retains_slow_and_failed_and_drops_fast() {
 #[test]
 fn poses_are_bit_identical_with_the_operational_tier_on_and_off() {
     let _guard = serial();
-    let (seq, snapshot) = fixture();
+    let (seq, epoch) = fixture();
 
-    let run = |service: &LocalizationService, tick: Option<&OpsMonitor>| -> Vec<SessionStep> {
+    let run = |service: &ShardService, tick: Option<&OpsMonitor>| -> Vec<SessionStep> {
         let mut session = service.open_session().expect("session admission");
         [3usize, 4, 5]
             .iter()
@@ -278,15 +279,14 @@ fn poses_are_bit_identical_with_the_operational_tier_on_and_off() {
     // retains nothing this early), no SLO evaluation.
     obs::set_recorder(false);
     obs::set_enabled(false);
-    let baseline =
-        run(&LocalizationService::new(Arc::clone(snapshot), ServeConfig::default()), None);
+    let baseline = run(&ShardService::with_epoch(Arc::clone(epoch), ShardConfig::default()), None);
 
     // Everything on: flight recorder, retain-everything sampler, and an
     // SLO engine evaluated after every request (breaching, so bundle
     // writes happen mid-stream too).
     obs::set_recorder(true);
     obs::recorder::reset();
-    let service = service_with_cutoff(snapshot, 0);
+    let service = service_with_cutoff(epoch, 0);
     let ops = monitor("identity", "serve.latency_us:p99<=1us");
     ops.register("serve", service.registry(), Some(service.sampler()));
     let observed = run(&service, Some(&ops));

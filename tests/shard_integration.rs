@@ -1,42 +1,56 @@
-//! Sharded serving acceptance: spatially tiled queries, lazy tile
-//! residency under a byte budget, and versioned copy-on-write epoch
-//! hot-swap over a live map.
+//! Serving acceptance: a map built by the `Mapper` is published as
+//! copy-on-write epochs and served through spatial tiles, lazy tile
+//! residency and versioned epoch hot-swap to several concurrent
+//! localization sessions.
 //!
 //! What must hold:
 //!
+//! * every cold-start relocalization in the drift-corrected region lands
+//!   within **1.0 m / 5° of ground truth** (and a held-out query frame —
+//!   same scene, novel pose, fresh sensor noise — does too);
+//! * cold starts *anywhere* on the map are **map-consistent**: within
+//!   1.0 m / 5° of the map's own pose for that place (a localization
+//!   service cannot beat its map's residual drift, and must not add to
+//!   it), and every accepted cold start reports exactly the structure
+//!   overlap the live mapper's own submap index gives for the same
+//!   evidence;
 //! * epoch publishing is **copy-on-write at submap granularity**: a
 //!   re-publish after more mapping shares every unchanged submap's
 //!   payload by `Arc` and re-archives only changed ones;
 //! * tile-routed map queries (serial and batched) are **bit-identical**
-//!   to the whole-snapshot fan-out over the same map;
-//! * sharded localization sessions produce **bit-identical pose
-//!   streams** to frozen-snapshot sessions over the same map — the two
-//!   front ends share their state machine and gate pipeline
-//!   structurally, and this test pins it end to end;
+//!   to `Mapper::query` on the mapper the epoch was published from;
+//! * results are **bit-identical** no matter how many sessions share an
+//!   epoch or how requests interleave, and a session under a tile byte
+//!   budget produces the pose stream of an unbounded whole-map service;
 //! * the tile byte budget **bounds resident rebuilt-index bytes**, with
 //!   eviction churn visible in the stats and no effect on results;
 //! * an epoch hot-swap mid-stream **drops no session and diverges no
 //!   pose**: in-flight sessions drain on their pinned epoch, new
 //!   sessions pin the new one, and a retired epoch's tiles are purged
-//!   when its last session unpins.
+//!   when its last session unpins;
+//! * admission control rejects typed beyond the session/in-flight
+//!   budgets, slots come back on abnormal teardown, and failures are
+//!   typed and recoverable.
 //!
-//! The release-scale version of this scenario (a ≥10× map, 4 threads,
-//! budget far below the map) lives in `crates/bench/tests/shard_bounds.rs`.
+//! The release-scale version of the sharding scenario (a ≥10× map, 4
+//! threads, budget far below the map) lives in
+//! `crates/bench/tests/shard_bounds.rs`.
 
 use std::sync::{Arc, OnceLock};
 
 use tigris::data::{LidarConfig, Sequence, SequenceConfig};
-use tigris::geom::Vec3;
+use tigris::geom::{PointCloud, RigidTransform, Vec3};
+use tigris::map::retrieval::structure_overlap_batched;
 use tigris::map::{Mapper, MapperConfig};
 use tigris::serve::shard::{
     EpochPublisher, EpochView, ShardConfig, ShardService, SnapshotEpoch, TilingConfig,
 };
-use tigris::serve::{
-    LocalizationService, MapSnapshot, ServeConfig, ServeError, SessionStep, StepKind,
-};
+use tigris::serve::{Relocalization, ServeConfig, ServeError, SessionPhase, SessionStep, StepKind};
+use tigris_bench::shard::whole_map_config;
 
-/// The serving fixture: the 60 m closed circuit at the low-resolution
-/// scanner (identical to `serve_integration.rs`).
+/// The serving fixture: a ~66-frame, 60 m closed circuit at the
+/// low-resolution scanner (the mapping fixture of
+/// `mapping_integration.rs`), small enough for debug-mode CI.
 fn fixture_config() -> SequenceConfig {
     let mut cfg = SequenceConfig::loop_circuit(60.0, 6);
     cfg.lidar = LidarConfig::tiny();
@@ -47,29 +61,24 @@ fn fixture_config() -> SequenceConfig {
 /// epoch 2 a genuine content change.
 const EPOCH2_FRAMES: usize = 3;
 
+/// One map build, published twice, shared by every test in this file.
 struct Fixture {
     seq: Sequence,
-    /// Epoch 1: published from the live mapper after `prefix` frames.
+    /// The mapper after every frame: the oracle for epoch 2, never
+    /// served through tiles (`Mapper::query`, live submap indices).
+    mapper: Mapper,
+    /// Epoch 1: published from the mapper after all but the last
+    /// [`EPOCH2_FRAMES`] frames.
     epoch1: Arc<SnapshotEpoch>,
-    /// Epoch 2: published after mapping the remaining frames.
+    /// Epoch 2: published after mapping the remaining frames — the full
+    /// map, content-identical to `mapper`.
     epoch2: Arc<SnapshotEpoch>,
     /// Payloads shared / copied by the epoch-2 publish.
     epoch2_shared: usize,
     epoch2_copied: usize,
-    /// Whole-map oracle: an identical map built from the same prefix,
-    /// frozen the whole-snapshot way.
-    snapshot: Arc<MapSnapshot>,
-    /// Rebuilt-index bytes of the whole prefix map — the "everything
-    /// resident" baseline the tile budget is set against.
+    /// Rebuilt-index bytes of the whole map — the "everything resident"
+    /// baseline tile budgets are set against.
     whole_map_bytes: usize,
-}
-
-fn build_prefix_mapper(seq: &Sequence, prefix: usize) -> Mapper {
-    let mut mapper = Mapper::new(MapperConfig::serving());
-    for i in 0..prefix {
-        mapper.push(seq.frame(i)).unwrap_or_else(|e| panic!("map frame {i} failed: {e}"));
-    }
-    mapper
 }
 
 fn fixture() -> &'static Fixture {
@@ -78,46 +87,261 @@ fn fixture() -> &'static Fixture {
         let seq = Sequence::generate(&fixture_config(), 7);
         let prefix = seq.len() - EPOCH2_FRAMES;
 
-        // The live mapper: publish epoch 1 mid-stream, keep mapping,
-        // publish epoch 2.
-        let mut live = build_prefix_mapper(&seq, prefix);
-        assert!(live.stats().closures_accepted >= 1, "the prefix map must already close its loop");
+        // The serving profile: submap anchors (= stored keyframes, the
+        // verification targets) every 6 m, dense loop closures. Publish
+        // epoch 1 mid-stream, keep mapping, publish epoch 2.
+        let mut mapper = Mapper::new(MapperConfig::serving());
+        for i in 0..prefix {
+            mapper.push(seq.frame(i)).unwrap_or_else(|e| panic!("map frame {i} failed: {e}"));
+        }
+        assert!(
+            mapper.stats().closures_accepted >= 1,
+            "the prefix map must already close its loop ({} attempted)",
+            mapper.stats().closures_attempted
+        );
         let mut publisher = EpochPublisher::new();
-        let epoch1 = publisher.publish(&live).expect("epoch 1 publish");
+        let epoch1 = publisher.publish(&mapper).expect("epoch 1 publish");
         for i in prefix..seq.len() {
-            live.push(seq.frame(i)).unwrap_or_else(|e| panic!("map frame {i} failed: {e}"));
+            mapper.push(seq.frame(i)).unwrap_or_else(|e| panic!("map frame {i} failed: {e}"));
         }
         let shared_before = publisher.payloads_shared();
         let copied_before = publisher.payloads_copied();
-        let epoch2 = publisher.publish(&live).expect("epoch 2 publish");
-
-        // The oracle: the same deterministic prefix build, frozen whole.
-        let oracle = build_prefix_mapper(&seq, prefix);
-        let whole_map_bytes = oracle.submaps().iter().map(|s| s.memory_bytes()).sum();
-        let snapshot = Arc::new(MapSnapshot::freeze(oracle).expect("freeze"));
+        let epoch2 = publisher.publish(&mapper).expect("epoch 2 publish");
+        let whole_map_bytes = mapper.submaps().iter().map(|s| s.memory_bytes()).sum();
 
         Fixture {
             seq,
+            mapper,
             epoch1,
             epoch2,
             epoch2_shared: publisher.payloads_shared() - shared_before,
             epoch2_copied: publisher.payloads_copied() - copied_before,
-            snapshot,
             whole_map_bytes,
         }
     })
 }
 
-/// Map probes along the mapped trajectory (the same scheme the serving
-/// integration test uses against the mapper).
+/// Map probes along the mapped trajectory, dropped to just below the
+/// scanner mount.
 fn probes(fx: &Fixture) -> Vec<Vec3> {
-    (0..fx.seq.len())
-        .step_by(5)
-        .map(|i| {
-            fx.snapshot.poses()[i.min(fx.snapshot.poses().len() - 1)].translation
-                + Vec3::new(0.0, 0.0, -1.0)
-        })
-        .collect()
+    fx.mapper.poses().iter().step_by(5).map(|p| p.translation + Vec3::new(0.0, 0.0, -1.0)).collect()
+}
+
+fn pose_errors(reference: &RigidTransform, est: &RigidTransform) -> (f64, f64) {
+    let delta = reference.inverse() * *est;
+    (delta.translation_norm(), delta.rotation_angle().to_degrees())
+}
+
+fn assert_same_pose(a: &SessionStep, b: &SessionStep, what: &str) {
+    assert_eq!(a.frame, b.frame);
+    assert_eq!(a.pose.translation, b.pose.translation, "frame {}: {what}", a.frame);
+    assert_eq!(a.pose.rotation, b.pose.rotation, "frame {}: {what} (rotation)", a.frame);
+}
+
+/// Asserts a cold start served from epoch 2 reports exactly the
+/// structure overlap the live mapper's own submap index gives for the
+/// same evidence — the served tile index was rebuilt from an archive,
+/// the oracle's is the one the mapper built incrementally.
+fn assert_overlap_matches_live_submap(fx: &Fixture, frame: &PointCloud, reloc: &Relocalization) {
+    let registration = &fx.mapper.config().registration;
+    let prepared = tigris::pipeline::prepare_frame(frame, registration).expect("prepare");
+    let live = structure_overlap_batched(
+        prepared.points(),
+        &reloc.relative,
+        &fx.mapper.submaps()[reloc.submap],
+        &registration.parallel,
+    );
+    assert_eq!(
+        live.to_bits(),
+        reloc.structure_overlap.to_bits(),
+        "served structure overlap {} diverged from the live submap's {live}",
+        reloc.structure_overlap
+    );
+}
+
+/// Tracked frames following each script's cold start.
+const TRACK_STEPS: usize = 2;
+
+/// Session scripts in the drift-corrected region (the loop seam, where
+/// the closures pinned the map to ground truth): each session
+/// cold-starts on its first frame, then tracks the following ones.
+fn session_scripts() -> Vec<Vec<usize>> {
+    [2usize, 58, 61, 63].iter().map(|&start| (start..=start + TRACK_STEPS).collect()).collect()
+}
+
+/// Runs each script in its own session of `service`, `workers` scripts
+/// concurrently (each worker thread drives its share of the scripts one
+/// session at a time), returning per-script steps. With `workers == 1`
+/// this is fully serial serving of the same requests — the bit-identity
+/// baseline.
+fn run_sessions(
+    service: &ShardService,
+    seq: &Sequence,
+    scripts: &[Vec<usize>],
+    workers: usize,
+) -> Vec<Vec<SessionStep>> {
+    let mut results: Vec<Vec<SessionStep>> = vec![Vec::new(); scripts.len()];
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for worker in 0..workers {
+            let scripts_for_worker: Vec<(usize, &Vec<usize>)> =
+                scripts.iter().enumerate().filter(|(i, _)| i % workers == worker).collect();
+            handles.push(scope.spawn(move || {
+                let mut out: Vec<(usize, Vec<SessionStep>)> = Vec::new();
+                for (script_id, script) in scripts_for_worker {
+                    let mut session = service.open_session().expect("session admission");
+                    let steps = script
+                        .iter()
+                        .map(|&frame| {
+                            session
+                                .localize(seq.frame(frame))
+                                .unwrap_or_else(|e| panic!("frame {frame} failed: {e}"))
+                        })
+                        .collect();
+                    out.push((script_id, steps));
+                }
+                out
+            }));
+        }
+        for handle in handles {
+            for (script_id, steps) in handle.join().expect("session thread panicked") {
+                results[script_id] = steps;
+            }
+        }
+    });
+    results
+}
+
+#[test]
+fn frozen_map_serves_concurrent_sessions_within_tolerance() {
+    let fx = fixture();
+    let scripts = session_scripts();
+    assert!(fx.epoch2.verifiable_submaps() >= 2);
+
+    // Serve the same scripts with 1 worker and with 4 concurrent ones.
+    let serial = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
+    let serial_steps = run_sessions(&serial, &fx.seq, &scripts, 1);
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
+    let concurrent_steps = run_sessions(&service, &fx.seq, &scripts, 4);
+
+    for (script, steps) in scripts.iter().zip(&concurrent_steps) {
+        assert_eq!(steps.len(), script.len());
+        // First step of each script is a cold start; the rest track.
+        for (k, (&frame, step)) in script.iter().zip(steps).enumerate() {
+            let (t_err, r_err) = pose_errors(fx.seq.pose(frame), &step.pose);
+            let kind = match step.kind {
+                StepKind::Relocalized(r) => {
+                    assert!(r.confidence > 0.0 && r.confidence < 1.0);
+                    assert!(r.inliers >= ServeConfig::default().reloc.min_inliers);
+                    assert!(
+                        r.structure_overlap >= ServeConfig::default().reloc.min_structure_overlap
+                    );
+                    assert_overlap_matches_live_submap(fx, fx.seq.frame(frame), &r);
+                    "reloc"
+                }
+                StepKind::Tracked { .. } => "track",
+            };
+            eprintln!("frame {frame} ({kind}): err {t_err:.3} m / {r_err:.2} deg");
+            if k == 0 {
+                assert!(
+                    matches!(step.kind, StepKind::Relocalized(_)),
+                    "script head must cold-start"
+                );
+                // The acceptance bound: cold starts within 1 m / 5 deg
+                // of ground truth.
+                assert!(t_err <= 1.0, "frame {frame} cold start {t_err:.3} m off");
+                assert!(r_err <= 5.0, "frame {frame} cold start {r_err:.2} deg off");
+            } else {
+                assert!(matches!(step.kind, StepKind::Tracked { .. }), "script tail must track");
+                assert!(t_err <= 1.5, "frame {frame} tracked {t_err:.3} m off");
+            }
+        }
+    }
+
+    // Bit-identical across session counts: same scripts, same answers.
+    for (a, b) in serial_steps.iter().flatten().zip(concurrent_steps.iter().flatten()) {
+        assert_same_pose(a, b, "poses must be bit-identical across worker counts");
+    }
+
+    // Service-wide accounting.
+    let stats = service.stats();
+    eprintln!("{stats:?}");
+    assert_eq!(stats.sessions_admitted, scripts.len());
+    assert_eq!(stats.sessions_active, 0, "sessions release their slots on drop");
+    assert_eq!(stats.frames, scripts.iter().map(Vec::len).sum::<usize>());
+    assert_eq!(stats.relocalizations_succeeded, scripts.len());
+    assert_eq!(stats.frames_tracked, scripts.len() * TRACK_STEPS);
+    assert_eq!(stats.latency.count, stats.frames);
+    assert!(stats.latency.p50 > std::time::Duration::ZERO);
+    assert!(stats.latency.p99 >= stats.latency.p50);
+}
+
+#[test]
+fn held_out_queries_relocalize_within_tolerance() {
+    let fx = fixture();
+    // Novel poses near the corrected region: the mapped pose nudged
+    // sideways and in heading, scanned with a fresh noise stream — a
+    // query the map has never seen, with exact ground truth.
+    let nudge =
+        RigidTransform::from_axis_angle(Vec3::Z, 3.0_f64.to_radians(), Vec3::new(0.25, -0.2, 0.0));
+    let poses: Vec<RigidTransform> =
+        [3usize, 60].iter().map(|&i| *fx.seq.pose(i) * nudge).collect();
+    let queries = Sequence::scan_at(&fixture_config(), 7, &poses);
+
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
+    for i in 0..queries.len() {
+        let mut session = service.open_session().unwrap();
+        let step = session
+            .localize(queries.frame(i))
+            .unwrap_or_else(|e| panic!("held-out query {i} failed: {e}"));
+        let StepKind::Relocalized(reloc) = step.kind else {
+            panic!("held-out query {i} must cold-start");
+        };
+        assert_overlap_matches_live_submap(fx, queries.frame(i), &reloc);
+        let (t_err, r_err) = pose_errors(queries.pose(i), &step.pose);
+        eprintln!("held-out query {i}: err {t_err:.3} m / {r_err:.2} deg");
+        assert!(t_err <= 1.0, "held-out query {i}: {t_err:.3} m off");
+        assert!(r_err <= 5.0, "held-out query {i}: {r_err:.2} deg off");
+    }
+}
+
+#[test]
+fn mid_loop_cold_starts_are_map_consistent() {
+    let fx = fixture();
+    // Queries right next to mid-loop keyframes, where the map still
+    // carries meters of residual odometry drift relative to ground
+    // truth. A localization service cannot beat its map — but it must
+    // agree with it: the relocalized pose must match the map's own pose
+    // chain for that frame to within the verification tolerance.
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
+    let mut verified = 0usize;
+    for submap in fx.mapper.submaps() {
+        let query_frame = submap.anchor_frame() + 1;
+        if query_frame >= fx.seq.len() {
+            continue;
+        }
+        // A fresh session per query: its first frame is a cold start.
+        let mut session = service.open_session().expect("session admission");
+        let Ok(step) = session.localize(fx.seq.frame(query_frame)) else {
+            // Not every mid-loop frame must relocalize (retrieval is
+            // single-frame); the ones that do must be map-consistent.
+            continue;
+        };
+        let StepKind::Relocalized(reloc) = step.kind else {
+            panic!("a fresh session's first frame must cold-start");
+        };
+        assert_overlap_matches_live_submap(fx, fx.seq.frame(query_frame), &reloc);
+        let map_pose = fx.mapper.poses()[query_frame];
+        let (t_err, r_err) = pose_errors(&map_pose, &reloc.pose);
+        eprintln!(
+            "frame {query_frame} via submap {}: map-relative err {t_err:.3} m / {r_err:.2} deg",
+            reloc.submap
+        );
+        assert!(t_err <= 1.0, "frame {query_frame}: {t_err:.3} m from the map's own pose");
+        assert!(r_err <= 5.0, "frame {query_frame}: {r_err:.2} deg from the map's own pose");
+        verified += 1;
+    }
+    assert!(verified >= 3, "only {verified} mid-loop cold starts verified");
 }
 
 #[test]
@@ -153,9 +377,30 @@ fn epoch_publish_is_copy_on_write_at_submap_granularity() {
 }
 
 #[test]
+fn snapshot_queries_match_the_mapper_and_batch_bitwise() {
+    let fx = fixture();
+    // Zero-loss publish: every mapped point is served.
+    assert_eq!(fx.epoch2.total_points(), fx.mapper.total_points());
+
+    // The whole-map service answers map queries exactly like the live
+    // mapper…
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), whole_map_config());
+    let probes = probes(fx);
+    let expected: Vec<_> = probes.iter().map(|&p| fx.mapper.query(p, 2.0)).collect();
+    for (&p, want) in probes.iter().zip(&expected) {
+        assert_eq!(&service.query(p, 2.0).unwrap(), want, "epoch disagrees with mapper at {p}");
+    }
+
+    // …and the batched path answers exactly like the serial one.
+    let batched = service.query_batch(&probes, 2.0).unwrap();
+    assert_eq!(batched, expected, "batched map query diverged");
+}
+
+#[test]
 fn tile_routed_queries_match_the_whole_snapshot_bitwise() {
     let fx = fixture();
-    let service = ShardService::with_epoch(Arc::clone(&fx.epoch1), ShardConfig::default());
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
+    let whole = ShardService::with_epoch(Arc::clone(&fx.epoch2), whole_map_config());
     let probes = probes(fx);
 
     // At this fixture's scale the scanner out-ranges the whole circuit,
@@ -165,20 +410,23 @@ fn tile_routed_queries_match_the_whole_snapshot_bitwise() {
     // `crates/bench/tests/shard_bounds.rs`, where the map finally
     // outgrows the sensor. Here the routing gate must still partition
     // and must still exclude what it can.
-    let view = EpochView::new(Arc::clone(&fx.epoch1), &TilingConfig::default());
+    let view = EpochView::new(Arc::clone(&fx.epoch2), &TilingConfig::default());
     assert!(view.router().tiles().len() >= 3, "fixture must cut into several tiles");
     let far = Vec3::new(1.0e3, 1.0e3, 0.0);
     assert!(view.router().covering(far, 1.0).is_empty(), "off-map probes route nowhere");
-    assert_eq!(service.query(far, 1.0).unwrap(), fx.snapshot.query(far, 1.0));
+    assert!(service.query(far, 1.0).unwrap().is_empty());
+    assert!(fx.mapper.query(far, 1.0).is_empty());
 
     for &p in &probes {
-        let expected = fx.snapshot.query(p, 2.0);
-        assert!(!expected.is_empty() || fx.snapshot.query(p, 8.0).is_empty());
-        assert_eq!(service.query(p, 2.0).unwrap(), expected, "tile-routed query diverged at {p}");
+        let expected = fx.mapper.query(p, 2.0);
+        assert!(!expected.is_empty() || fx.mapper.query(p, 8.0).is_empty());
+        let got = service.query(p, 2.0).unwrap();
+        assert_eq!(got, expected, "tile-routed query diverged from the mapper at {p}");
+        assert_eq!(got, whole.query(p, 2.0).unwrap(), "tile-routed query diverged at {p}");
     }
     let batched = service.query_batch(&probes, 2.0).unwrap();
     for (&p, got) in probes.iter().zip(&batched) {
-        assert_eq!(got, &fx.snapshot.query(p, 2.0), "batched tile-routed query diverged at {p}");
+        assert_eq!(got, &fx.mapper.query(p, 2.0), "batched tile-routed query diverged at {p}");
     }
 
     let tiles = service.stats().tiles;
@@ -186,84 +434,44 @@ fn tile_routed_queries_match_the_whole_snapshot_bitwise() {
     assert_eq!(tiles.evictions, 0, "unlimited budget must never evict");
 }
 
-/// Session scripts in the drift-corrected loop-seam region (cold-start
-/// heads proven by the serving integration test; tails track).
-fn session_scripts() -> Vec<Vec<usize>> {
-    [2usize, 58, 61].iter().map(|&start| (start..start + 3).collect()).collect()
-}
-
-fn run_frozen(fx: &Fixture, scripts: &[Vec<usize>]) -> Vec<Vec<SessionStep>> {
-    let service = LocalizationService::new(Arc::clone(&fx.snapshot), ServeConfig::default());
-    scripts
-        .iter()
-        .map(|script| {
-            let mut session = service.open_session().expect("admission");
-            script
-                .iter()
-                .map(|&f| session.localize(fx.seq.frame(f)).expect("frozen localize"))
-                .collect()
-        })
-        .collect()
-}
-
-fn run_sharded(
-    fx: &Fixture,
-    scripts: &[Vec<usize>],
-    config: ShardConfig,
-) -> (Vec<Vec<SessionStep>>, ShardService) {
-    let service = ShardService::with_epoch(Arc::clone(&fx.epoch1), config);
-    let steps = scripts
-        .iter()
-        .map(|script| {
-            let mut session = service.open_session().expect("admission");
-            script
-                .iter()
-                .map(|&f| session.localize(fx.seq.frame(f)).expect("sharded localize"))
-                .collect()
-        })
-        .collect();
-    (steps, service)
-}
-
 #[test]
-fn sharded_sessions_match_frozen_sessions_bitwise() {
+fn budgeted_sessions_match_whole_map_sessions_bitwise() {
     let fx = fixture();
     let scripts = session_scripts();
-    let frozen = run_frozen(fx, &scripts);
+    let whole = ShardService::with_epoch(Arc::clone(&fx.epoch2), whole_map_config());
+    let reference = run_sessions(&whole, &fx.seq, &scripts, 1);
 
     // A budget around a third of the map forces real eviction churn
     // while the sessions run — results must not notice.
     let config = ShardConfig { tile_budget_bytes: fx.whole_map_bytes / 3, ..Default::default() };
-    let (sharded, service) = run_sharded(fx, &scripts, config);
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), config);
+    let budgeted = run_sessions(&service, &fx.seq, &scripts, 1);
 
     let mut cold_starts = 0;
-    for (script, (f_steps, s_steps)) in scripts.iter().zip(frozen.iter().zip(&sharded)) {
-        for (&frame, (f, s)) in script.iter().zip(f_steps.iter().zip(s_steps)) {
-            assert_eq!(f.frame, s.frame);
-            assert_eq!(
-                f.pose.translation, s.pose.translation,
-                "frame {frame}: sharded pose diverged from frozen"
-            );
-            assert_eq!(f.pose.rotation, s.pose.rotation, "frame {frame}: rotation diverged");
-            match (&f.kind, &s.kind) {
+    for (script, (w_steps, b_steps)) in scripts.iter().zip(reference.iter().zip(&budgeted)) {
+        for (&frame, (w, b)) in script.iter().zip(w_steps.iter().zip(b_steps)) {
+            assert_same_pose(w, b, "budgeted pose diverged from the whole-map service");
+            match (&w.kind, &b.kind) {
                 (StepKind::Relocalized(a), StepKind::Relocalized(b)) => {
                     cold_starts += 1;
                     assert_eq!(a.submap, b.submap);
                     assert_eq!(a.inliers, b.inliers);
                     assert_eq!(a.structure_overlap, b.structure_overlap);
                     assert_eq!(a.confidence, b.confidence);
+                    assert_overlap_matches_live_submap(fx, fx.seq.frame(frame), b);
                 }
                 (StepKind::Tracked { .. }, StepKind::Tracked { .. }) => {}
                 (a, b) => panic!("frame {frame}: step kinds diverged ({a:?} vs {b:?})"),
             }
         }
     }
-    assert!(cold_starts >= scripts.len(), "every script head must cold-start on both paths");
+    assert!(cold_starts >= scripts.len(), "every script head must cold-start on both services");
 
     let stats = service.stats();
     assert_eq!(stats.frames, scripts.iter().map(Vec::len).sum::<usize>());
     assert_eq!(stats.relocalizations_succeeded, scripts.len());
     assert!(stats.tiles.loads > 0, "cold starts must touch tiles");
+    assert_eq!(whole.stats().tiles.evictions, 0, "the whole-map service never evicts");
 }
 
 #[test]
@@ -271,13 +479,13 @@ fn tile_budget_bounds_resident_bytes_without_changing_answers() {
     let fx = fixture();
     let budget = fx.whole_map_bytes / 4;
     let config = ShardConfig { tile_budget_bytes: budget, ..Default::default() };
-    let service = ShardService::with_epoch(Arc::clone(&fx.epoch1), config);
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), config);
 
     // Roam the whole circuit twice: far more map than the budget admits.
     for lap in 0..2 {
         for &p in &probes(fx) {
             let got = service.query(p, 2.0).unwrap();
-            assert_eq!(got, fx.snapshot.query(p, 2.0), "lap {lap}: eviction changed an answer");
+            assert_eq!(got, fx.mapper.query(p, 2.0), "lap {lap}: eviction changed an answer");
             let tiles = service.stats().tiles;
             assert!(
                 tiles.resident_bytes <= budget || tiles.resident_tiles == 1,
@@ -307,9 +515,10 @@ fn epoch_hot_swap_drains_pinned_sessions_and_serves_new_ones() {
     let fx = fixture();
     let service = ShardService::with_epoch(Arc::clone(&fx.epoch1), ShardConfig::default());
 
-    // Control: the same script served by a service that never swaps.
+    // Control: the same script served by the whole-map service that
+    // never swaps.
     let control: Vec<SessionStep> = {
-        let ctrl = ShardService::with_epoch(Arc::clone(&fx.epoch1), ShardConfig::default());
+        let ctrl = ShardService::with_epoch(Arc::clone(&fx.epoch1), whole_map_config());
         let mut session = ctrl.open_session().unwrap();
         [2usize, 3, 4]
             .iter()
@@ -332,8 +541,7 @@ fn epoch_hot_swap_drains_pinned_sessions_and_serves_new_ones() {
     let step2 = a.localize(fx.seq.frame(4)).expect("post-swap track");
     assert_eq!(a.epoch_version(), 1, "in-flight sessions drain on their pinned epoch");
     for (got, want) in [&step0, &step1, &step2].into_iter().zip(&control) {
-        assert_eq!(got.pose.translation, want.pose.translation, "hot swap diverged a pose");
-        assert_eq!(got.pose.rotation, want.pose.rotation);
+        assert_same_pose(got, want, "hot swap diverged a pose");
     }
 
     // New sessions pin the new epoch and see the extended map.
@@ -352,6 +560,72 @@ fn epoch_hot_swap_drains_pinned_sessions_and_serves_new_ones() {
     assert_eq!(service.active_sessions(), 1);
     drop(b);
     assert_eq!(service.active_sessions(), 0);
+}
+
+#[test]
+fn admission_control_rejects_typed_beyond_budgets() {
+    let fx = fixture();
+    let config = ShardConfig {
+        serve: ServeConfig { max_sessions: 2, max_inflight: 0, ..ServeConfig::default() },
+        ..ShardConfig::default()
+    };
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), config);
+
+    let s1 = service.open_session().unwrap();
+    let mut s2 = service.open_session().unwrap();
+    assert_eq!(
+        service.open_session().unwrap_err(),
+        ServeError::SessionsExhausted { limit: 2 },
+        "third session must be rejected"
+    );
+    assert_eq!(service.active_sessions(), 2);
+
+    // Zero in-flight budget: every localize is shed before any work.
+    assert_eq!(s2.localize(fx.seq.frame(0)).unwrap_err(), ServeError::Saturated { limit: 0 });
+
+    // Dropping a session frees its slot.
+    drop(s1);
+    assert_eq!(service.active_sessions(), 1);
+    let _s3 = service.open_session().expect("slot must be reusable after drop");
+
+    let stats = service.stats();
+    assert_eq!(stats.sessions_rejected, 1);
+    assert_eq!(stats.frames_rejected, 1);
+    assert_eq!(stats.frames, 0, "rejected frames never count as served");
+}
+
+#[test]
+fn session_slots_release_on_abnormal_teardown() {
+    let fx = fixture();
+    let config = ShardConfig {
+        serve: ServeConfig { max_sessions: 1, ..ServeConfig::default() },
+        ..ShardConfig::default()
+    };
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), config);
+
+    // A session thread that dies mid-stream: the unwind still runs the
+    // session's `Drop`, so the only slot and its epoch pin come back.
+    let result = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let mut session = service.open_session().expect("first admission");
+                session.localize(fx.seq.frame(2)).expect("cold start");
+                panic!("session thread dies with the session live");
+            })
+            .join()
+    });
+    assert!(result.is_err(), "the session thread must have panicked");
+    assert_eq!(service.active_sessions(), 0, "panic teardown must release the slot");
+
+    // Re-admission succeeds and the service still serves.
+    let mut session = service.open_session().expect("slot must be re-admittable after a panic");
+    let step = session.localize(fx.seq.frame(2)).expect("service must still localize");
+    assert!(matches!(step.kind, StepKind::Relocalized(_)));
+
+    let stats = service.stats();
+    assert_eq!(stats.sessions_admitted, 2);
+    assert_eq!(stats.sessions_active, 1);
+    assert_eq!(stats.frames, 2, "the pre-panic frame still counts as served");
 }
 
 #[test]
@@ -388,4 +662,42 @@ fn shard_admission_is_typed_and_slots_release_on_abnormal_teardown() {
     assert_eq!(service.active_sessions(), 0, "panic teardown must release the slot");
     let mut session = service.open_session().expect("slot re-admittable after panic");
     session.localize(fx.seq.frame(2)).expect("service still serves");
+}
+
+#[test]
+fn relocalization_failure_is_typed_and_recoverable() {
+    let fx = fixture();
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
+    let mut session = service.open_session().unwrap();
+
+    // A structured frame that matches nothing in the map: far-away box.
+    let mut pts = Vec::new();
+    for i in 0..30 {
+        for k in 0..12 {
+            pts.push(Vec3::new(500.0 + i as f64 * 0.3, 500.0, k as f64 * 0.3));
+            pts.push(Vec3::new(500.0, 500.0 + i as f64 * 0.3, k as f64 * 0.3));
+        }
+    }
+    let alien = PointCloud::from_points(pts);
+    let err = session.localize(&alien).unwrap_err();
+    assert!(
+        matches!(err, ServeError::RelocalizationFailed { .. }),
+        "expected typed relocalization failure, got {err}"
+    );
+    assert_eq!(session.phase(), SessionPhase::ColdStart);
+
+    // An empty frame is a typed registration error, not a crash.
+    assert!(matches!(
+        session.localize(&PointCloud::new()).unwrap_err(),
+        ServeError::Registration(_)
+    ));
+
+    // The session recovers: a real frame cold-starts fine afterwards.
+    let step = session.localize(fx.seq.frame(2)).expect("recovery cold start");
+    assert!(matches!(step.kind, StepKind::Relocalized(_)));
+    assert_eq!(session.phase(), SessionPhase::Tracking);
+    assert!(session.pose().is_some());
+    let stats = session.stats();
+    assert_eq!(stats.relocalizations_attempted, 2);
+    assert_eq!(stats.relocalizations_succeeded, 1);
 }
