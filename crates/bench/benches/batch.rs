@@ -10,8 +10,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tigris_bench::workload::{height_for_leaf_size, huge_frame_pair};
-use tigris_core::batch::{BatchConfig, BatchSearcher};
-use tigris_core::{ApproxConfig, ApproxSearcher, KdTree, SearchStats, TwoStageKdTree};
+use tigris_core::index::SearchIndex;
+use tigris_core::{ApproxConfig, ApproxIndex, BatchConfig, KdTree, SearchStats, TwoStageKdTree};
 
 const SCENE_POINTS: usize = 120_000;
 const NN_QUERIES: usize = 30_000;
@@ -62,12 +62,13 @@ fn bench_nn(c: &mut Criterion) {
         });
     }
 
+    let mut approx = ApproxIndex::from_tree(two_stage.clone(), ApproxConfig::default());
     for t in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("approx_batched", t), &t, |b, &t| {
             let cfg = BatchConfig { threads: t, min_chunk: 64 };
             b.iter(|| {
                 // Fresh leader books per sample: the cold RPCE iteration.
-                let mut approx = ApproxSearcher::new(&two_stage, ApproxConfig::default());
+                approx.reset();
                 let mut stats = SearchStats::new();
                 black_box(approx.nn_batch(&queries, &cfg, &mut stats).len())
             });

@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tigris_bench::workload::{dense_frame_pair, height_for_leaf_size};
-use tigris_core::{ApproxConfig, ApproxSearcher, KdTree, TwoStageKdTree};
+use tigris_core::{ApproxConfig, ApproxIndex, KdTree, SearchStats, TwoStageKdTree};
 use tigris_geom::Vec3;
 
 fn setup() -> (Vec<Vec3>, Vec<Vec3>) {
@@ -52,11 +52,13 @@ fn bench_nn(c: &mut Criterion) {
             }
         });
     });
+    let mut searcher = ApproxIndex::from_tree(two_stage.clone(), ApproxConfig::default());
     group.bench_function("two_stage_approx", |b| {
         b.iter(|| {
-            let mut searcher = ApproxSearcher::new(&two_stage, ApproxConfig::default());
+            searcher.reset();
+            let mut stats = SearchStats::new();
             for &q in &queries {
-                black_box(searcher.nn(q));
+                black_box(searcher.nn_with_stats(q, &mut stats));
             }
         });
     });

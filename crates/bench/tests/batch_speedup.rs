@@ -9,8 +9,8 @@
 use std::time::Instant;
 
 use tigris_bench::workload::{height_for_leaf_size, huge_frame_pair};
-use tigris_core::batch::{BatchConfig, BatchSearcher};
-use tigris_core::{KdTree, SearchStats, TwoStageKdTree};
+use tigris_core::index::SearchIndex;
+use tigris_core::{BatchConfig, KdTree, SearchStats, TwoStageKdTree};
 
 #[test]
 #[ignore = "release-scale workload"]

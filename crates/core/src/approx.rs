@@ -24,6 +24,9 @@
 //! handful of leader-result points (`L + R ≪ N`), far below the width
 //! where banked kernels pay off.
 
+use crate::batch::BatchConfig;
+use crate::index::{IndexSize, SearchIndex};
+use crate::twostage::default_top_height;
 use crate::{Neighbor, SearchStats, TwoStageKdTree};
 use tigris_geom::Vec3;
 
@@ -48,7 +51,7 @@ impl Default for ApproxConfig {
 
 /// A recorded leader: its query point and its complete search results.
 #[derive(Debug, Clone)]
-pub(crate) struct Leader {
+struct Leader {
     query: Vec3,
     /// Point indices of the leader's full (multi-leaf) search result.
     results: Vec<u32>,
@@ -70,10 +73,10 @@ fn closest_leader(leaders: &[Leader], q: Vec3, stats: &mut SearchStats) -> Optio
 /// The NN kernel of Algorithm 1 against a *single leaf's* leader book.
 ///
 /// All approximate-search state is per-leaf, so this kernel — shared by
-/// the serial [`ApproxSearcher`] entry points and the leaf-grouped batched
-/// execution in [`crate::batch`] — is the unit whose sequencing must be
-/// preserved for batched results to be bit-identical to serial ones.
-pub(crate) fn nn_in_book(
+/// the serial [`ApproxIndex`] entry points and the leaf-grouped
+/// [`approx_batch`] — is the unit whose sequencing must be preserved for
+/// batched results to be bit-identical to serial ones.
+fn nn_in_book(
     tree: &TwoStageKdTree,
     cfg: &ApproxConfig,
     book: &mut Vec<Leader>,
@@ -113,7 +116,7 @@ pub(crate) fn nn_in_book(
 
 /// The radius kernel of Algorithm 1 against a single leaf's leader book;
 /// see [`nn_in_book`].
-pub(crate) fn radius_in_book(
+fn radius_in_book(
     tree: &TwoStageKdTree,
     cfg: &ApproxConfig,
     book: &mut Vec<Leader>,
@@ -150,191 +153,129 @@ pub(crate) fn radius_in_book(
     result
 }
 
-/// The per-leaf leader books of Algorithm 1, decoupled from tree
-/// ownership so both the borrowing [`ApproxSearcher`] and the owning
-/// [`ApproxIndex`] share one implementation (and the leaf-grouped batched
-/// execution in [`crate::batch`] can split the books across workers).
-#[derive(Debug, Clone)]
-pub(crate) struct LeaderBooks {
-    pub(crate) cfg: ApproxConfig,
-    pub(crate) nn: Vec<Vec<Leader>>,
-    pub(crate) radius: Vec<Vec<Leader>>,
-}
-
-impl LeaderBooks {
-    pub(crate) fn new(cfg: ApproxConfig, n_leaves: usize) -> Self {
-        LeaderBooks { cfg, nn: vec![Vec::new(); n_leaves], radius: vec![Vec::new(); n_leaves] }
+/// Leaf-grouped batched execution of one Algorithm-1 kernel over the
+/// leader `books` (one per top-tree leaf) of `tree`.
+///
+/// Queries are bucketed by primary leaf; workers own contiguous,
+/// disjoint leaf ranges (hence disjoint slices of the books), and within
+/// a leaf queries run in arrival order. Per-leaf state is all the state
+/// Algorithm 1 has, so this reproduces the serial search's results and
+/// stats exactly while scaling across cores. Queries whose descent
+/// dead-ends (including every query to an empty tree) touch no book and
+/// take the exact `fallback`.
+fn approx_batch<R: Send>(
+    tree: &TwoStageKdTree,
+    books: &mut [Vec<Leader>],
+    queries: &[Vec3],
+    cfg: &BatchConfig,
+    stats: &mut SearchStats,
+    kernel: impl Fn(&mut Vec<Leader>, Vec3, &mut SearchStats) -> R + Sync,
+    fallback: impl Fn(Vec3, &mut SearchStats) -> R + Sync,
+) -> Vec<R> {
+    let t = cfg.resolve_threads(queries.len());
+    if t <= 1 {
+        return queries
+            .iter()
+            .map(|&q| match tree.primary_leaf(q) {
+                Some(leaf) => kernel(&mut books[leaf], q, stats),
+                None => fallback(q, stats),
+            })
+            .collect();
     }
 
-    fn reset(&mut self) {
-        for l in &mut self.nn {
-            l.clear();
-        }
-        for l in &mut self.radius {
-            l.clear();
-        }
-    }
-
-    fn leader_count(&self) -> usize {
-        self.nn.iter().map(Vec::len).sum::<usize>()
-            + self.radius.iter().map(Vec::len).sum::<usize>()
-    }
-
-    fn nn_with_stats(
-        &mut self,
-        tree: &TwoStageKdTree,
-        query: Vec3,
-        stats: &mut SearchStats,
-    ) -> Option<Neighbor> {
-        if tree.is_empty() {
-            return None;
-        }
-        match tree.primary_leaf(query) {
-            Some(leaf) => nn_in_book(tree, &self.cfg, &mut self.nn[leaf], query, stats),
-            // Dead-end descent: no book to consult or extend; exact search.
-            None => tree.nn_with_stats(query, stats),
+    // Bucket query indices by primary leaf, preserving arrival order.
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); books.len()];
+    let mut unrouted: Vec<u32> = Vec::new();
+    for (i, &q) in queries.iter().enumerate() {
+        match tree.primary_leaf(q) {
+            Some(leaf) => buckets[leaf].push(i as u32),
+            None => unrouted.push(i as u32),
         }
     }
 
-    fn radius_with_stats(
-        &mut self,
-        tree: &TwoStageKdTree,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        if tree.is_empty() {
-            return Vec::new();
+    // Partition the leaf space into `t` contiguous ranges with roughly
+    // equal query counts, so the book slices handed to workers are
+    // disjoint `split_at_mut` products.
+    let total_routed: usize = queries.len() - unrouted.len();
+    let target = total_routed.div_ceil(t).max(1);
+    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(t);
+    let mut lo = 0;
+    let mut acc = 0;
+    for (leaf, bucket) in buckets.iter().enumerate() {
+        acc += bucket.len();
+        if acc >= target && ranges.len() + 1 < t {
+            ranges.push((lo, leaf + 1));
+            lo = leaf + 1;
+            acc = 0;
         }
-        match tree.primary_leaf(query) {
-            Some(leaf) => {
-                radius_in_book(tree, &self.cfg, &mut self.radius[leaf], query, radius, stats)
+    }
+    ranges.push((lo, buckets.len()));
+
+    let mut slots: Vec<Option<R>> = queries.iter().map(|_| None).collect();
+    let mut merged = SearchStats::new();
+
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(ranges.len());
+        let mut rest: &mut [Vec<Leader>] = books;
+        let mut offset = 0;
+        for &(rlo, rhi) in &ranges {
+            let (_skip, tail) = rest.split_at_mut(rlo - offset);
+            let (slice, tail) = tail.split_at_mut(rhi - rlo);
+            rest = tail;
+            offset = rhi;
+            let buckets = &buckets;
+            let kernel = &kernel;
+            handles.push(scope.spawn(move || {
+                let mut local = SearchStats::new();
+                let mut out: Vec<(u32, R)> = Vec::new();
+                for (book, bucket) in slice.iter_mut().zip(&buckets[rlo..rhi]) {
+                    for &qi in bucket {
+                        out.push((qi, kernel(book, queries[qi as usize], &mut local)));
+                    }
+                }
+                (out, local)
+            }));
+        }
+
+        // Queries whose descent dead-ends touch no book; serve them here
+        // while the workers run.
+        let mut unrouted_stats = SearchStats::new();
+        let unrouted_results: Vec<(u32, R)> = unrouted
+            .iter()
+            .map(|&qi| (qi, fallback(queries[qi as usize], &mut unrouted_stats)))
+            .collect();
+
+        for h in handles {
+            let (pairs, local) = h.join().expect("approx batch worker panicked");
+            merged += local;
+            for (qi, r) in pairs {
+                slots[qi as usize] = Some(r);
             }
-            None => tree.radius_with_stats(query, radius, stats),
         }
-    }
+        merged += unrouted_stats;
+        for (qi, r) in unrouted_results {
+            slots[qi as usize] = Some(r);
+        }
+    });
+
+    *stats += merged;
+    slots.into_iter().map(|s| s.expect("every query routed to exactly one worker")).collect()
 }
 
-/// Stateful approximate searcher over a *borrowed* [`TwoStageKdTree`].
+/// Stateful approximate-search backend: a [`TwoStageKdTree`] and the
+/// per-leaf leader books of Algorithm 1, owned together as one unit.
 ///
 /// Leaders accumulate per leaf as queries stream through, mirroring the
 /// accelerator's per-leaf Leader Buffers; they persist across calls (e.g.
-/// across ICP iterations) until [`ApproxSearcher::reset`] clears them
-/// (between frames).
+/// across ICP iterations) until [`ApproxIndex::reset`] clears them
+/// (between frames). NN and radius queries maintain *separate* leader
+/// books: their result sets are not interchangeable.
 ///
-/// NN and radius queries maintain *separate* leader books: their result
-/// sets are not interchangeable.
-///
-/// When the tree and the books should live together as one unit — e.g.
-/// behind the [`crate::index::SearchIndex`] trait object the pipeline's
-/// searcher holds — use the owning [`ApproxIndex`] instead.
-///
-/// # Example
-///
-/// ```
-/// use tigris_core::{ApproxConfig, ApproxSearcher, TwoStageKdTree};
-/// use tigris_geom::Vec3;
-///
-/// let pts: Vec<Vec3> = (0..256)
-///     .map(|i| Vec3::new((i % 16) as f64, (i / 16) as f64, 0.0))
-///     .collect();
-/// let tree = TwoStageKdTree::build(&pts, 4);
-/// let mut searcher = ApproxSearcher::new(&tree, ApproxConfig::default());
-/// let exact = tree.nn(Vec3::new(3.2, 8.1, 0.0)).unwrap();
-/// let approx = searcher.nn(Vec3::new(3.2, 8.1, 0.0)).unwrap();
-/// // The first query to a leaf is always a leader, hence exact.
-/// assert_eq!(exact.index, approx.index);
-/// ```
-#[derive(Debug)]
-pub struct ApproxSearcher<'t> {
-    tree: &'t TwoStageKdTree,
-    books: LeaderBooks,
-}
-
-impl<'t> ApproxSearcher<'t> {
-    /// Creates a searcher with empty leader books.
-    pub fn new(tree: &'t TwoStageKdTree, cfg: ApproxConfig) -> Self {
-        ApproxSearcher { tree, books: LeaderBooks::new(cfg, tree.leaves().len()) }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &ApproxConfig {
-        &self.books.cfg
-    }
-
-    /// Clears all leader books (call between frames).
-    pub fn reset(&mut self) {
-        self.books.reset();
-    }
-
-    /// Total leaders currently recorded across all leaves (both books).
-    pub fn leader_count(&self) -> usize {
-        self.books.leader_count()
-    }
-
-    /// The indexed two-stage tree.
-    pub fn tree(&self) -> &'t TwoStageKdTree {
-        self.tree
-    }
-
-    /// Splits the searcher into the shared tree and the mutable leader
-    /// books, for the leaf-grouped batched execution in [`crate::batch`].
-    pub(crate) fn leaf_parts(&mut self) -> (&'t TwoStageKdTree, &mut LeaderBooks) {
-        (self.tree, &mut self.books)
-    }
-
-    /// Approximate nearest-neighbor search.
-    pub fn nn(&mut self, query: Vec3) -> Option<Neighbor> {
-        let mut stats = SearchStats::new();
-        self.nn_with_stats(query, &mut stats)
-    }
-
-    /// Approximate NN with visit accounting.
-    pub fn nn_with_stats(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.books.nn_with_stats(self.tree, query, stats)
-    }
-
-    /// Approximate radius search. Results are sorted ascending by distance.
-    ///
-    /// Followers filter their leader's results by their own radius, so
-    /// returned points are always genuinely within `radius`; the
-    /// approximation can only *miss* points (the crescent outside the
-    /// leader's ball).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `radius` is negative.
-    pub fn radius(&mut self, query: Vec3, radius: f64) -> Vec<Neighbor> {
-        let mut stats = SearchStats::new();
-        self.radius_with_stats(query, radius, &mut stats)
-    }
-
-    /// Approximate radius search with visit accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `radius` is negative.
-    pub fn radius_with_stats(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        self.books.radius_with_stats(self.tree, query, radius, stats)
-    }
-}
-
-/// Owning approximate-search backend: a [`TwoStageKdTree`] and its leader
-/// books absorbed into one self-contained unit.
-///
-/// [`ApproxSearcher`] borrows its tree, which forces any holder that owns
-/// both to become self-referential (the pipeline's searcher once pinned
-/// the tree behind a `Box` and transmuted the borrow to `'static`).
-/// `ApproxIndex` removes that problem: it owns the tree, and the
-/// Algorithm-1 kernels take the tree and the books as disjoint fields —
-/// no unsafe, no lifetime laundering. This is the type behind the
-/// `"two-stage-approx"` entry of the backend registry.
+/// Owning the tree keeps the index free of borrowed lifetimes, so it can
+/// sit behind the [`SearchIndex`] trait object the pipeline's searcher
+/// holds; the kernels take the tree and the books as disjoint fields.
+/// This is the type behind the `"two-stage-approx"` entry of the backend
+/// registry. Its batches are leaf-grouped (see [`crate::batch`]).
 ///
 /// # Example
 ///
@@ -356,7 +297,11 @@ impl<'t> ApproxSearcher<'t> {
 #[derive(Debug)]
 pub struct ApproxIndex {
     tree: TwoStageKdTree,
-    books: LeaderBooks,
+    cfg: ApproxConfig,
+    /// NN leader book per top-tree leaf.
+    nn_books: Vec<Vec<Leader>>,
+    /// Radius leader book per top-tree leaf.
+    radius_books: Vec<Vec<Leader>>,
 }
 
 impl ApproxIndex {
@@ -368,13 +313,18 @@ impl ApproxIndex {
 
     /// Wraps an already-built tree, taking ownership.
     pub fn from_tree(tree: TwoStageKdTree, cfg: ApproxConfig) -> Self {
-        let books = LeaderBooks::new(cfg, tree.leaves().len());
-        ApproxIndex { tree, books }
+        let n_leaves = tree.leaves().len();
+        ApproxIndex {
+            tree,
+            cfg,
+            nn_books: vec![Vec::new(); n_leaves],
+            radius_books: vec![Vec::new(); n_leaves],
+        }
     }
 
     /// The configuration in effect.
     pub fn config(&self) -> &ApproxConfig {
-        &self.books.cfg
+        &self.cfg
     }
 
     /// The owned two-stage tree.
@@ -384,27 +334,31 @@ impl ApproxIndex {
 
     /// Clears all leader books (call between frames).
     pub fn reset(&mut self) {
-        self.books.reset();
+        self.nn_books.iter_mut().chain(&mut self.radius_books).for_each(Vec::clear);
     }
 
     /// Total leaders currently recorded across all leaves (both books).
     pub fn leader_count(&self) -> usize {
-        self.books.leader_count()
+        self.nn_books.iter().chain(&self.radius_books).map(Vec::len).sum()
     }
 
-    /// Splits the index into the shared tree and the mutable leader
-    /// books, for the leaf-grouped batched execution in [`crate::batch`].
-    pub(crate) fn leaf_parts(&mut self) -> (&TwoStageKdTree, &mut LeaderBooks) {
-        (&self.tree, &mut self.books)
-    }
-
-    /// Approximate NN with visit accounting; see [`ApproxSearcher::nn`].
+    /// Approximate nearest-neighbor search with visit accounting.
     pub fn nn_with_stats(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.books.nn_with_stats(&self.tree, query, stats)
+        match self.tree.primary_leaf(query) {
+            Some(leaf) => nn_in_book(&self.tree, &self.cfg, &mut self.nn_books[leaf], query, stats),
+            // Dead-end descent (or empty tree): no book to consult or
+            // extend; exact search.
+            None => self.tree.nn_with_stats(query, stats),
+        }
     }
 
-    /// Approximate radius search with visit accounting; see
-    /// [`ApproxSearcher::radius`]. Results are sorted ascending.
+    /// Approximate radius search with visit accounting. Results are
+    /// sorted ascending by distance.
+    ///
+    /// Followers filter their leader's results by their own radius, so
+    /// returned points are always genuinely within `radius`; the
+    /// approximation can only *miss* points (the crescent outside the
+    /// leader's ball).
     ///
     /// # Panics
     ///
@@ -415,13 +369,107 @@ impl ApproxIndex {
         radius: f64,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        self.books.radius_with_stats(&self.tree, query, radius, stats)
+        assert!(radius >= 0.0, "radius must be non-negative");
+        match self.tree.primary_leaf(query) {
+            Some(leaf) => radius_in_book(
+                &self.tree,
+                &self.cfg,
+                &mut self.radius_books[leaf],
+                query,
+                radius,
+                stats,
+            ),
+            None => self.tree.radius_with_stats(query, radius, stats),
+        }
+    }
+}
+
+impl SearchIndex for ApproxIndex {
+    fn from_points(points: &[Vec3]) -> Self {
+        ApproxIndex::build(points, default_top_height(points.len()), ApproxConfig::default())
+    }
+
+    fn name(&self) -> &'static str {
+        "two-stage-approx"
+    }
+
+    fn points(&self) -> &[Vec3] {
+        self.tree.points()
+    }
+
+    fn size(&self) -> IndexSize {
+        IndexSize {
+            points: self.tree.len(),
+            interior_nodes: self.tree.top_nodes().len(),
+            leaf_sets: self.tree.leaves().len(),
+        }
+    }
+
+    fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
+        self.nn_with_stats(query, stats)
+    }
+
+    /// k-NN has no approximate path (Algorithm 1 covers NN and radius);
+    /// served exactly by the underlying two-stage tree.
+    fn knn(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
+        self.tree.knn_with_stats(query, k, stats)
+    }
+
+    fn radius(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
+        self.radius_with_stats(query, radius, stats)
+    }
+
+    fn nn_batch(
+        &mut self,
+        queries: &[Vec3],
+        cfg: &BatchConfig,
+        stats: &mut SearchStats,
+    ) -> Vec<Option<Neighbor>> {
+        let (tree, acfg) = (&self.tree, &self.cfg);
+        approx_batch(
+            tree,
+            &mut self.nn_books,
+            queries,
+            cfg,
+            stats,
+            |book, q, s| nn_in_book(tree, acfg, book, q, s),
+            |q, s| tree.nn_with_stats(q, s),
+        )
+    }
+
+    fn radius_batch(
+        &mut self,
+        queries: &[Vec3],
+        radius: f64,
+        cfg: &BatchConfig,
+        stats: &mut SearchStats,
+    ) -> Vec<Vec<Neighbor>> {
+        let (tree, acfg) = (&self.tree, &self.cfg);
+        approx_batch(
+            tree,
+            &mut self.radius_books,
+            queries,
+            cfg,
+            stats,
+            |book, q, s| radius_in_book(tree, acfg, book, q, radius, s),
+            |q, s| tree.radius_with_stats(q, radius, s),
+        )
+    }
+
+    fn reset(&mut self) {
+        ApproxIndex::reset(self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An approximate index over a clone of `tree`, so tests can keep
+    /// querying the exact tree alongside it.
+    fn approx(tree: &TwoStageKdTree, cfg: ApproxConfig) -> ApproxIndex {
+        ApproxIndex::from_tree(tree.clone(), cfg)
+    }
 
     fn lcg_cloud(n: usize, seed: u64) -> Vec<Vec3> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -436,10 +484,10 @@ mod tests {
     fn first_query_per_leaf_is_exact() {
         let pts = lcg_cloud(1000, 1);
         let tree = TwoStageKdTree::build(&pts, 4);
-        let mut s = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut s = approx(&tree, ApproxConfig::default());
         let q = Vec3::new(0.0, 0.0, 0.0);
         let exact = tree.nn(q).unwrap();
-        let approx = s.nn(q).unwrap();
+        let approx = s.nn(q, &mut SearchStats::new()).unwrap();
         assert_eq!(exact.index, approx.index);
     }
 
@@ -447,8 +495,7 @@ mod tests {
     fn followers_reduce_work() {
         let pts = lcg_cloud(8000, 2);
         let tree = TwoStageKdTree::build(&pts, 4);
-        let mut s =
-            ApproxSearcher::new(&tree, ApproxConfig { nn_threshold: 5.0, ..Default::default() });
+        let mut s = approx(&tree, ApproxConfig { nn_threshold: 5.0, ..Default::default() });
         // A tight cluster of queries: after the first, the rest follow.
         let queries: Vec<Vec3> =
             (0..50).map(|i| Vec3::new(1.0 + 0.01 * i as f64, 2.0, 3.0)).collect();
@@ -479,10 +526,9 @@ mod tests {
         let pts = lcg_cloud(5000, 3);
         let tree = TwoStageKdTree::build(&pts, 5);
         let thd = 1.2;
-        let mut s =
-            ApproxSearcher::new(&tree, ApproxConfig { nn_threshold: thd, ..Default::default() });
+        let mut s = approx(&tree, ApproxConfig { nn_threshold: thd, ..Default::default() });
         for q in lcg_cloud(300, 4) {
-            let approx = s.nn(q).unwrap();
+            let approx = s.nn(q, &mut SearchStats::new()).unwrap();
             let exact = tree.nn(q).unwrap();
             assert!(
                 approx.distance() <= exact.distance() + 2.0 * thd + 1e-9,
@@ -498,9 +544,9 @@ mod tests {
         let pts = lcg_cloud(4000, 7);
         let tree = TwoStageKdTree::build(&pts, 4);
         let r = 2.0;
-        let mut s = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut s = approx(&tree, ApproxConfig::default());
         for q in lcg_cloud(100, 8) {
-            let res = s.radius(q, r);
+            let res = s.radius(q, r, &mut SearchStats::new());
             for n in &res {
                 assert!(n.distance_squared <= r * r + 1e-12);
             }
@@ -517,12 +563,12 @@ mod tests {
         let pts = lcg_cloud(4000, 9);
         let tree = TwoStageKdTree::build(&pts, 4);
         let r = 2.0;
-        let mut s = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut s = approx(&tree, ApproxConfig::default());
         let mut total_exact = 0usize;
         let mut total_approx = 0usize;
         for q in lcg_cloud(200, 10) {
             total_exact += tree.radius(q, r).len();
-            total_approx += s.radius(q, r).len();
+            total_approx += s.radius(q, r, &mut SearchStats::new()).len();
         }
         let recall = total_approx as f64 / total_exact.max(1) as f64;
         assert!(recall > 0.6, "recall = {recall}");
@@ -534,13 +580,13 @@ mod tests {
         let pts = lcg_cloud(2000, 11);
         let tree = TwoStageKdTree::build(&pts, 1); // 2 leaves → heavy reuse
         let cap = 4;
-        let mut s = ApproxSearcher::new(
+        let mut s = approx(
             &tree,
             ApproxConfig { leader_cap: cap, nn_threshold: 1e-9, ..Default::default() },
         );
         // Tiny threshold: every query wants to become a leader.
         for q in lcg_cloud(100, 12) {
-            s.nn(q);
+            s.nn(q, &mut SearchStats::new());
         }
         assert!(s.leader_count() <= cap * tree.leaves().len());
     }
@@ -549,9 +595,9 @@ mod tests {
     fn reset_clears_leaders() {
         let pts = lcg_cloud(500, 13);
         let tree = TwoStageKdTree::build(&pts, 2);
-        let mut s = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut s = approx(&tree, ApproxConfig::default());
         for q in lcg_cloud(20, 14) {
-            s.nn(q);
+            s.nn(q, &mut SearchStats::new());
         }
         assert!(s.leader_count() > 0);
         s.reset();
@@ -562,7 +608,7 @@ mod tests {
     fn zero_threshold_never_follows() {
         let pts = lcg_cloud(1000, 15);
         let tree = TwoStageKdTree::build(&pts, 3);
-        let mut s = ApproxSearcher::new(
+        let mut s = approx(
             &tree,
             ApproxConfig { nn_threshold: 0.0, radius_threshold_frac: 0.0, ..Default::default() },
         );
@@ -578,20 +624,20 @@ mod tests {
     #[test]
     fn empty_tree() {
         let tree = TwoStageKdTree::build(&[], 3);
-        let mut s = ApproxSearcher::new(&tree, ApproxConfig::default());
-        assert!(s.nn(Vec3::ZERO).is_none());
-        assert!(s.radius(Vec3::ZERO, 1.0).is_empty());
+        let mut s = approx(&tree, ApproxConfig::default());
+        assert!(s.nn(Vec3::ZERO, &mut SearchStats::new()).is_none());
+        assert!(s.radius(Vec3::ZERO, 1.0, &mut SearchStats::new()).is_empty());
     }
 
     #[test]
     fn nn_and_radius_books_are_independent() {
         let pts = lcg_cloud(1000, 17);
         let tree = TwoStageKdTree::build(&pts, 2);
-        let mut s = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut s = approx(&tree, ApproxConfig::default());
         let before = s.leader_count();
-        s.nn(Vec3::ZERO);
+        s.nn(Vec3::ZERO, &mut SearchStats::new());
         let after_nn = s.leader_count();
-        s.radius(Vec3::ZERO, 1.0);
+        s.radius(Vec3::ZERO, 1.0, &mut SearchStats::new());
         let after_radius = s.leader_count();
         assert!(after_nn > before);
         assert!(after_radius > after_nn, "radius query must add its own leaders");
@@ -603,7 +649,7 @@ mod tests {
         // iterations. Iteration 1 builds leaders; iterations 2+ follow.
         let pts = lcg_cloud(4000, 19);
         let tree = TwoStageKdTree::build(&pts, 4);
-        let mut s = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut s = approx(&tree, ApproxConfig::default());
         let queries = lcg_cloud(64, 20);
         let mut stats = SearchStats::new();
         for &q in &queries {

@@ -5,19 +5,25 @@
 //! The registration pipeline issues neighbor queries in large, independent
 //! fan-outs: one radius query per point during normal estimation, one per
 //! key-point during descriptor calculation, one NN query per source point
-//! per ICP iteration. This module executes such batches across OS threads
-//! while keeping every observable output — results *and* [`SearchStats`]
-//! counters — bit-identical to the serial execution:
+//! per ICP iteration. This module is the engine that executes such
+//! batches across OS threads while keeping every observable output —
+//! results *and* [`SearchStats`] counters — bit-identical to the serial
+//! execution. Backends reach it through
+//! [`SearchIndex`](crate::index::SearchIndex)'s `*_batch` methods, which
+//! pick one of two strategies per backend:
 //!
-//! * Stateless backends ([`KdTree`], [`TwoStageKdTree`], brute force) are
-//!   `Sync`; the batch is split into contiguous spans, one per worker, and
-//!   results are concatenated in span order.
-//! * The stateful [`ApproxSearcher`] (Algorithm 1) keeps *per-leaf* leader
-//!   books, so queries are grouped by their primary leaf and each worker
-//!   owns a contiguous range of leaves. Within a leaf, queries run in
-//!   arrival order — exactly the per-leaf history the serial searcher
-//!   produces, and the same scheme the hardware's per-SU leader buffers
-//!   implement (Sec. 5.4).
+//! * Stateless backends ([`KdTree`](crate::KdTree),
+//!   [`TwoStageKdTree`](crate::TwoStageKdTree), brute force, the dynamic
+//!   map index) expose a [`SharedIndex`](crate::index::SharedIndex) view
+//!   whose `*_batch_shared` methods split the batch into contiguous spans
+//!   with [`parallel_queries`], one per worker, and concatenate results
+//!   in span order.
+//! * The stateful [`ApproxIndex`](crate::ApproxIndex) (Algorithm 1) keeps
+//!   *per-leaf* leader books, so its batches group queries by primary
+//!   leaf and each worker owns a contiguous range of leaves. Within a
+//!   leaf, queries run in arrival order — exactly the per-leaf history
+//!   the serial search produces, and the same scheme the hardware's
+//!   per-SU leader buffers implement (Sec. 5.4).
 //!
 //! Every worker accumulates into its own [`SearchStats`] and the
 //! per-thread counters are merged losslessly afterwards, so batched
@@ -26,8 +32,8 @@
 //! # Example
 //!
 //! ```
-//! use tigris_core::batch::{BatchConfig, BatchSearcher};
-//! use tigris_core::{KdTree, SearchStats};
+//! use tigris_core::index::SearchIndex;
+//! use tigris_core::{BatchConfig, KdTree, SearchStats};
 //! use tigris_geom::Vec3;
 //!
 //! let pts: Vec<Vec3> = (0..2000)
@@ -46,10 +52,7 @@
 //! assert_eq!(batched[7].unwrap().index, tree.nn(queries[7]).unwrap().index);
 //! ```
 
-use crate::approx::{nn_in_book, radius_in_book, Leader, LeaderBooks};
-use crate::{
-    ApproxConfig, ApproxIndex, ApproxSearcher, KdTree, Neighbor, SearchStats, TwoStageKdTree,
-};
+use crate::SearchStats;
 use tigris_geom::Vec3;
 
 /// Parallelism knobs for batched query execution.
@@ -124,9 +127,10 @@ fn spans(n: usize, t: usize) -> Vec<(usize, usize)> {
 /// worker's [`SearchStats`] is merged into `stats`, so the outcome is
 /// indistinguishable from the serial loop.
 ///
-/// This is the engine behind the stateless [`BatchSearcher`]
-/// implementations; it is public so other crates can parallelize their own
-/// `Sync` search closures (e.g. feature-space KPCE over a `KdTreeN`).
+/// This is the engine behind the stateless backends'
+/// [`SharedIndex`](crate::index::SharedIndex) batches; it is public so
+/// other crates can parallelize their own `Sync` search closures (e.g.
+/// feature-space KPCE over a `KdTreeN`).
 pub fn parallel_queries<R, F>(
     queries: &[Vec3],
     cfg: &BatchConfig,
@@ -224,558 +228,11 @@ where
     out
 }
 
-/// Batched neighbor search over an index structure.
-///
-/// The `*_single` methods are the serial kernels; the `*_batch` methods
-/// execute a whole query set, parallelized per the [`BatchConfig`], with
-/// results in query order and per-thread stats merged losslessly into
-/// `stats`. Implementations guarantee batched output (results and stats)
-/// identical to running the `*_single` kernel over the queries in order.
-///
-/// Methods take `&mut self` so stateful searchers (the approximate
-/// leader/follower search, whose leader books grow as queries stream
-/// through) can implement the trait; stateless trees simply reborrow
-/// shared.
-pub trait BatchSearcher {
-    /// Nearest neighbor of one query.
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor>;
-
-    /// The `k` nearest neighbors of one query, ascending by distance.
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor>;
-
-    /// All neighbors of one query within `radius`, ascending by distance.
-    fn radius_single(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats)
-        -> Vec<Neighbor>;
-
-    /// Nearest neighbor of every query.
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let _ = cfg;
-        queries.iter().map(|&q| self.nn_single(q, stats)).collect()
-    }
-
-    /// The `k` nearest neighbors of every query.
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let _ = cfg;
-        queries.iter().map(|&q| self.knn_single(q, k, stats)).collect()
-    }
-
-    /// All neighbors within `radius` of every query.
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let _ = cfg;
-        queries.iter().map(|&q| self.radius_single(q, radius, stats)).collect()
-    }
-}
-
-impl BatchSearcher for KdTree {
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_with_stats(query, stats)
-    }
-
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.knn_with_stats(query, k, stats)
-    }
-
-    fn radius_single(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        self.radius_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let tree = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| tree.nn_with_stats(q, s))
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let tree = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| tree.knn_with_stats(q, k, s))
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let tree = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| tree.radius_with_stats(q, radius, s))
-    }
-}
-
-impl BatchSearcher for TwoStageKdTree {
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_with_stats(query, stats)
-    }
-
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.knn_with_stats(query, k, stats)
-    }
-
-    fn radius_single(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        self.radius_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let tree = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| tree.nn_with_stats(q, s))
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let tree = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| tree.knn_with_stats(q, k, s))
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let tree = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| tree.radius_with_stats(q, radius, s))
-    }
-}
-
-/// Brute force implements the trait directly on the point slice — the
-/// fourth backend, and the oracle the equivalence tests compare against.
-impl BatchSearcher for [Vec3] {
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        crate::bruteforce::nn_brute_force_with_stats(self, query, stats)
-    }
-
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        crate::bruteforce::knn_brute_force_with_stats(self, query, k, stats)
-    }
-
-    fn radius_single(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        crate::bruteforce::radius_brute_force_with_stats(self, query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let pts = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| {
-            crate::bruteforce::nn_brute_force_with_stats(pts, q, s)
-        })
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let pts = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| {
-            crate::bruteforce::knn_brute_force_with_stats(pts, q, k, s)
-        })
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let pts = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| {
-            crate::bruteforce::radius_brute_force_with_stats(pts, q, radius, s)
-        })
-    }
-}
-
-/// The owning oracle serves batches through its SoA kernel scans,
-/// fanned out over shared borrows like the trees.
-impl BatchSearcher for crate::bruteforce::BruteForceIndex {
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_with_stats(query, stats)
-    }
-
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.knn_with_stats(query, k, stats)
-    }
-
-    fn radius_single(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        self.radius_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let index = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| index.nn_with_stats(q, s))
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let index = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| index.knn_with_stats(q, k, s))
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let index = &*self;
-        parallel_queries(queries, cfg, stats, |q, s| index.radius_with_stats(q, radius, s))
-    }
-}
-
-/// Which of the approximate searcher's two leader books a batch touches.
-enum Book {
-    Nn,
-    Radius,
-}
-
-/// Leaf-grouped batched execution for the approximate searchers (both the
-/// borrowing [`ApproxSearcher`] and the owning [`ApproxIndex`]).
-///
-/// Queries are bucketed by primary leaf; workers own contiguous,
-/// disjoint leaf ranges (hence disjoint slices of the leader books), and
-/// within a leaf queries run in arrival order. Per-leaf state is all the
-/// state Algorithm 1 has, so this reproduces the serial searcher's
-/// results and stats exactly while scaling across cores.
-#[allow(clippy::too_many_arguments)]
-fn approx_batch<R: Send>(
-    tree: &TwoStageKdTree,
-    leader_books: &mut LeaderBooks,
-    queries: &[Vec3],
-    cfg: &BatchConfig,
-    stats: &mut SearchStats,
-    book: Book,
-    kernel: impl Fn(&TwoStageKdTree, &ApproxConfig, &mut Vec<Leader>, Vec3, &mut SearchStats) -> R
-        + Sync,
-    fallback: impl Fn(&TwoStageKdTree, Vec3, &mut SearchStats) -> R + Sync,
-    empty: impl Fn() -> R,
-) -> Vec<R> {
-    if tree.is_empty() {
-        return queries.iter().map(|_| empty()).collect();
-    }
-    let acfg = leader_books.cfg;
-    let books: &mut [Vec<Leader>] = match book {
-        Book::Nn => &mut leader_books.nn,
-        Book::Radius => &mut leader_books.radius,
-    };
-
-    let t = cfg.resolve_threads(queries.len());
-    if t <= 1 {
-        return queries
-            .iter()
-            .map(|&q| match tree.primary_leaf(q) {
-                Some(leaf) => kernel(tree, &acfg, &mut books[leaf], q, stats),
-                None => fallback(tree, q, stats),
-            })
-            .collect();
-    }
-
-    // Bucket query indices by primary leaf, preserving arrival order.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); books.len()];
-    let mut unrouted: Vec<u32> = Vec::new();
-    for (i, &q) in queries.iter().enumerate() {
-        match tree.primary_leaf(q) {
-            Some(leaf) => buckets[leaf].push(i as u32),
-            None => unrouted.push(i as u32),
-        }
-    }
-
-    // Partition the leaf space into `t` contiguous ranges with roughly
-    // equal query counts, so the book slices handed to workers are
-    // disjoint `split_at_mut` products.
-    let total_routed: usize = queries.len() - unrouted.len();
-    let target = total_routed.div_ceil(t).max(1);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(t);
-    let mut lo = 0;
-    let mut acc = 0;
-    for (leaf, bucket) in buckets.iter().enumerate() {
-        acc += bucket.len();
-        if acc >= target && ranges.len() + 1 < t {
-            ranges.push((lo, leaf + 1));
-            lo = leaf + 1;
-            acc = 0;
-        }
-    }
-    ranges.push((lo, buckets.len()));
-
-    let mut slots: Vec<Option<R>> = queries.iter().map(|_| None).collect();
-    let mut merged = SearchStats::new();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [Vec<Leader>] = books;
-        let mut offset = 0;
-        for &(rlo, rhi) in &ranges {
-            let (_skip, tail) = rest.split_at_mut(rlo - offset);
-            let (slice, tail) = tail.split_at_mut(rhi - rlo);
-            rest = tail;
-            offset = rhi;
-            let buckets = &buckets;
-            let kernel = &kernel;
-            let acfg = &acfg;
-            handles.push(scope.spawn(move || {
-                let mut local = SearchStats::new();
-                let mut out: Vec<(u32, R)> = Vec::new();
-                for (book, bucket) in slice.iter_mut().zip(&buckets[rlo..rhi]) {
-                    for &qi in bucket {
-                        let r = kernel(tree, acfg, book, queries[qi as usize], &mut local);
-                        out.push((qi, r));
-                    }
-                }
-                (out, local)
-            }));
-        }
-
-        // Queries whose descent dead-ends touch no book; serve them here
-        // while the workers run.
-        let mut unrouted_stats = SearchStats::new();
-        let unrouted_results: Vec<(u32, R)> = unrouted
-            .iter()
-            .map(|&qi| (qi, fallback(tree, queries[qi as usize], &mut unrouted_stats)))
-            .collect();
-
-        for h in handles {
-            let (pairs, local) = h.join().expect("approx batch worker panicked");
-            merged += local;
-            for (qi, r) in pairs {
-                slots[qi as usize] = Some(r);
-            }
-        }
-        merged += unrouted_stats;
-        for (qi, r) in unrouted_results {
-            slots[qi as usize] = Some(r);
-        }
-    });
-
-    *stats += merged;
-    slots.into_iter().map(|s| s.expect("every query routed to exactly one worker")).collect()
-}
-
-impl BatchSearcher for ApproxSearcher<'_> {
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_with_stats(query, stats)
-    }
-
-    /// k-NN has no approximate path (Algorithm 1 covers NN and radius);
-    /// served exactly by the underlying two-stage tree, like
-    /// `Searcher3::knn`.
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.tree().knn_with_stats(query, k, stats)
-    }
-
-    fn radius_single(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        self.radius_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let (tree, books) = self.leaf_parts();
-        approx_batch(
-            tree,
-            books,
-            queries,
-            cfg,
-            stats,
-            Book::Nn,
-            nn_in_book,
-            |tree, q, s| tree.nn_with_stats(q, s),
-            || None,
-        )
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let tree = self.tree();
-        parallel_queries(queries, cfg, stats, |q, s| tree.knn_with_stats(q, k, s))
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let (tree, books) = self.leaf_parts();
-        approx_batch(
-            tree,
-            books,
-            queries,
-            cfg,
-            stats,
-            Book::Radius,
-            move |tree, acfg, book, q, s| radius_in_book(tree, acfg, book, q, radius, s),
-            move |tree, q, s| tree.radius_with_stats(q, radius, s),
-            Vec::new,
-        )
-    }
-}
-
-impl BatchSearcher for ApproxIndex {
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_with_stats(query, stats)
-    }
-
-    /// k-NN has no approximate path; served exactly by the owned
-    /// two-stage tree (see [`ApproxSearcher`]'s impl).
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.tree().knn_with_stats(query, k, stats)
-    }
-
-    fn radius_single(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        self.radius_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let (tree, books) = self.leaf_parts();
-        approx_batch(
-            tree,
-            books,
-            queries,
-            cfg,
-            stats,
-            Book::Nn,
-            nn_in_book,
-            |tree, q, s| tree.nn_with_stats(q, s),
-            || None,
-        )
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let tree = self.tree();
-        parallel_queries(queries, cfg, stats, |q, s| tree.knn_with_stats(q, k, s))
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let (tree, books) = self.leaf_parts();
-        approx_batch(
-            tree,
-            books,
-            queries,
-            cfg,
-            stats,
-            Book::Radius,
-            move |tree, acfg, book, q, s| radius_in_book(tree, acfg, book, q, radius, s),
-            move |tree, q, s| tree.radius_with_stats(q, radius, s),
-            Vec::new,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ApproxConfig;
+    use crate::index::SearchIndex;
+    use crate::{ApproxConfig, ApproxIndex, BruteForceIndex, KdTree, TwoStageKdTree};
 
     fn lcg_cloud(n: usize, seed: u64) -> Vec<Vec3> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -839,16 +296,15 @@ mod tests {
     #[test]
     fn batched_approx_matches_serial_results_and_stats() {
         let pts = lcg_cloud(4000, 3);
-        let tree = TwoStageKdTree::build(&pts, 4);
         let queries = lcg_cloud(500, 4);
         let cfg = BatchConfig { threads: 4, min_chunk: 8 };
 
-        let mut serial = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut serial = ApproxIndex::build(&pts, 4, ApproxConfig::default());
         let mut serial_stats = SearchStats::new();
         let serial_out: Vec<_> =
             queries.iter().map(|&q| serial.nn_with_stats(q, &mut serial_stats)).collect();
 
-        let mut batched = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut batched = ApproxIndex::build(&pts, 4, ApproxConfig::default());
         let mut batch_stats = SearchStats::new();
         let batch_out = batched.nn_batch(&queries, &cfg, &mut batch_stats);
 
@@ -861,16 +317,15 @@ mod tests {
     #[test]
     fn batched_approx_radius_matches_serial() {
         let pts = lcg_cloud(2000, 5);
-        let tree = TwoStageKdTree::build(&pts, 3);
         let queries = lcg_cloud(300, 6);
         let cfg = BatchConfig { threads: 3, min_chunk: 4 };
 
-        let mut serial = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut serial = ApproxIndex::build(&pts, 3, ApproxConfig::default());
         let mut s_stats = SearchStats::new();
         let s_out: Vec<_> =
             queries.iter().map(|&q| serial.radius_with_stats(q, 2.0, &mut s_stats)).collect();
 
-        let mut batched = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut batched = ApproxIndex::build(&pts, 3, ApproxConfig::default());
         let mut b_stats = SearchStats::new();
         let b_out = batched.radius_batch(&queries, 2.0, &cfg, &mut b_stats);
 
@@ -880,11 +335,11 @@ mod tests {
 
     #[test]
     fn brute_force_backend_counts_scans() {
-        let mut pts = lcg_cloud(100, 7);
+        let mut index = BruteForceIndex::new(lcg_cloud(100, 7));
         let queries = lcg_cloud(10, 8);
         let cfg = BatchConfig { threads: 2, min_chunk: 1 };
         let mut stats = SearchStats::new();
-        let out = pts.as_mut_slice().nn_batch(&queries, &cfg, &mut stats);
+        let out = index.nn_batch(&queries, &cfg, &mut stats);
         assert_eq!(out.len(), 10);
         assert_eq!(stats.queries, 10);
         assert_eq!(stats.leaf_points_scanned, 1000);
@@ -901,7 +356,7 @@ mod tests {
         assert!(out.iter().all(Option::is_none));
 
         let empty_tree = TwoStageKdTree::build(&[], 3);
-        let mut approx = ApproxSearcher::new(&empty_tree, ApproxConfig::default());
+        let mut approx = ApproxIndex::from_tree(empty_tree, ApproxConfig::default());
         let out = approx.nn_batch(&qs, &cfg, &mut stats);
         assert!(out.iter().all(Option::is_none));
     }

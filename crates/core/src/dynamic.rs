@@ -37,7 +37,7 @@
 //!            (rebuilt.index, rebuilt.distance_squared));
 //! ```
 
-use crate::batch::{parallel_queries, BatchConfig, BatchSearcher};
+use crate::batch::{parallel_queries, BatchConfig};
 use crate::index::{IndexSize, SearchIndex, SharedIndex};
 use crate::soa::PointSoA;
 use crate::{simd, KdTree, Neighbor, SearchStats};
@@ -293,42 +293,27 @@ impl DynamicMapIndex {
         merged.sort();
         merged
     }
+}
 
-    // ---- Shared read-only batch path ----------------------------------
-
-    /// Batched [`DynamicMapIndex::nn_query`] through `&self` — the shared
-    /// read-only entry point for `Arc`-shared frozen maps (the serving
-    /// layer), where many sessions query one index concurrently and no
-    /// `&mut` exists. Answers and merged `stats` are bit-identical to
-    /// running the serial query per element in order.
-    pub fn nn_batch_shared(
-        &self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        parallel_queries(queries, cfg, stats, |q, s| self.nn_query_with_stats(q, s))
+/// Queries borrow the index shared (the buffer only grows on insert), so
+/// batches parallelize exactly like the static trees'.
+impl SharedIndex for DynamicMapIndex {
+    fn nn_shared(&self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
+        self.nn_query_with_stats(query, stats)
     }
 
-    /// Batched [`DynamicMapIndex::knn_query`] through `&self`; see
-    /// [`DynamicMapIndex::nn_batch_shared`].
-    pub fn knn_batch_shared(
-        &self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        parallel_queries(queries, cfg, stats, |q, s| self.knn_query_with_stats(q, k, s))
+    fn knn_shared(&self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
+        self.knn_query_with_stats(query, k, stats)
     }
 
-    /// Batched [`DynamicMapIndex::radius_query`] through `&self`; see
-    /// [`DynamicMapIndex::nn_batch_shared`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `radius` is negative.
-    pub fn radius_batch_shared(
+    fn radius_shared(&self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
+        self.radius_query_with_stats(query, radius, stats)
+    }
+
+    /// The trait's span-parallel batch inside a `core.radius_batch` span:
+    /// map fan-outs (the serving layer's per-submap reads) are the radius
+    /// batches worth attributing.
+    fn radius_batch_shared(
         &self,
         queries: &[Vec3],
         radius: f64,
@@ -337,56 +322,6 @@ impl DynamicMapIndex {
     ) -> Vec<Vec<Neighbor>> {
         let _span = tigris_obs::span!("core.radius_batch", queries = queries.len());
         parallel_queries(queries, cfg, stats, |q, s| self.radius_query_with_stats(q, radius, s))
-    }
-}
-
-/// Queries borrow the index shared (the buffer only grows on insert), so
-/// batches parallelize exactly like the static trees'.
-impl BatchSearcher for DynamicMapIndex {
-    fn nn_single(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_query_with_stats(query, stats)
-    }
-
-    fn knn_single(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.knn_query_with_stats(query, k, stats)
-    }
-
-    fn radius_single(
-        &mut self,
-        query: Vec3,
-        radius: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        self.radius_query_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        self.nn_batch_shared(queries, cfg, stats)
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        self.knn_batch_shared(queries, k, cfg, stats)
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        self.radius_batch_shared(queries, radius, cfg, stats)
     }
 }
 
@@ -423,35 +358,6 @@ impl SearchIndex for DynamicMapIndex {
 
     fn radius(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
         self.radius_query_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        BatchSearcher::nn_batch(self, queries, cfg, stats)
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::knn_batch(self, queries, k, cfg, stats)
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::radius_batch(self, queries, radius, cfg, stats)
     }
 
     fn as_shared(&self) -> Option<&dyn SharedIndex> {
@@ -557,7 +463,7 @@ mod tests {
 
     #[test]
     fn shared_batches_match_serial_queries_bitwise() {
-        // The &self batch path (what Arc-shared snapshots use) must answer
+        // The &self batch path (what published map epochs use) must answer
         // and meter exactly like serial queries, at any thread count.
         let mut idx = DynamicMapIndex::with_fresh_capacity(32);
         idx.extend(&lcg_points(300, 11));

@@ -11,13 +11,20 @@
 //!   queries plus their `*_batch` forms, and size/name reporting. Every
 //!   backend (including stateful approximate ones) implements it, so the
 //!   pipeline's `Searcher3` can hold a `Box<dyn SearchIndex>` and new
-//!   backends plug in without touching the pipeline.
+//!   backends plug in without touching the pipeline. The `*_batch`
+//!   defaults route through the backend's [`SharedIndex`] view when it
+//!   has one and run the serial loop otherwise; only backends with a
+//!   batching strategy of their own (the approximate index's leaf-grouped
+//!   leader books, the accelerator's one-hardware-run batches) override
+//!   them.
 //! * [`SharedIndex`] — the `&self` query view of the stateless exact
-//!   backends, reachable through [`SearchIndex::as_shared`]. Callers that
-//!   hold the index borrowed shared (the pipeline's front end querying
-//!   the searcher's own point slice, parallel fan-out without cloning)
-//!   downcast to it; stateful backends simply return `None` and keep the
-//!   exclusive path.
+//!   backends, reachable through [`SearchIndex::as_shared`]. Its
+//!   `*_batch_shared` defaults are the one span-parallel batching body
+//!   ([`parallel_queries`] over the type's own single-query kernel).
+//!   Callers that hold the index borrowed shared (the pipeline's front
+//!   end querying the searcher's own point slice, a published map epoch
+//!   read by many sessions) call it directly; stateful backends simply
+//!   return `None` and keep the exclusive path.
 //! * [`register_backend`]/[`build_backend`]/[`backend_names`] — a
 //!   process-wide registry of named backend factories. The five built-in
 //!   backends are pre-registered; external crates (e.g. `tigris-accel`'s
@@ -47,11 +54,11 @@ use std::collections::BTreeMap;
 use std::sync::{OnceLock, RwLock};
 
 use crate::approx::ApproxIndex;
-use crate::batch::{BatchConfig, BatchSearcher};
+use crate::batch::{parallel_queries, BatchConfig};
 use crate::bruteforce::BruteForceIndex;
 use crate::dynamic::DynamicMapIndex;
 use crate::twostage::default_top_height;
-use crate::{ApproxConfig, KdTree, Neighbor, SearchStats, TwoStageKdTree};
+use crate::{KdTree, Neighbor, SearchStats, TwoStageKdTree};
 use tigris_geom::Vec3;
 
 /// Structural size of an index, for memory/footprint reporting.
@@ -86,7 +93,7 @@ pub struct IndexSize {
 ///
 /// Implementations must be `Send + Sync`: a built index may be moved
 /// into — and shared behind — structures served to many threads at once
-/// (the serving layer's `Arc`-shared frozen maps). No builtin uses
+/// (the serving layer's resident map tiles). No builtin uses
 /// interior mutability, so `Sync` is automatic; a custom backend that
 /// wants query-time interior state must synchronize it itself.
 ///
@@ -144,17 +151,24 @@ pub trait SearchIndex: Send + Sync {
     fn radius(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor>;
 
     /// Nearest neighbor of every query; results in query order.
+    ///
+    /// The default runs [`SharedIndex::nn_batch_shared`] when
+    /// [`SearchIndex::as_shared`] offers a view, else the serial loop;
+    /// either way one dynamic call per batch, never one per query.
     fn nn_batch(
         &mut self,
         queries: &[Vec3],
         cfg: &BatchConfig,
         stats: &mut SearchStats,
     ) -> Vec<Option<Neighbor>> {
-        let _ = cfg;
-        queries.iter().map(|&q| self.nn(q, stats)).collect()
+        match self.as_shared() {
+            Some(shared) => shared.nn_batch_shared(queries, cfg, stats),
+            None => queries.iter().map(|&q| self.nn(q, stats)).collect(),
+        }
     }
 
     /// The `k` nearest neighbors of every query; results in query order.
+    /// Routed like [`SearchIndex::nn_batch`].
     fn knn_batch(
         &mut self,
         queries: &[Vec3],
@@ -162,12 +176,14 @@ pub trait SearchIndex: Send + Sync {
         cfg: &BatchConfig,
         stats: &mut SearchStats,
     ) -> Vec<Vec<Neighbor>> {
-        let _ = cfg;
-        queries.iter().map(|&q| self.knn(q, k, stats)).collect()
+        match self.as_shared() {
+            Some(shared) => shared.knn_batch_shared(queries, k, cfg, stats),
+            None => queries.iter().map(|&q| self.knn(q, k, stats)).collect(),
+        }
     }
 
     /// All neighbors within `radius` of every query; results in query
-    /// order.
+    /// order. Routed like [`SearchIndex::nn_batch`].
     fn radius_batch(
         &mut self,
         queries: &[Vec3],
@@ -175,8 +191,10 @@ pub trait SearchIndex: Send + Sync {
         cfg: &BatchConfig,
         stats: &mut SearchStats,
     ) -> Vec<Vec<Neighbor>> {
-        let _ = cfg;
-        queries.iter().map(|&q| self.radius(q, radius, stats)).collect()
+        match self.as_shared() {
+            Some(shared) => shared.radius_batch_shared(queries, radius, cfg, stats),
+            None => queries.iter().map(|&q| self.radius(q, radius, stats)).collect(),
+        }
     }
 
     /// Clears any approximation state accumulated across queries (leader
@@ -216,6 +234,42 @@ pub trait SharedIndex: Sync {
 
     /// All neighbors within `radius` of `query`, ascending by distance.
     fn radius_shared(&self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor>;
+
+    /// Nearest neighbor of every query: [`parallel_queries`] over
+    /// [`SharedIndex::nn_shared`], so results (in query order) and merged
+    /// `stats` are bit-identical to the serial loop at any thread count.
+    fn nn_batch_shared(
+        &self,
+        queries: &[Vec3],
+        cfg: &BatchConfig,
+        stats: &mut SearchStats,
+    ) -> Vec<Option<Neighbor>> {
+        parallel_queries(queries, cfg, stats, |q, s| self.nn_shared(q, s))
+    }
+
+    /// The `k` nearest neighbors of every query; see
+    /// [`SharedIndex::nn_batch_shared`].
+    fn knn_batch_shared(
+        &self,
+        queries: &[Vec3],
+        k: usize,
+        cfg: &BatchConfig,
+        stats: &mut SearchStats,
+    ) -> Vec<Vec<Neighbor>> {
+        parallel_queries(queries, cfg, stats, |q, s| self.knn_shared(q, k, s))
+    }
+
+    /// All neighbors within `radius` of every query; see
+    /// [`SharedIndex::nn_batch_shared`].
+    fn radius_batch_shared(
+        &self,
+        queries: &[Vec3],
+        radius: f64,
+        cfg: &BatchConfig,
+        stats: &mut SearchStats,
+    ) -> Vec<Vec<Neighbor>> {
+        parallel_queries(queries, cfg, stats, |q, s| self.radius_shared(q, radius, s))
+    }
 
     /// Radius search appending into a caller-owned buffer: hits are
     /// pushed onto `out` (existing contents untouched) with the appended
@@ -316,35 +370,6 @@ impl SearchIndex for KdTree {
         self.radius_with_stats(query, radius, stats)
     }
 
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        BatchSearcher::nn_batch(self, queries, cfg, stats)
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::knn_batch(self, queries, k, cfg, stats)
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::radius_batch(self, queries, radius, cfg, stats)
-    }
-
     fn as_shared(&self) -> Option<&dyn SharedIndex> {
         Some(self)
     }
@@ -427,35 +452,6 @@ impl SearchIndex for TwoStageKdTree {
         self.radius_with_stats(query, radius, stats)
     }
 
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        BatchSearcher::nn_batch(self, queries, cfg, stats)
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::knn_batch(self, queries, k, cfg, stats)
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::radius_batch(self, queries, radius, cfg, stats)
-    }
-
     fn as_shared(&self) -> Option<&dyn SharedIndex> {
         Some(self)
     }
@@ -472,75 +468,6 @@ impl SharedIndex for TwoStageKdTree {
 
     fn radius_shared(&self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
         self.radius_with_stats(query, radius, stats)
-    }
-}
-
-impl SearchIndex for ApproxIndex {
-    fn from_points(points: &[Vec3]) -> Self {
-        ApproxIndex::build(points, default_top_height(points.len()), ApproxConfig::default())
-    }
-
-    fn name(&self) -> &'static str {
-        "two-stage-approx"
-    }
-
-    fn points(&self) -> &[Vec3] {
-        self.tree().points()
-    }
-
-    fn size(&self) -> IndexSize {
-        IndexSize {
-            points: self.tree().len(),
-            interior_nodes: self.tree().top_nodes().len(),
-            leaf_sets: self.tree().leaves().len(),
-        }
-    }
-
-    fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_with_stats(query, stats)
-    }
-
-    /// k-NN has no approximate path (Algorithm 1 covers NN and radius);
-    /// served exactly by the underlying two-stage tree.
-    fn knn(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.tree().knn_with_stats(query, k, stats)
-    }
-
-    fn radius(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.radius_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        BatchSearcher::nn_batch(self, queries, cfg, stats)
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::knn_batch(self, queries, k, cfg, stats)
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::radius_batch(self, queries, radius, cfg, stats)
-    }
-
-    fn reset(&mut self) {
-        ApproxIndex::reset(self);
     }
 }
 
@@ -573,35 +500,6 @@ impl SearchIndex for BruteForceIndex {
         BruteForceIndex::radius_with_stats(self, query, radius, stats)
     }
 
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        BatchSearcher::nn_batch(self, queries, cfg, stats)
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::knn_batch(self, queries, k, cfg, stats)
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        BatchSearcher::radius_batch(self, queries, radius, cfg, stats)
-    }
-
     fn as_shared(&self) -> Option<&dyn SharedIndex> {
         Some(self)
     }
@@ -618,20 +516,6 @@ impl SharedIndex for BruteForceIndex {
 
     fn radius_shared(&self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
         BruteForceIndex::radius_with_stats(self, query, radius, stats)
-    }
-}
-
-impl SharedIndex for DynamicMapIndex {
-    fn nn_shared(&self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nn_query_with_stats(query, stats)
-    }
-
-    fn knn_shared(&self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.knn_query_with_stats(query, k, stats)
-    }
-
-    fn radius_shared(&self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
-        self.radius_query_with_stats(query, radius, stats)
     }
 }
 

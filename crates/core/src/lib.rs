@@ -11,10 +11,10 @@
 //!   unordered sets, enabling exhaustive (and therefore parallel) search at
 //!   the leaves. Exposes query-level and node-level parallelism at the cost
 //!   of redundant node visits (paper Fig. 6).
-//! * [`approx`] — the approximate leader/follower search of Algorithm 1:
-//!   queries reaching the same leaf are split into leaders (searched
-//!   exhaustively) and followers (searched only against the closest leader's
-//!   result set).
+//! * [`approx`] — the approximate leader/follower search of Algorithm 1
+//!   ([`ApproxIndex`]): queries reaching the same leaf are split into
+//!   leaders (searched exhaustively) and followers (searched only against
+//!   the closest leader's result set).
 //! * [`inject`] — the error-injection instruments of Sec. 4.2 (return the
 //!   k-th nearest neighbor; return a `<r1, r2>` shell instead of a ball),
 //!   used to quantify the pipeline's tolerance to inexact search.
@@ -28,7 +28,12 @@
 //! * [`index`] — the [`SearchIndex`] trait and backend registry: the
 //!   public seam through which *every* backend (the trees above, the
 //!   [`BruteForceIndex`] oracle, and `tigris-accel`'s online accelerator
-//!   model) plugs into the registration pipeline interchangeably.
+//!   model) plugs into the registration pipeline interchangeably, serial
+//!   and batched queries alike.
+//! * [`batch`] — the thread fan-out behind those batches
+//!   ([`BatchConfig`], [`batch::parallel_queries`]): span-parallel over a
+//!   backend's [`SharedIndex`] view, leaf-grouped for the approximate
+//!   index, bit-identical to serial either way.
 //!
 //! # Example
 //!
@@ -64,8 +69,8 @@ pub mod soa;
 pub mod stats;
 pub mod twostage;
 
-pub use approx::{ApproxConfig, ApproxIndex, ApproxSearcher};
-pub use batch::{BatchConfig, BatchSearcher};
+pub use approx::{ApproxConfig, ApproxIndex};
+pub use batch::BatchConfig;
 pub use bruteforce::{knn_brute_force, nn_brute_force, radius_brute_force, BruteForceIndex};
 pub use dynamic::DynamicMapIndex;
 pub use index::{

@@ -1,14 +1,16 @@
-//! Property tests for the parallel batch engine: batched execution must be
-//! *indistinguishable* from serial — identical neighbor indices, identical
-//! distances, and per-thread [`SearchStats`] that merge to the serial
-//! totals — on all four backends (canonical KD-tree, two-stage KD-tree,
-//! approximate leader/follower search, brute force).
+//! Property tests for the parallel batch engine: batched execution
+//! through [`SearchIndex`]'s `*_batch` methods must be
+//! *indistinguishable* from the backend's serial kernel — identical
+//! neighbor indices, identical distances, and per-thread [`SearchStats`]
+//! that merge to the serial totals — on all four backends (canonical
+//! KD-tree, two-stage KD-tree, approximate leader/follower search, brute
+//! force).
 
 use proptest::prelude::*;
-use tigris_core::batch::{BatchConfig, BatchSearcher};
+use tigris_core::index::SearchIndex;
 use tigris_core::simd::{LANES, LANES_HALF};
 use tigris_core::{
-    ApproxConfig, ApproxSearcher, BruteForceIndex, KdTree, SearchStats, TwoStageKdTree,
+    ApproxConfig, ApproxIndex, BatchConfig, BruteForceIndex, KdTree, SearchStats, TwoStageKdTree,
 };
 use tigris_geom::Vec3;
 
@@ -56,7 +58,7 @@ proptest! {
             KdTree::build(&pts),
             qs,
             cfg,
-            |t: &mut KdTree, q, s: &mut SearchStats| t.nn_single(q, s),
+            |t: &mut KdTree, q, s: &mut SearchStats| t.nn_with_stats(q, s),
             |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| t.nn_batch(qs, c, s)
         );
     }
@@ -69,7 +71,7 @@ proptest! {
             KdTree::build(&pts),
             qs,
             cfg,
-            |t: &mut KdTree, q, s: &mut SearchStats| t.knn_single(q, k, s),
+            |t: &mut KdTree, q, s: &mut SearchStats| t.knn_with_stats(q, k, s),
             |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
                 t.knn_batch(qs, k, c, s)
             }
@@ -84,7 +86,7 @@ proptest! {
             KdTree::build(&pts),
             qs,
             cfg,
-            |t: &mut KdTree, q, s: &mut SearchStats| t.radius_single(q, r, s),
+            |t: &mut KdTree, q, s: &mut SearchStats| t.radius_with_stats(q, r, s),
             |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
                 t.radius_batch(qs, r, c, s)
             }
@@ -99,7 +101,7 @@ proptest! {
             TwoStageKdTree::build(&pts, h),
             qs,
             cfg,
-            |t: &mut TwoStageKdTree, q, s: &mut SearchStats| t.nn_single(q, s),
+            |t: &mut TwoStageKdTree, q, s: &mut SearchStats| t.nn_with_stats(q, s),
             |t: &mut TwoStageKdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
                 t.nn_batch(qs, c, s)
             }
@@ -108,7 +110,7 @@ proptest! {
             TwoStageKdTree::build(&pts, h),
             qs,
             cfg,
-            |t: &mut TwoStageKdTree, q, s: &mut SearchStats| t.radius_single(q, r, s),
+            |t: &mut TwoStageKdTree, q, s: &mut SearchStats| t.radius_with_stats(q, r, s),
             |t: &mut TwoStageKdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
                 t.radius_batch(qs, r, c, s)
             }
@@ -120,12 +122,12 @@ proptest! {
         pts in cloud(), qs in queries(), k in 1usize..8, cfg in batch_cfg(),
     ) {
         assert_batch_equals_serial!(
-            pts.clone(),
+            BruteForceIndex::new(pts.clone()),
             qs,
             cfg,
-            |t: &mut Vec<Vec3>, q, s: &mut SearchStats| t.as_mut_slice().knn_single(q, k, s),
-            |t: &mut Vec<Vec3>, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
-                t.as_mut_slice().knn_batch(qs, k, c, s)
+            |t: &mut BruteForceIndex, q, s: &mut SearchStats| t.knn_with_stats(q, k, s),
+            |t: &mut BruteForceIndex, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
+                t.knn_batch(qs, k, c, s)
             }
         );
     }
@@ -144,14 +146,14 @@ proptest! {
         let tree = TwoStageKdTree::build(&pts, h);
         let acfg = ApproxConfig { nn_threshold: thd, ..ApproxConfig::default() };
 
-        let mut serial = ApproxSearcher::new(&tree, acfg);
+        let mut serial = ApproxIndex::from_tree(tree.clone(), acfg);
         let mut serial_stats = SearchStats::new();
         let serial_nn: Vec<_> =
-            qs.iter().map(|&q| serial.nn_single(q, &mut serial_stats)).collect();
+            qs.iter().map(|&q| serial.nn_with_stats(q, &mut serial_stats)).collect();
         let serial_radius: Vec<_> =
-            qs.iter().map(|&q| serial.radius_single(q, r, &mut serial_stats)).collect();
+            qs.iter().map(|&q| serial.radius_with_stats(q, r, &mut serial_stats)).collect();
 
-        let mut batched = ApproxSearcher::new(&tree, acfg);
+        let mut batched = ApproxIndex::from_tree(tree, acfg);
         let mut batch_stats = SearchStats::new();
         let batch_nn = batched.nn_batch(&qs, &cfg, &mut batch_stats);
         let batch_radius = batched.radius_batch(&qs, r, &cfg, &mut batch_stats);
@@ -182,7 +184,7 @@ proptest! {
                     KdTree::build(&pts),
                     qs,
                     cfg,
-                    |t: &mut KdTree, q, s: &mut SearchStats| t.radius_single(q, r, s),
+                    |t: &mut KdTree, q, s: &mut SearchStats| t.radius_with_stats(q, r, s),
                     |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
                         t.radius_batch(qs, r, c, s)
                     }
@@ -191,7 +193,7 @@ proptest! {
                     BruteForceIndex::new(pts.clone()),
                     qs,
                     cfg,
-                    |t: &mut BruteForceIndex, q, s: &mut SearchStats| t.nn_single(q, s),
+                    |t: &mut BruteForceIndex, q, s: &mut SearchStats| t.nn_with_stats(q, s),
                     |t: &mut BruteForceIndex, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
                         t.nn_batch(qs, c, s)
                     }
@@ -220,7 +222,7 @@ proptest! {
                 KdTree::build(&pts),
                 qs,
                 cfg,
-                |t: &mut KdTree, q, s: &mut SearchStats| t.knn_single(q, k, s),
+                |t: &mut KdTree, q, s: &mut SearchStats| t.knn_with_stats(q, k, s),
                 |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
                     t.knn_batch(qs, k, c, s)
                 }

@@ -189,19 +189,38 @@ fn exact_backends_survive_degenerate_geometry_bit_for_bit() {
 #[test]
 fn degenerate_geometry_batches_match_serial() {
     // The SoA leaf arenas see pathological layouts here (every point in
-    // one leaf chain, duplicated coordinates across all lanes); batched
-    // execution must still be a pure reordering of the serial scan.
-    let cfg = BatchConfig { threads: 3, min_chunk: 2 };
+    // one leaf chain, duplicated coordinates across all lanes), and the
+    // approximate backend's leaf-grouped batches see probes whose top-tree
+    // descent dead-ends; batched execution must still be a pure
+    // reordering of the serial scan, leader books included. `min_chunk: 1`
+    // fans even the single-point fixture's two probes (whose descent
+    // always dead-ends) out across workers.
     for (fixture, pts, probes) in degenerate_fixtures() {
-        for name in EXACT_BACKENDS {
-            let mut serial = build_backend(name, &pts).unwrap();
-            let mut batched = build_backend(name, &pts).unwrap();
-            let mut s_stats = SearchStats::new();
-            let mut b_stats = SearchStats::new();
-            let s_nn: Vec<_> = probes.iter().map(|&q| serial.nn(q, &mut s_stats)).collect();
-            let b_nn = batched.nn_batch(&probes, &cfg, &mut b_stats);
-            assert_eq!(s_nn, b_nn, "{name} on {fixture}: batched nn differs");
-            assert_eq!(s_stats, b_stats, "{name} on {fixture}: stats merge");
+        for name in ALL_BACKENDS {
+            for min_chunk in [1, 2] {
+                let cfg = BatchConfig { threads: 3, min_chunk };
+                let at = format!("{name} on {fixture} (min_chunk {min_chunk})");
+                let mut serial = build_backend(name, &pts).unwrap();
+                let mut batched = build_backend(name, &pts).unwrap();
+                let mut s_stats = SearchStats::new();
+                let mut b_stats = SearchStats::new();
+                let s_nn: Vec<_> = probes.iter().map(|&q| serial.nn(q, &mut s_stats)).collect();
+                let b_nn = batched.nn_batch(&probes, &cfg, &mut b_stats);
+                assert_eq!(s_nn, b_nn, "{at}: batched nn differs");
+                for k in [1, 2, pts.len(), pts.len() + 5] {
+                    let s_knn: Vec<_> =
+                        probes.iter().map(|&q| serial.knn(q, k, &mut s_stats)).collect();
+                    let b_knn = batched.knn_batch(&probes, k, &cfg, &mut b_stats);
+                    assert_eq!(s_knn, b_knn, "{at}: batched knn differs at k={k}");
+                }
+                for r in [0.0, 0.5, 3.0, 1000.0] {
+                    let s_rad: Vec<_> =
+                        probes.iter().map(|&q| serial.radius(q, r, &mut s_stats)).collect();
+                    let b_rad = batched.radius_batch(&probes, r, &cfg, &mut b_stats);
+                    assert_eq!(s_rad, b_rad, "{at}: batched radius differs at r={r}");
+                }
+                assert_eq!(s_stats, b_stats, "{at}: stats merge");
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tigris_core::inject::{kth_nn, shell_radius};
 use tigris_core::{
-    nn_brute_force, radius_brute_force, ApproxConfig, ApproxSearcher, KdTree, SearchStats,
+    nn_brute_force, radius_brute_force, ApproxConfig, ApproxIndex, KdTree, SearchStats,
     TwoStageKdTree,
 };
 use tigris_geom::Vec3;
@@ -104,12 +104,12 @@ proptest! {
         thd in 0.0f64..5.0,
     ) {
         let tree = TwoStageKdTree::build(&pts, 3);
-        let mut searcher = ApproxSearcher::new(
-            &tree,
+        let mut searcher = ApproxIndex::from_tree(
+            tree.clone(),
             ApproxConfig { nn_threshold: thd, ..Default::default() },
         );
         for &q in &queries {
-            let approx = searcher.nn(q).unwrap();
+            let approx = searcher.nn_with_stats(q, &mut SearchStats::new()).unwrap();
             let exact = tree.nn(q).unwrap();
             // Triangle-inequality bound: follower ≤ exact + 2·thd.
             prop_assert!(approx.distance() <= exact.distance() + 2.0 * thd + 1e-9);
@@ -124,10 +124,9 @@ proptest! {
         queries in prop::collection::vec(point(), 1..30),
         r in 0.1f64..20.0,
     ) {
-        let tree = TwoStageKdTree::build(&pts, 3);
-        let mut searcher = ApproxSearcher::new(&tree, ApproxConfig::default());
+        let mut searcher = ApproxIndex::build(&pts, 3, ApproxConfig::default());
         for &q in &queries {
-            for n in searcher.radius(q, r) {
+            for n in searcher.radius_with_stats(q, r, &mut SearchStats::new()) {
                 prop_assert!(n.distance_squared <= r * r + 1e-12);
                 prop_assert!((q.distance_squared(pts[n.index]) - n.distance_squared).abs() < 1e-12);
             }

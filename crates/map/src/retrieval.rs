@@ -25,7 +25,7 @@
 //!    elevated geometry lands on stored submap structure under the
 //!    verified transform.
 
-use tigris_core::{BatchConfig, KdTreeN, Neighbor, SearchStats};
+use tigris_core::{BatchConfig, KdTreeN, Neighbor, SearchStats, SharedIndex};
 use tigris_geom::{RigidTransform, Vec3};
 use tigris_pipeline::{
     register_prepared_with_prior, PreparedFrame, RegistrationConfig, RegistrationResult,

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use tigris_core::{BatchConfig, SearchStats};
+use tigris_core::{BatchConfig, SearchStats, SharedIndex};
 use tigris_geom::{RigidTransform, Vec3};
 use tigris_map::retrieval;
 use tigris_map::{sort_map_neighbors, MapNeighbor};
@@ -348,7 +348,8 @@ impl EpochTarget<'_> {
 /// covering tiles, apply each member submap's own local-bounds gate,
 /// and merge in the canonical order. Bit-identical to `Mapper::query`
 /// on the published map (conservative routing + the rebuild-identical
-/// index contract + the one shared [`sort_map_neighbors`] comparator).
+/// index contract + the one shared [`sort_map_neighbors`] comparator),
+/// including its empty answer to a radius that is not `>= 0`.
 pub(crate) fn query_view(
     core: &ShardCore,
     view: &EpochView,
@@ -356,6 +357,9 @@ pub(crate) fn query_view(
     radius: f64,
 ) -> Vec<MapNeighbor> {
     let mut out: Vec<MapNeighbor> = Vec::new();
+    if radius.is_nan() || radius < 0.0 {
+        return out;
+    }
     for tile_idx in view.router().covering(point, radius) {
         let tile = core.resident(view, tile_idx);
         for loaded in &tile.submaps {
@@ -392,6 +396,9 @@ pub(crate) fn query_batch_view(
     cfg: &BatchConfig,
 ) -> Vec<Vec<MapNeighbor>> {
     let mut out: Vec<Vec<MapNeighbor>> = vec![Vec::new(); points.len()];
+    if radius.is_nan() || radius < 0.0 {
+        return out;
+    }
     // Queries per covering tile (each submap belongs to exactly one
     // tile, so no query meets a submap twice).
     let mut per_tile: BTreeMap<usize, Vec<usize>> = BTreeMap::new();

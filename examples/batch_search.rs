@@ -3,7 +3,7 @@
 //!
 //! Builds a dense synthetic frame, then runs the same RPCE-style NN query
 //! stream three ways — serial classic tree, batched two-stage tree at
-//! several thread counts, and the batched approximate searcher — printing
+//! several thread counts, and the batched approximate index — printing
 //! wall-clock, node-visit counts and the follower rate. Results are
 //! bit-identical between serial and batched execution at any thread
 //! count; only the wall-clock moves.
@@ -14,8 +14,8 @@
 
 use std::time::Instant;
 
-use tigris::core::batch::{BatchConfig, BatchSearcher};
-use tigris::core::{ApproxConfig, ApproxSearcher, KdTree, SearchStats, TwoStageKdTree};
+use tigris::core::index::SearchIndex;
+use tigris::core::{ApproxConfig, ApproxIndex, BatchConfig, KdTree, SearchStats, TwoStageKdTree};
 use tigris::data::{Sequence, SequenceConfig};
 
 fn main() {
@@ -58,7 +58,7 @@ fn main() {
     }
 
     // The approximate leader/follower search, batched by leaf.
-    let mut approx = ApproxSearcher::new(&two_stage, ApproxConfig::default());
+    let mut approx = ApproxIndex::from_tree(two_stage, ApproxConfig::default());
     let cfg = BatchConfig::auto();
     let mut stats = SearchStats::new();
     let t0 = Instant::now();

@@ -4,7 +4,8 @@
 //! produce (degenerate geometry, duplicates, extreme coordinates, tiny
 //! clouds).
 
-use tigris::core::{ApproxConfig, ApproxSearcher, KdTree, TwoStageKdTree};
+use tigris::core::index::SearchIndex;
+use tigris::core::{ApproxConfig, ApproxIndex, KdTree, SearchStats, TwoStageKdTree};
 use tigris::geom::{PointCloud, RigidTransform, Vec3};
 use tigris::pipeline::{register, RegistrationConfig, RegistrationError};
 
@@ -26,8 +27,8 @@ fn all_identical_points() {
     let two_stage = TwoStageKdTree::build(&pts, 4);
     assert_eq!(two_stage.radius(Vec3::new(1.0, 2.0, 3.0), 0.01).len(), 100);
 
-    let mut approx = ApproxSearcher::new(&two_stage, ApproxConfig::default());
-    assert!(approx.nn(Vec3::ZERO).is_some());
+    let mut approx = ApproxIndex::from_tree(two_stage, ApproxConfig::default());
+    assert!(approx.nn(Vec3::ZERO, &mut SearchStats::new()).is_some());
 }
 
 #[test]

@@ -397,6 +397,30 @@ fn snapshot_queries_match_the_mapper_and_batch_bitwise() {
 }
 
 #[test]
+fn radius_without_interior_answers_empty_on_every_read_path() {
+    // A negative or NaN radius passes the `d² <= r²` bounds gates for a
+    // probe on the map; every read path must answer it empty rather than
+    // reach the index's non-negative-radius assertion.
+    let fx = fixture();
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
+    let session = service.open_session().unwrap();
+    let on_map = fx.mapper.submaps()[0].world_points()[0];
+    assert!(!fx.mapper.query(on_map, 1.0).is_empty(), "the probe must sit on mapped points");
+    for radius in [-1.0, f64::NAN] {
+        assert!(fx.mapper.query(on_map, radius).is_empty(), "Mapper::query at r={radius}");
+        assert!(service.query(on_map, radius).unwrap().is_empty(), "service query at r={radius}");
+        assert!(session.query(on_map, radius).is_empty(), "session query at r={radius}");
+        let probes = [on_map, on_map];
+        for batch in
+            [service.query_batch(&probes, radius).unwrap(), session.query_batch(&probes, radius)]
+        {
+            assert_eq!(batch.len(), probes.len());
+            assert!(batch.iter().all(Vec::is_empty), "batched query at r={radius}");
+        }
+    }
+}
+
+#[test]
 fn tile_routed_queries_match_the_whole_snapshot_bitwise() {
     let fx = fixture();
     let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
