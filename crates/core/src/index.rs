@@ -235,6 +235,16 @@ pub trait SharedIndex: Sync {
     /// All neighbors within `radius` of `query`, ascending by distance.
     fn radius_shared(&self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor>;
 
+    /// The two nearest neighbors of `query`, `[nearest, second]` under
+    /// the `(d², index)` order, `None` where the index holds fewer
+    /// points — exactly [`SharedIndex::knn_shared`] with `k = 2`, which
+    /// is the default. The exact trees override it with a heap-free
+    /// 2-NN walk; ICP's certified correspondence reuse issues it.
+    fn nn2_shared(&self, query: Vec3, stats: &mut SearchStats) -> [Option<Neighbor>; 2] {
+        let two = self.knn_shared(query, 2, stats);
+        [two.first().copied(), two.get(1).copied()]
+    }
+
     /// Nearest neighbor of every query: [`parallel_queries`] over
     /// [`SharedIndex::nn_shared`], so results (in query order) and merged
     /// `stats` are bit-identical to the serial loop at any thread count.
@@ -380,6 +390,10 @@ impl SharedIndex for KdTree {
         self.nn_with_stats(query, stats)
     }
 
+    fn nn2_shared(&self, query: Vec3, stats: &mut SearchStats) -> [Option<Neighbor>; 2] {
+        self.nn2_with_stats(query, stats)
+    }
+
     fn knn_shared(&self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
         self.knn_with_stats(query, k, stats)
     }
@@ -460,6 +474,10 @@ impl SearchIndex for TwoStageKdTree {
 impl SharedIndex for TwoStageKdTree {
     fn nn_shared(&self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
         self.nn_with_stats(query, stats)
+    }
+
+    fn nn2_shared(&self, query: Vec3, stats: &mut SearchStats) -> [Option<Neighbor>; 2] {
+        self.nn2_with_stats(query, stats)
     }
 
     fn knn_shared(&self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {

@@ -226,6 +226,55 @@ impl KdTree {
         }
     }
 
+    /// The two nearest neighbors of `query` under the `(d², index)`
+    /// order — exactly `knn(query, 2)`, without the heap: `[nearest,
+    /// second]`, `None` where the tree holds fewer points.
+    pub fn nn2(&self, query: Vec3) -> [Option<Neighbor>; 2] {
+        let mut stats = SearchStats::new();
+        self.nn2_with_stats(query, &mut stats)
+    }
+
+    /// [`KdTree::nn2`] with visit accounting (billed like
+    /// [`KdTree::nn_with_stats`]); sub-trees are pruned against the
+    /// second-best distance.
+    pub fn nn2_with_stats(&self, query: Vec3, stats: &mut SearchStats) -> [Option<Neighbor>; 2] {
+        if self.nodes.is_empty() {
+            return [None, None];
+        }
+        stats.queries += 1;
+        let mut top = simd::TOP2_EMPTY;
+        self.nn2_recurse(0, query, &mut top, stats);
+        simd::top2_neighbors(&top)
+    }
+
+    fn nn2_recurse(&self, slot: usize, query: Vec3, top: &mut simd::Top2, stats: &mut SearchStats) {
+        match self.nodes[slot] {
+            Slot::Empty => unreachable!("traversal never reaches padding slots"),
+            Slot::Leaf { start, len } => {
+                let (start, len) = (start as usize, len as usize);
+                stats.leaves_scanned += 1;
+                stats.leaf_points_scanned += len as u64;
+                let view = self.arena.range(start, len);
+                simd::nn2_reduce(query, view, &self.ids[start..start + len], top);
+            }
+            Slot::Interior { axis, split } => {
+                stats.tree_nodes_visited += 1;
+                let delta = query.axis(axis as usize) - split;
+                let (near, far) = if delta < 0.0 {
+                    (2 * slot + 1, 2 * slot + 2)
+                } else {
+                    (2 * slot + 2, 2 * slot + 1)
+                };
+                self.nn2_recurse(near, query, top, stats);
+                if delta * delta <= top[1].0 {
+                    self.nn2_recurse(far, query, top, stats);
+                } else {
+                    stats.subtrees_pruned += 1;
+                }
+            }
+        }
+    }
+
     /// The `k` nearest neighbors of `query`, sorted ascending by distance.
     ///
     /// Returns fewer than `k` results when the tree holds fewer points.

@@ -1,13 +1,16 @@
 //! Explicit distance + reduction kernels over [`SoaView`] lanes — the
 //! software stand-in for the accelerator's distance datapath.
 //!
-//! Three kernels cover every exhaustive scan in the crate:
+//! Four kernels cover every exhaustive scan in the crate:
 //!
 //! * [`squared_distances`] — one squared distance per candidate, written
 //!   to an output slice (the "distance array" stage of the paper's
 //!   pipeline).
 //! * [`nn_reduce`] — squared distances fused with a horizontal
 //!   `(distance, id)` min reduction: the 1-NN kernel.
+//! * [`nn2_reduce`] — squared distances folded into a running pair of
+//!   the two smallest `(distance, id)`: the 2-NN kernel behind
+//!   certified correspondence reuse.
 //! * [`radius_collect`] — squared distances fused with a masked
 //!   `d² ≤ r²` compare that appends hits in scan order: the radius-search
 //!   kernel.
@@ -71,14 +74,14 @@ pub const LANES_HALF: usize = 4;
 
 #[cfg(not(feature = "scalar-kernels"))]
 pub use wide::{
-    axpy, bin11, cov_upper, distances, lane_sums, nn_reduce, pair_features_batch, radius_collect,
-    squared_distances,
+    axpy, bin11, cov_upper, distances, lane_sums, nn2_reduce, nn_reduce, pair_features_batch,
+    radius_collect, squared_distances,
 };
 
 #[cfg(feature = "scalar-kernels")]
 pub use scalar::{
-    axpy, bin11, cov_upper, distances, lane_sums, nn_reduce, pair_features_batch, radius_collect,
-    squared_distances,
+    axpy, bin11, cov_upper, distances, lane_sums, nn2_reduce, nn_reduce, pair_features_batch,
+    radius_collect, squared_distances,
 };
 
 /// [`pair_features_batch`] flag: the lane passed the `dist < 1e-9`
@@ -104,6 +107,33 @@ fn lex_min(d2: f64, id: u32, best_d2: &mut f64, best_id: &mut u32) {
         *best_d2 = d2;
         *best_id = id;
     }
+}
+
+/// The running two smallest `(d², id)` pairs of a 2-NN search, ascending;
+/// an unfilled slot holds [`TOP2_EMPTY`].
+pub type Top2 = [(f64, u32); 2];
+
+/// The starting state of a [`Top2`] fold: both slots empty.
+pub const TOP2_EMPTY: Top2 = [(f64::INFINITY, u32::MAX); 2];
+
+/// Offers one candidate to a [`Top2`] under the `(d², id)` lexicographic
+/// order. Ids are unique per index, so the fold's result does not depend
+/// on the order candidates arrive in.
+#[inline(always)]
+pub(crate) fn top2_offer(d2: f64, id: u32, top: &mut Top2) {
+    let [(d0, i0), (d1, i1)] = *top;
+    if d2 < d1 || (d2 == d1 && id < i1) {
+        if d2 < d0 || (d2 == d0 && id < i0) {
+            *top = [(d2, id), (d0, i0)];
+        } else {
+            top[1] = (d2, id);
+        }
+    }
+}
+
+/// The filled slots of a finished [`Top2`] fold, as neighbors.
+pub(crate) fn top2_neighbors(top: &Top2) -> [Option<Neighbor>; 2] {
+    top.map(|(d2, id)| (id != u32::MAX).then(|| Neighbor::new(id as usize, d2)))
 }
 
 /// One-point-per-iteration reference kernels.
@@ -162,6 +192,23 @@ pub mod scalar {
             lex_min(d2, ids[i], &mut best_d2, &mut best_id);
         }
         Some((best_d2, best_id))
+    }
+
+    /// Folds every candidate into `top`, the running two smallest
+    /// `(d², id)` pairs (the 2-NN kernel; ties broken to the smaller id).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ids.len() == pts.len()`.
+    pub fn nn2_reduce(query: tigris_geom::Vec3, pts: SoaView<'_>, ids: &[u32], top: &mut Top2) {
+        let n = pts.len();
+        assert_eq!(ids.len(), n, "one id per candidate point");
+        for i in 0..n {
+            let dx = query.x - pts.xs[i];
+            let dy = query.y - pts.ys[i];
+            let dz = query.z - pts.zs[i];
+            top2_offer((dx * dx + dy * dy) + dz * dz, ids[i], top);
+        }
     }
 
     /// Appends a [`Neighbor`] for every candidate with `d² ≤ r²`, in scan
@@ -469,6 +516,44 @@ pub mod wide {
             lex_min(d2, ids[i], &mut best_d2, &mut best_id);
         }
         Some((best_d2, best_id))
+    }
+
+    /// Folds every candidate into `top`, the running two smallest
+    /// `(d², id)` pairs (the 2-NN kernel; ties broken to the smaller id).
+    ///
+    /// Distances are evaluated blockwise and offered lane by lane; the
+    /// fold keeps the two smallest of a set under a total order (ids are
+    /// unique), so it is order-independent and the result is identical
+    /// to [`scalar::nn2_reduce`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ids.len() == pts.len()`.
+    pub fn nn2_reduce(query: tigris_geom::Vec3, pts: SoaView<'_>, ids: &[u32], top: &mut Top2) {
+        let n = pts.len();
+        assert_eq!(ids.len(), n, "one id per candidate point");
+        let (qx, qy, qz) = (query.x, query.y, query.z);
+        let mut base = 0;
+        while base + LANES <= n {
+            let d2 = d2_block::<LANES>(qx, qy, qz, pts, base);
+            for l in 0..LANES {
+                top2_offer(d2[l], ids[base + l], top);
+            }
+            base += LANES;
+        }
+        if base + LANES_HALF <= n {
+            let d2 = d2_block::<LANES_HALF>(qx, qy, qz, pts, base);
+            for l in 0..LANES_HALF {
+                top2_offer(d2[l], ids[base + l], top);
+            }
+            base += LANES_HALF;
+        }
+        for i in base..n {
+            let dx = qx - pts.xs[i];
+            let dy = qy - pts.ys[i];
+            let dz = qz - pts.zs[i];
+            top2_offer((dx * dx + dy * dy) + dz * dz, ids[i], top);
+        }
     }
 
     /// Appends a [`Neighbor`] for every candidate with `d² ≤ r²`, in scan

@@ -300,6 +300,64 @@ impl TwoStageKdTree {
         }
     }
 
+    /// The two nearest neighbors of `query` under the `(d², index)`
+    /// order — exactly `knn(query, 2)`, without the heap: `[nearest,
+    /// second]`, `None` where the tree holds fewer points.
+    pub fn nn2(&self, query: Vec3) -> [Option<Neighbor>; 2] {
+        let mut stats = SearchStats::new();
+        self.nn2_with_stats(query, &mut stats)
+    }
+
+    /// [`TwoStageKdTree::nn2`] with visit accounting (billed like
+    /// [`TwoStageKdTree::nn_with_stats`]); sub-trees are pruned against
+    /// the second-best distance.
+    pub fn nn2_with_stats(&self, query: Vec3, stats: &mut SearchStats) -> [Option<Neighbor>; 2] {
+        if self.is_empty() {
+            return [None, None];
+        }
+        stats.queries += 1;
+        let mut top = simd::TOP2_EMPTY;
+        self.nn2_child(self.root, query, &mut top, stats);
+        simd::top2_neighbors(&top)
+    }
+
+    fn nn2_child(
+        &self,
+        child: TopChild,
+        query: Vec3,
+        top: &mut simd::Top2,
+        stats: &mut SearchStats,
+    ) {
+        match child {
+            TopChild::None => {}
+            TopChild::Leaf(l) => {
+                let (start, len) = self.spans[l as usize];
+                let (start, len) = (start as usize, len as usize);
+                stats.leaves_scanned += 1;
+                stats.leaf_points_scanned += len as u64;
+                let view = self.arena.range(start, len);
+                simd::nn2_reduce(query, view, &self.arena_ids[start..start + len], top);
+            }
+            TopChild::Node(n) => {
+                let node = &self.top_nodes[n as usize];
+                let p = self.points[node.point as usize];
+                stats.tree_nodes_visited += 1;
+                simd::top2_offer(query.distance_squared(p), node.point, top);
+                let delta = query.axis(node.axis as usize) - node.split;
+                let (near, far) =
+                    if delta < 0.0 { (node.left, node.right) } else { (node.right, node.left) };
+                self.nn2_child(near, query, top, stats);
+                if far != TopChild::None {
+                    if delta * delta <= top[1].0 {
+                        self.nn2_child(far, query, top, stats);
+                    } else {
+                        stats.subtrees_pruned += 1;
+                    }
+                }
+            }
+        }
+    }
+
     /// The `k` nearest neighbors of `query`, sorted ascending by distance.
     ///
     /// Returns fewer than `k` results when the tree holds fewer points.

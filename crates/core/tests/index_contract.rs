@@ -5,6 +5,8 @@
 //!   squared distances, tie-break and ordering included);
 //! * the approximate backend stays within Algorithm 1's bound (NN distance
 //!   at most `2·thd` beyond exact; radius results a sound subset);
+//! * exact backends' 2-NN (`SharedIndex::nn2_shared`) is brute force's
+//!   `knn(q, 2)`, ties to the lower index included;
 //! * every `*_batch` entry point is equivalent to the serial loop —
 //!   results in query order and `SearchStats` merged losslessly;
 //! * the registry instantiates every built-in by name, and `name()`
@@ -95,6 +97,50 @@ fn knn_boundary_ties_break_to_lower_index_on_every_exact_backend() {
                     "{name}: knn tie-break mismatch at k={k}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn nn2_is_brute_force_knn2_on_every_exact_backend() {
+    // The lcg cloud plus a regular grid whose every point appears twice:
+    // the two nearest are often exact duplicates (equal d², lower index
+    // first), and grid-centred probes sit at equal distance from whole
+    // cells of points (ties across both slots and beyond them).
+    let grid: Vec<Vec3> = (0..256)
+        .map(|i| Vec3::new((i % 8) as f64, ((i / 8) % 8) as f64, ((i / 64) % 4) as f64))
+        .collect();
+    let doubled: Vec<Vec3> = grid.iter().chain(&grid).copied().collect();
+    let mut probes: Vec<Vec3> =
+        (0..48).map(|i| Vec3::new((i % 8) as f64 + 0.5, (i / 8) as f64 * 0.5, 1.5)).collect();
+    probes.extend(grid.iter().step_by(17));
+    let mut fixtures =
+        vec![("lcg", lcg_cloud(1500, 12), lcg_cloud(120, 13)), ("doubled-grid", doubled, probes)];
+    fixtures.extend(degenerate_fixtures());
+    let cfg = BatchConfig { threads: 3, min_chunk: 4 };
+    for (fixture, pts, queries) in fixtures {
+        for name in EXACT_BACKENDS {
+            let index = build_backend(name, &pts).unwrap();
+            let shared = index.as_shared().unwrap_or_else(|| panic!("{name} must be shared"));
+            let mut stats = SearchStats::new();
+            let serial: Vec<_> =
+                queries.iter().map(|&q| shared.nn2_shared(q, &mut stats)).collect();
+            for (&q, got) in queries.iter().zip(&serial) {
+                let want = knn_brute_force(&pts, q, 2);
+                assert_eq!(
+                    *got,
+                    [want.first().copied(), want.get(1).copied()],
+                    "{name} on {fixture}: nn2 mismatch at {q:?}"
+                );
+            }
+            assert_eq!(stats.queries, queries.len() as u64, "{name} on {fixture}: nn2 metering");
+            let mut b_stats = SearchStats::new();
+            let batched =
+                tigris_core::batch::parallel_queries(&queries, &cfg, &mut b_stats, |q, s| {
+                    shared.nn2_shared(q, s)
+                });
+            assert_eq!(serial, batched, "{name} on {fixture}: batched nn2 differs");
+            assert_eq!(stats, b_stats, "{name} on {fixture}: batched nn2 stats differ");
         }
     }
 }

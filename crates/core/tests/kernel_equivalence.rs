@@ -8,11 +8,13 @@
 //! Both modules are always compiled regardless of the `scalar-kernels`
 //! feature, so one binary exercises the pair differentially; a final test
 //! pins the build-time re-exports to whichever module
-//! [`tigris_core::simd::wide_kernels_selected`] reports.
+//! [`tigris_core::simd::wide_kernels_selected`] reports. The 2-NN walks
+//! of the trees, which run on the selected kernels, are checked against
+//! brute force here too, so both feature settings cover them.
 
 use proptest::prelude::*;
-use tigris_core::simd::{self, scalar, wide, LANES, LANES_HALF};
-use tigris_core::{Neighbor, PointSoA};
+use tigris_core::simd::{self, scalar, wide, Top2, LANES, LANES_HALF, TOP2_EMPTY};
+use tigris_core::{knn_brute_force, KdTree, Neighbor, PointSoA, TwoStageKdTree};
 use tigris_geom::Vec3;
 
 /// Coordinates weighted toward the values that break sloppy kernels:
@@ -94,6 +96,56 @@ proptest! {
         let a = scalar::nn_reduce(q, soa.view(), &ids);
         let b = wide::nn_reduce(q, soa.view(), &ids);
         prop_assert_eq!(a.map(|(d2, i)| (d2.to_bits(), i)), b.map(|(d2, i)| (d2.to_bits(), i)));
+    }
+}
+
+fn top2_bits(top: &Top2) -> [(u64, u32); 2] {
+    top.map(|(d2, id)| (d2.to_bits(), id))
+}
+
+proptest! {
+    #[test]
+    fn nn2_reduce_is_bitwise_identical_under_shuffled_ids(
+        cloud in cloud_with_ids(),
+        q in point(),
+        carried in prop::collection::vec(0.0f64..500.0, 0..3),
+    ) {
+        // The fold continues a running pair (as across tree leaves):
+        // start from zero, one or two carried entries with ids past the
+        // cloud's.
+        let (pts, ids) = cloud;
+        let soa = PointSoA::from_points(&pts);
+        let mut start = TOP2_EMPTY;
+        let mut sorted = carried.clone();
+        sorted.sort_by(f64::total_cmp);
+        for (slot, &d2) in sorted.iter().enumerate() {
+            start[slot] = (d2, 1000 + slot as u32);
+        }
+        let (mut a, mut b, mut c) = (start, start, start);
+        scalar::nn2_reduce(q, soa.view(), &ids, &mut a);
+        wide::nn2_reduce(q, soa.view(), &ids, &mut b);
+        simd::nn2_reduce(q, soa.view(), &ids, &mut c);
+        prop_assert_eq!(top2_bits(&a), top2_bits(&b));
+        prop_assert_eq!(top2_bits(&a), top2_bits(&c));
+        if carried.is_empty() && !pts.is_empty() {
+            // Its nearest is the 1-NN kernel's answer.
+            let nn = scalar::nn_reduce(q, soa.view(), &ids).unwrap();
+            prop_assert_eq!((a[0].0.to_bits(), a[0].1), (nn.0.to_bits(), nn.1));
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn tree_nn2_is_brute_force_knn2_on_the_selected_kernels(pts in palette_cloud(), q in point()) {
+        // Palette clouds are full of duplicates, so the first and second
+        // nearest tie constantly; the lower index must win every tie.
+        let expect = knn_brute_force(&pts, q, 2);
+        let expect = [expect.first().copied(), expect.get(1).copied()];
+        prop_assert_eq!(KdTree::build(&pts).nn2(q), expect);
+        for top_height in [0, 2] {
+            prop_assert_eq!(TwoStageKdTree::build(&pts, top_height).nn2(q), expect);
+        }
     }
 }
 
@@ -196,6 +248,13 @@ fn duplicate_points_tie_to_the_smallest_id_in_every_block_position() {
             let expect = Some((1.0, slot.min(other) as u32));
             assert_eq!(scalar::nn_reduce(Vec3::ZERO, soa.view(), &ids), expect);
             assert_eq!(wide::nn_reduce(Vec3::ZERO, soa.view(), &ids), expect);
+            // The 2-NN pair is both copies, smaller id first.
+            let pair = [(1.0, slot.min(other) as u32), (1.0, slot.max(other) as u32)];
+            for nn2 in [scalar::nn2_reduce, wide::nn2_reduce] {
+                let mut top = TOP2_EMPTY;
+                nn2(Vec3::ZERO, soa.view(), &ids, &mut top);
+                assert_eq!(top, pair, "copies at {slot}, {other}");
+            }
         }
     }
 }

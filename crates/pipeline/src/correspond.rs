@@ -2,12 +2,19 @@
 //! 4) and RPCE in 3D space (fine-tuning stage 1).
 //!
 //! Both stages are per-item-independent query fan-outs (one feature NN per
-//! source descriptor; one 3D NN per source point), so both run batched:
-//! RPCE through [`Searcher3`]'s batched entry points, KPCE through
-//! [`tigris_core::batch::parallel_map`] over the feature tree.
+//! source descriptor; the 3D nearest target point of every source point),
+//! so both run batched: RPCE through [`Searcher3`]'s batched entry points,
+//! KPCE through [`tigris_core::batch::parallel_map`] over the feature tree.
+//!
+//! [`rpce`] answers every source point with a fresh NN query. Inside ICP,
+//! where the same source points move a little each iteration, the
+//! crate-private `RpceCache` skips the queries whose answer provably
+//! cannot have changed since the point's last exact search (a
+//! triangle-inequality certificate on its two nearest distances) and
+//! returns exactly what [`rpce`] would, bit for bit.
 
 use tigris_core::batch::parallel_map_indexed;
-use tigris_core::{BatchConfig, KdTreeN};
+use tigris_core::{BatchConfig, KdTreeN, Neighbor};
 use tigris_geom::Vec3;
 
 use crate::descriptor::Descriptors;
@@ -171,7 +178,8 @@ fn kth_feature_nn(data: &[f64], dim: usize, q: &[f64], k: usize) -> Option<tigri
 /// target point in 3D, dropping pairs farther than `max_distance`.
 ///
 /// This is the fine-tuning phase's KD-tree consumer: one NN query per
-/// source point per ICP iteration.
+/// source point (ICP skips the provably unchanged ones through its
+/// correspondence cache).
 pub fn rpce(
     source_points: &[Vec3],
     target_searcher: &mut Searcher3,
@@ -194,6 +202,166 @@ pub fn rpce(
         }
     }
     out
+}
+
+/// Relative slack of the reuse certificates; see [`Anchor::certifies`].
+const REL_SLACK: f64 = 1e-12;
+
+/// Absolute slack of the reuse certificates, in distance units; see
+/// [`Anchor::certifies`].
+const ABS_SLACK: f64 = 1e-150;
+
+/// One source point's certificate from its last exact 2-NN search.
+#[derive(Debug, Clone, Copy)]
+struct Anchor {
+    /// The moved position the search ran at.
+    at: Vec3,
+    /// Index of the nearest target point.
+    nearest: usize,
+    /// Distance from `at` to it.
+    d1: f64,
+    /// Distance from `at` to the second-nearest target point (∞ when the
+    /// target has one point).
+    d2: f64,
+}
+
+impl Anchor {
+    /// Certifies nothing: NaN fails every comparison.
+    const NONE: Anchor = Anchor { at: Vec3::ZERO, nearest: 0, d1: f64::NAN, d2: f64::NAN };
+
+    /// The certificate a fresh 2-NN answer at `at` gives. An overflowed
+    /// (or NaN) squared distance hides the true distance, so it gives
+    /// none.
+    fn searched(at: Vec3, two: [Option<Neighbor>; 2]) -> Anchor {
+        let [Some(first), second] = two else { return Anchor::NONE };
+        let second_d2 = second.map_or(f64::INFINITY, |n| n.distance_squared);
+        if !first.distance_squared.is_finite() || (second.is_some() && !second_d2.is_finite()) {
+            return Anchor::NONE;
+        }
+        Anchor { at, nearest: first.index, d1: first.distance(), d2: second_d2.sqrt() }
+    }
+
+    /// `true` when an exact NN search at `q` provably returns either
+    /// `nearest` or nothing within `max_distance` (non-negative) — so
+    /// the search can be skipped, and `nearest`'s squared distance to
+    /// `q` decides the correspondence exactly as the search's would.
+    ///
+    /// With `δ = |q − at|`, the triangle inequality bounds every target
+    /// point `p` by `|at − p| − δ ≤ |q − p| ≤ |at − p| + δ`, so
+    ///
+    /// * `d1 + 2δ < d2` ⇒ `|q − nearest| ≤ d1 + δ < d2 − δ ≤ |q − p|`
+    ///   for every other `p`: `nearest` is the unique nearest point;
+    /// * `d1 − δ > max_distance` ⇒ every `|q − p| ≥ d1 − δ` is out of
+    ///   range: no correspondence, whichever point is nearest.
+    ///
+    /// The search decides on *computed* squared distances, so both tests
+    /// carry a slack that covers rounding. For finite inputs and no
+    /// underflow every computed quantity is within a few ulps
+    /// *relative*: a squared distance `(dx·dx + dy·dy) + dz·dz` with
+    /// `dx = fl(qx − px)` is five roundings of non-negative terms, so it
+    /// is within `(1 + ε)⁵` of the true value (`ε = 2⁻⁵³`) however large
+    /// the coordinates are; `sqrt` (for `d1`, `d2`) and `norm` (for `δ`)
+    /// add at most another ulp or two, and so do the sums and products
+    /// of the tests themselves. Every quantity compared is a sum of
+    /// non-negative terms, so no cancellation amplifies these errors,
+    /// and a relative slack of [`REL_SLACK`] (≈ 9000 ε) on each side
+    /// leaves a margin of hundreds of times the total rounding: when a
+    /// test passes, the computed `d²(q, nearest)` is strictly below
+    /// every other computed `d²(q, p)` (so index tie-breaks never
+    /// matter), or every computed `d²(q, p)` exceeds the computed
+    /// `max_distance²`. Underflowing products add absolute errors below
+    /// `10⁻³²³` in `d²`, i.e. below `10⁻¹⁶¹` in distance; [`ABS_SLACK`]
+    /// covers them. Non-finite or NaN values fail both tests and fall
+    /// back to a search.
+    fn certifies(&self, q: Vec3, max_distance: f64) -> bool {
+        let delta = (q - self.at).norm();
+        (self.d1 + 2.0 * delta) * (1.0 + REL_SLACK) + ABS_SLACK < self.d2 * (1.0 - REL_SLACK)
+            || self.d1 * (1.0 - REL_SLACK) > (delta + max_distance) * (1.0 + REL_SLACK) + ABS_SLACK
+    }
+}
+
+/// [`rpce`] with certified correspondence reuse, owned by one ICP run.
+///
+/// Each source point keeps an [`Anchor`] from its last exact search;
+/// while the anchor certifies the point's moved position, the NN query is
+/// skipped and the pair is rebuilt from the anchor, with its squared
+/// distance recomputed in the search kernels' exact association. Output
+/// is bit-identical to [`rpce`]. Reuse needs a searcher whose skipped
+/// queries nobody observes ([`Searcher3::queries_skippable`]: exact
+/// stateless backend, no injection, no query log); any other searcher
+/// gets plain [`rpce`], so approximate leader books, accelerator models,
+/// injected errors and replay logs see exactly the query stream they
+/// always did.
+#[derive(Debug, Default)]
+pub(crate) struct RpceCache {
+    anchors: Vec<Anchor>,
+    /// Source indices whose certificate failed this call, ascending.
+    pending: Vec<u32>,
+    /// Their moved positions: the 2-NN batch.
+    queries: Vec<Vec3>,
+}
+
+impl RpceCache {
+    /// Writes `rpce(source_points, target_searcher, max_distance)` into
+    /// `out`, searching only where no certificate holds. The anchors
+    /// describe one target cloud, so `target_searcher` must index the
+    /// same points on every call. Returns the number of NN searches
+    /// issued; the rest were reused.
+    pub(crate) fn rpce_into(
+        &mut self,
+        source_points: &[Vec3],
+        target_searcher: &mut Searcher3,
+        max_distance: f64,
+        out: &mut Vec<Correspondence>,
+    ) -> usize {
+        out.clear();
+        if !target_searcher.queries_skippable() {
+            self.anchors.clear();
+            out.extend(rpce(source_points, target_searcher, max_distance));
+            return source_points.len();
+        }
+        if self.anchors.len() != source_points.len() {
+            self.anchors.clear();
+            self.anchors.resize(source_points.len(), Anchor::NONE);
+        }
+        // `rpce` keeps pairs with d² ≤ max_distance², i.e. within |max_distance|.
+        let reach = max_distance.abs();
+        self.pending.clear();
+        self.queries.clear();
+        for (i, (&q, anchor)) in source_points.iter().zip(&self.anchors).enumerate() {
+            if !anchor.certifies(q, reach) {
+                self.pending.push(i as u32);
+                self.queries.push(q);
+            }
+        }
+        let found = target_searcher.nn2_batch(&self.queries);
+        let target = target_searcher.points();
+        let max_d2 = max_distance * max_distance;
+        let mut searched = self.pending.iter().zip(&found).peekable();
+        for (i, &q) in source_points.iter().enumerate() {
+            let nearest = match searched.next_if(|(&j, _)| j as usize == i) {
+                Some((_, &two)) => {
+                    self.anchors[i] = Anchor::searched(q, two);
+                    two[0]
+                }
+                // Certified: the anchor's nearest is still the nearest,
+                // or nothing is in range and its d² fails the test below
+                // like every point's.
+                None => {
+                    let p = self.anchors[i].nearest;
+                    Some(Neighbor::new(p, q.distance_squared(target[p])))
+                }
+            };
+            if let Some(n) = nearest.filter(|n| n.distance_squared <= max_d2) {
+                out.push(Correspondence {
+                    source: i,
+                    target: n.index,
+                    distance_squared: n.distance_squared,
+                });
+            }
+        }
+        self.pending.len()
+    }
 }
 
 /// Reciprocal RPCE (Tbl. 1's "Reciprocity" knob on the fine-tuning side):
@@ -220,6 +388,8 @@ pub fn rpce_reciprocal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tigris_geom::RigidTransform;
 
     fn desc(rows: &[&[f64]]) -> Descriptors {
         let dim = rows[0].len();
@@ -364,6 +534,133 @@ mod tests {
         let mut ts = Searcher3::classic(&pts);
         let recip = rpce_reciprocal(&pts, &mut ss, &mut ts, 0.5);
         assert_eq!(recip.len(), pts.len());
+    }
+
+    /// Every field of every pair, distances as bits.
+    fn pair_bits(c: &[Correspondence]) -> Vec<(usize, usize, u64)> {
+        c.iter().map(|c| (c.source, c.target, c.distance_squared.to_bits())).collect()
+    }
+
+    #[test]
+    fn cached_rpce_reuses_unique_nearest_and_searches_ties() {
+        // Targets on a unit lattice; sources 0..3 sit near one lattice
+        // point each, source 3 exactly halfway between two (a tie).
+        let target: Vec<Vec3> = (0..10).map(|i| Vec3::new(i as f64, 0.0, 0.0)).collect();
+        let source = vec![
+            Vec3::new(0.1, 0.0, 0.0),
+            Vec3::new(4.2, 0.1, 0.0),
+            Vec3::new(7.0, 0.0, 0.5),
+            Vec3::new(2.5, 0.0, 0.0),
+        ];
+        let mut plain = Searcher3::classic(&target);
+        let mut cached = Searcher3::classic(&target);
+        let mut cache = RpceCache::default();
+        let mut out = Vec::new();
+        assert_eq!(cache.rpce_into(&source, &mut cached, 0.6, &mut out), 4);
+        assert_eq!(pair_bits(&out), pair_bits(&rpce(&source, &mut plain, 0.6)));
+        // Unmoved: only the tied point needs a search.
+        assert_eq!(cache.rpce_into(&source, &mut cached, 0.6, &mut out), 1);
+        assert_eq!(pair_bits(&out), pair_bits(&rpce(&source, &mut plain, 0.6)));
+        // A small step keeps the unique answers certified.
+        let nudged: Vec<Vec3> = source.iter().map(|&p| p + Vec3::new(0.01, 0.0, 0.0)).collect();
+        assert_eq!(cache.rpce_into(&nudged, &mut cached, 0.6, &mut out), 1);
+        assert_eq!(pair_bits(&out), pair_bits(&rpce(&nudged, &mut plain, 0.6)));
+        assert_eq!(cached.stats().queries, 6);
+    }
+
+    #[test]
+    fn cached_rpce_takes_the_full_path_for_observed_searchers() {
+        let target: Vec<Vec3> = (0..10).map(|i| Vec3::new(i as f64, 0.0, 0.0)).collect();
+        let source = vec![Vec3::new(0.1, 0.0, 0.0), Vec3::new(4.2, 0.1, 0.0)];
+        let mut logged = Searcher3::classic(&target);
+        logged.enable_query_logging();
+        let mut injected = Searcher3::classic(&target);
+        injected.set_injection(Some(crate::search::Injection::NnKth(2)));
+        let mut approx = Searcher3::two_stage_approx(&target, 2, Default::default());
+        for searcher in [&mut logged, &mut injected, &mut approx] {
+            let mut cache = RpceCache::default();
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                assert_eq!(cache.rpce_into(&source, searcher, 1.0, &mut out), source.len());
+            }
+            assert_eq!(searcher.stats().queries, 3 * source.len() as u64);
+        }
+        assert_eq!(logged.take_query_log().unwrap().len(), 3 * source.len());
+    }
+
+    /// Lattice coordinates (multiples of 0.25: exact in binary), so
+    /// duplicates, equidistant pairs and distances of exactly
+    /// `max_distance` all occur.
+    fn lattice_point() -> impl Strategy<Value = Vec3> {
+        (0i32..12, 0i32..12, 0i32..4)
+            .prop_map(|(x, y, z)| Vec3::new(x as f64 * 0.25, y as f64 * 0.25, z as f64 * 0.25))
+    }
+
+    /// One ICP-like step: none, an exact lattice shift (ties survive it),
+    /// or a small rigid motion.
+    fn small_step() -> impl Strategy<Value = RigidTransform> {
+        let axis = prop_oneof![Just(Vec3::X), Just(Vec3::Y), Just(Vec3::Z)];
+        let shift = (-1i32..2, 0usize..3).prop_map(|(k, a)| {
+            let mut t = [0.0; 3];
+            t[a] = k as f64 * 0.25;
+            RigidTransform::from_translation(Vec3::new(t[0], t[1], t[2]))
+        });
+        let rigid = (axis, -0.03f64..0.03, -0.05f64..0.05, -0.05f64..0.05, -0.05f64..0.05)
+            .prop_map(|(axis, angle, x, y, z)| {
+                RigidTransform::from_axis_angle(axis, angle, Vec3::new(x, y, z))
+            });
+        prop_oneof![
+            1 => Just(RigidTransform::IDENTITY),
+            1 => shift,
+            3 => rigid,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn cached_rpce_is_bit_identical_to_rpce_at_every_step(
+            target in prop_oneof![
+                4 => prop::collection::vec(lattice_point(), 2..40),
+                1 => prop::collection::vec(lattice_point(), 1..2),
+            ],
+            source in prop::collection::vec(lattice_point(), 0..30),
+            steps in prop::collection::vec(small_step(), 1..12),
+            jump_at in 0usize..12,
+            jump in (-2.0f64..2.0, -2.0f64..2.0, -1.2f64..1.2),
+            max_quarters in 1i32..5,
+            backend in 0usize..3,
+            parallel in any::<bool>(),
+        ) {
+            let max_distance = max_quarters as f64 * 0.25;
+            let build = |pts: &[Vec3]| match backend {
+                0 => Searcher3::classic(pts),
+                1 => Searcher3::two_stage(pts, 2),
+                _ => Searcher3::brute_force(pts),
+            };
+            let mut plain = build(&target);
+            let mut cached = build(&target);
+            if parallel {
+                cached.set_parallel(BatchConfig { threads: 3, min_chunk: 4 });
+            }
+            let mut cache = RpceCache::default();
+            let mut out = Vec::new();
+            let mut pose = RigidTransform::IDENTITY;
+            let mut searches = 0;
+            for (k, step) in steps.iter().enumerate() {
+                pose = *step * pose;
+                if k == jump_at % steps.len() {
+                    let (x, y, angle) = jump;
+                    pose = RigidTransform::from_axis_angle(Vec3::Z, angle, Vec3::new(x, y, 0.0))
+                        * pose;
+                }
+                let moved: Vec<Vec3> = source.iter().map(|&p| pose.apply(p)).collect();
+                searches += cache.rpce_into(&moved, &mut cached, max_distance, &mut out);
+                let want = rpce(&moved, &mut plain, max_distance);
+                prop_assert_eq!(pair_bits(&out), pair_bits(&want), "step {}", k);
+            }
+            prop_assert_eq!(cached.stats().queries, searches as u64);
+        }
     }
 
     #[test]

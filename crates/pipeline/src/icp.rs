@@ -2,16 +2,26 @@
 //! half; Besl & McKay / Chen & Medioni).
 //!
 //! Starting from the initial estimate, each iteration (1) re-establishes
-//! dense correspondences (RPCE — one NN query per source point) and (2)
-//! minimizes the configured error metric with the configured solver,
-//! feeding the refined transform back until a convergence criterion fires.
+//! dense correspondences (RPCE — the nearest target point of every moved
+//! source point) and (2) minimizes the configured error metric with the
+//! configured solver, feeding the refined transform back until a
+//! convergence criterion fires.
+//!
+//! RPCE runs through a correspondence cache owned by the ICP call: a
+//! source point whose nearest target point provably cannot have changed
+//! since its last exact search skips its NN query (certified reuse — the
+//! correspondences, and so every transform, iteration count and MSE, are
+//! bit-identical to searching every point). Only exact, unobserved
+//! searchers reuse; approximate, injected or query-logged ones search
+//! every point every iteration. The `icp.iter` event reports how many
+//! points were `searched` and `reused`.
 
 use std::time::Instant;
 
 use tigris_geom::{RigidTransform, Vec3};
 
 use crate::config::{ConvergenceCriteria, ErrorMetric, SolverAlgorithm};
-use crate::correspond::rpce;
+use crate::correspond::RpceCache;
 use crate::profile::{Stage, StageProfile};
 use crate::search::Searcher3;
 use crate::transform::{
@@ -108,24 +118,29 @@ pub fn icp_with_options(
             "point-to-plane needs target normals parallel to the target cloud"
         );
     }
-    let target: Vec<Vec3> = target_searcher.points().to_vec();
     let mut transform = initial;
     let mut prev_mse = f64::INFINITY;
     let mut lambda = 1e-3; // LM damping state
     let mut termination = IcpTermination::MaxIterations;
     let mut iterations = 0;
     let mut final_mse = f64::NAN;
+    let mut cache = RpceCache::default();
+    let mut moved: Vec<Vec3> = Vec::with_capacity(source.len());
+    let mut correspondences = Vec::with_capacity(source.len());
 
     for _ in 0..criteria.max_iterations {
         iterations += 1;
 
         // --- RPCE: transform source by the current estimate, find dense NNs.
         let t0 = Instant::now();
-        let moved: Vec<Vec3> =
-            tigris_core::batch::parallel_map(source, &target_searcher.parallel(), |&p| {
-                transform.apply(p)
-            });
-        let correspondences = if reciprocal {
+        let parallel = target_searcher.parallel();
+        if parallel.resolve_threads(source.len()) > 1 {
+            moved = tigris_core::batch::parallel_map(source, &parallel, |&p| transform.apply(p));
+        } else {
+            moved.clear();
+            moved.extend(source.iter().map(|&p| transform.apply(p)));
+        }
+        let searched = if reciprocal {
             let mut moved_searcher = crate::search::Searcher3::classic(&moved);
             moved_searcher.set_parallel(target_searcher.parallel());
             profile.kd_build_time += moved_searcher.build_time();
@@ -137,11 +152,18 @@ pub fn icp_with_options(
             );
             profile.kd_search_time += moved_searcher.search_time();
             profile.search_stats += *moved_searcher.stats();
-            out
+            correspondences = out;
+            moved.len()
         } else {
-            rpce(&moved, target_searcher, max_correspondence_distance)
+            cache.rpce_into(
+                &moved,
+                target_searcher,
+                max_correspondence_distance,
+                &mut correspondences,
+            )
         };
         profile.add(Stage::Rpce, t0.elapsed());
+        let target = target_searcher.points();
 
         let min_needed = if error_metric == ErrorMetric::PointToPlane { 6 } else { 3 };
         if correspondences.len() < min_needed {
@@ -155,11 +177,11 @@ pub fn icp_with_options(
         let t0 = Instant::now();
         let mse = match error_metric {
             ErrorMetric::PointToPoint => {
-                mse_point_to_point(&moved, &target, &correspondences, &RigidTransform::IDENTITY)
+                mse_point_to_point(&moved, target, &correspondences, &RigidTransform::IDENTITY)
             }
             ErrorMetric::PointToPlane => mse_point_to_plane(
                 &moved,
-                &target,
+                target,
                 target_normals,
                 &correspondences,
                 &RigidTransform::IDENTITY,
@@ -167,31 +189,28 @@ pub fn icp_with_options(
         };
         let delta = match (error_metric, solver) {
             (ErrorMetric::PointToPoint, SolverAlgorithm::Svd) => {
-                estimate_svd(&moved, &target, &correspondences).ok()
+                estimate_svd(&moved, target, &correspondences).ok()
             }
             (ErrorMetric::PointToPoint, SolverAlgorithm::LevenbergMarquardt) => {
                 // LM on point-to-point: damped closed-form step — the SVD
                 // solution interpolated toward identity as damping grows.
-                estimate_svd(&moved, &target, &correspondences).ok().map(|full| {
+                estimate_svd(&moved, target, &correspondences).ok().map(|full| {
                     let scale = 1.0 / (1.0 + lambda);
-                    let angle = full.rotation_angle() * scale;
                     let rotation = if full.rotation_angle() > 1e-12 {
                         // Re-scale the rotation about its own axis.
                         scale_rotation(&full, scale)
                     } else {
                         full.rotation
                     };
-                    let _ = angle;
                     RigidTransform::new(rotation, full.translation * scale)
                 })
             }
             (ErrorMetric::PointToPlane, SolverAlgorithm::Svd) => {
                 // Plain Gauss-Newton step (λ = 0).
-                point_to_plane_damped(&moved, &target, target_normals, &correspondences, 0.0).ok()
+                point_to_plane_damped(&moved, target, target_normals, &correspondences, 0.0).ok()
             }
             (ErrorMetric::PointToPlane, SolverAlgorithm::LevenbergMarquardt) => {
-                point_to_plane_damped(&moved, &target, target_normals, &correspondences, lambda)
-                    .ok()
+                point_to_plane_damped(&moved, target, target_normals, &correspondences, lambda).ok()
             }
         };
         profile.add(Stage::ErrorMinimization, t0.elapsed());
@@ -208,6 +227,8 @@ pub fn icp_with_options(
             iteration = iterations,
             mse = mse,
             correspondences = correspondences.len(),
+            searched = searched,
+            reused = moved.len() - searched,
         );
 
         // LM damping schedule: error went down → trust the model more.
@@ -437,6 +458,58 @@ mod tests {
         );
         assert!(profile.time(Stage::Rpce) > std::time::Duration::ZERO);
         assert!(profile.time(Stage::ErrorMinimization) > std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn correspondence_reuse_leaves_every_result_bit_identical() {
+        // A query-logged searcher takes the full path (every point
+        // searched every iteration, as a replay needs); a plain one
+        // reuses certified correspondences. Nothing ICP returns may
+        // differ by a bit.
+        let target = structured_cloud();
+        let normals = normals_for(&target);
+        let gt = RigidTransform::from_axis_angle(Vec3::Z, 0.03, Vec3::new(0.05, -0.03, 0.02));
+        let source: Vec<Vec3> = target.iter().map(|&p| gt.inverse().apply(p)).collect();
+        let criteria = ConvergenceCriteria { max_iterations: 40, ..Default::default() };
+        for metric in [ErrorMetric::PointToPoint, ErrorMetric::PointToPlane] {
+            for solver in [SolverAlgorithm::Svd, SolverAlgorithm::LevenbergMarquardt] {
+                let run = |searcher: &mut Searcher3| {
+                    let mut profile = StageProfile::new();
+                    icp(
+                        &source,
+                        searcher,
+                        &normals,
+                        RigidTransform::IDENTITY,
+                        metric,
+                        solver,
+                        1.0,
+                        &criteria,
+                        &mut profile,
+                    )
+                };
+                let mut plain = Searcher3::classic(&target);
+                let mut logged = Searcher3::classic(&target);
+                logged.enable_query_logging();
+                let reused = run(&mut plain);
+                let full = run(&mut logged);
+                let at = format!("{metric:?} / {solver:?}");
+                let bits = |r: &IcpResult| {
+                    let t = &r.transform;
+                    let mut v: Vec<u64> =
+                        t.rotation.m.iter().flatten().map(|x| x.to_bits()).collect();
+                    v.extend([t.translation.x, t.translation.y, t.translation.z].map(f64::to_bits));
+                    v.push(r.final_mse.to_bits());
+                    v
+                };
+                assert_eq!(bits(&reused), bits(&full), "{at}: transform / mse bits");
+                assert_eq!(reused.iterations, full.iterations, "{at}: iterations");
+                assert_eq!(reused.termination, full.termination, "{at}: termination");
+                let full_queries = (source.len() * full.iterations) as u64;
+                assert_eq!(logged.stats().queries, full_queries, "{at}: full path");
+                assert_eq!(logged.take_query_log().unwrap().len() as u64, full_queries);
+                assert!(full.iterations < 2 || plain.stats().queries < full_queries, "{at}: reuse");
+            }
+        }
     }
 
     #[test]

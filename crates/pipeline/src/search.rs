@@ -346,6 +346,32 @@ impl Searcher3 {
         result
     }
 
+    /// `true` when a caller may skip a query whose answer it can prove:
+    /// the backend answers exactly through its stateless shared view, no
+    /// injection bends the answers, and no query log records the stream
+    /// (an accelerator replay must see every query).
+    pub(crate) fn queries_skippable(&self) -> bool {
+        self.injection.is_none() && self.query_log.is_none() && self.index.as_shared().is_some()
+    }
+
+    /// The two nearest neighbors of every query (`SharedIndex::nn2_shared`,
+    /// fanned out like [`Searcher3::nn_batch`] and metered the same way).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Searcher3::queries_skippable`] holds.
+    pub(crate) fn nn2_batch(&mut self, queries: &[Vec3]) -> Vec<[Option<Neighbor>; 2]> {
+        assert!(self.queries_skippable(), "nn2_batch needs an exact, unobserved searcher");
+        let shared = self.index.as_shared().expect("checked above");
+        let t0 = Instant::now();
+        let mut stats = SearchStats::new();
+        let result =
+            parallel_queries(queries, &self.parallel, &mut stats, |q, s| shared.nn2_shared(q, s));
+        self.stats += stats;
+        self.search_time += t0.elapsed();
+        result
+    }
+
     /// All neighbors within `radius` of every query, each sorted ascending
     /// by distance (respecting any configured injection; injected batches
     /// fall back to the serial path).
