@@ -11,10 +11,8 @@
 //! cargo bench -p tigris-bench --bench backend_matrix
 //! ```
 //!
-//! The workload is deliberately smaller than `benches/batch.rs` (the
-//! brute-force oracle is quadratic and the accelerator traces every query
-//! at cycle granularity); use `batch.rs` for large-scale thread-scaling
-//! numbers.
+//! The workload is deliberately small: the brute-force oracle is
+//! quadratic and the accelerator traces every query at cycle granularity.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tigris_bench::workload::huge_frame_pair;

@@ -11,24 +11,14 @@
 //! ```
 //!
 //! Criterion benches under `benches/` measure the real-host software
-//! kernels (KD-tree build/search, the registration pipeline, and the
-//! simulator itself).
+//! kernels (KD-tree build/search, the search-backend matrix, and the
+//! simulator itself). [`shard`] and [`obs`] hold the fixtures of the two
+//! release-scale gates under `tests/` (tile-routing selectivity on a 10×
+//! map, and the observability layer's overhead bound). End-to-end
+//! performance is measured by the repository's benchmark, `ruler/`.
 
 pub mod figures;
-pub mod frontend;
-pub mod mapping;
 pub mod obs;
-pub mod odometry;
 pub mod plot;
-pub mod reference;
-pub mod report;
-pub mod serve;
 pub mod shard;
 pub mod workload;
-
-/// Reads a `usize` knob from the environment, falling back to `default`
-/// when unset or unparsable — the shared configuration hook of the bench
-/// binaries (`TIGRIS_ODO_FRAMES`, `TIGRIS_MAP_POINTS`, …).
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}

@@ -28,9 +28,8 @@
 //!   drop-fast path, the per-request cost every completed request pays
 //!   whether or not it is retained.
 //!
-//! The same logic backs `benches/obs.rs` (which also emits the
-//! machine-readable `BENCH_obs.json` baseline in CI) and the
-//! release-scale acceptance test `tests/obs_overhead.rs`.
+//! The same logic backs the release-scale acceptance test
+//! `tests/obs_overhead.rs`.
 
 use std::time::{Duration, Instant};
 
@@ -38,7 +37,6 @@ use tigris_data::Sequence;
 use tigris_geom::RigidTransform;
 use tigris_pipeline::{Odometer, RegistrationConfig};
 
-use crate::report::BenchReport;
 use crate::workload::short_sequence;
 
 /// One tracing-off vs. tracing-on comparison over the same frames.
@@ -50,10 +48,6 @@ pub struct ObsBenchResult {
     pub disabled_time: Duration,
     /// Best-of-N wall-clock with tracing enabled (spans + metrics live).
     pub enabled_time: Duration,
-    /// Per-run wall-clock samples (seconds), tracing disabled.
-    pub disabled_samples: Vec<f64>,
-    /// Per-run wall-clock samples (seconds), tracing enabled.
-    pub enabled_samples: Vec<f64>,
     /// Span-boundary/event records one traced run emits.
     pub records_per_run: usize,
     /// Records lost to ring overflow in the traced runs (must be 0).
@@ -72,8 +66,6 @@ pub struct ObsBenchResult {
     /// Best-of-N wall-clock with only the flight recorder live (the
     /// production posture: no drain sink, circular overwrite).
     pub recorder_time: Duration,
-    /// Per-run wall-clock samples (seconds), recorder only.
-    pub recorder_samples: Vec<f64>,
     /// Measured cost of one span site with only the recorder live
     /// (nanoseconds).
     pub recorder_site_ns: f64,
@@ -88,31 +80,6 @@ pub struct ObsBenchResult {
     pub poses_identical: bool,
     /// Whether the recorder-only pose stream matches the disabled one.
     pub recorder_poses_identical: bool,
-}
-
-impl ObsBenchResult {
-    /// The machine-readable baseline emitted by CI (`BENCH_obs.json`),
-    /// in the shared [`BenchReport`] schema.
-    pub fn report(&self) -> BenchReport {
-        BenchReport::new("obs_overhead")
-            .config_int("frames", self.frames)
-            .samples("disabled_seconds", &self.disabled_samples)
-            .samples("enabled_seconds", &self.enabled_samples)
-            .derived_f64("disabled_seconds_best", self.disabled_time.as_secs_f64())
-            .derived_f64("enabled_seconds_best", self.enabled_time.as_secs_f64())
-            .derived_int("records_per_run", self.records_per_run)
-            .derived_int("records_dropped", self.records_dropped as usize)
-            .derived_f64("site_ns", self.site_ns)
-            .derived_f64("disabled_overhead", self.disabled_overhead)
-            .derived_f64("enabled_overhead", self.enabled_overhead)
-            .samples("recorder_seconds", &self.recorder_samples)
-            .derived_f64("recorder_seconds_best", self.recorder_time.as_secs_f64())
-            .derived_f64("recorder_site_ns", self.recorder_site_ns)
-            .derived_f64("recorder_overhead", self.recorder_overhead)
-            .derived_f64("sampler_observe_ns", self.sampler_observe_ns)
-            .derived_int("poses_identical", self.poses_identical as usize)
-            .derived_int("recorder_poses_identical", self.recorder_poses_identical as usize)
-    }
 }
 
 /// Streams the sequence through an [`Odometer`], returning the elapsed
@@ -233,15 +200,12 @@ pub fn run_overhead_comparison(frames: usize, seed: u64, runs: usize) -> ObsBenc
         frames,
         disabled_time,
         enabled_time,
-        disabled_samples: disabled_runs.iter().map(Duration::as_secs_f64).collect(),
-        enabled_samples: enabled_runs.iter().map(Duration::as_secs_f64).collect(),
         records_per_run: trace.records.len(),
         records_dropped: trace.dropped,
         site_ns,
         disabled_overhead,
         enabled_overhead: enabled_time.as_secs_f64() / disabled_time.as_secs_f64() - 1.0,
         recorder_time,
-        recorder_samples: recorder_runs.iter().map(Duration::as_secs_f64).collect(),
         recorder_site_ns: recorder_site,
         recorder_overhead,
         sampler_observe_ns: sampler_ns,

@@ -269,14 +269,14 @@ impl Submap {
 
     /// All points within `radius` of the world-frame `point`, as
     /// world-frame [`MapNeighbor`]s. Returns nothing without touching the
-    /// index when the query sphere misses the submap's bounds, or when
+    /// index when the query sphere misses the submap's bounds, when
     /// `radius` is not `>= 0` (negative or NaN: a sphere with no
-    /// interior).
+    /// interior), or when `point` has a NaN or infinite coordinate.
     pub fn query(&self, point: Vec3, radius: f64) -> Vec<MapNeighbor> {
         let Some(bounds) = &self.bounds else {
             return Vec::new();
         };
-        if radius.is_nan() || radius < 0.0 {
+        if radius.is_nan() || radius < 0.0 || !point.is_finite() {
             return Vec::new();
         }
         let local_q = self.anchor_pose.inverse().apply(point);

@@ -48,6 +48,9 @@ pub const PRIOR_ROTATION_SLACK: f64 = 0.2;
 pub enum RegistrationError {
     /// A frame was empty (or became empty after downsampling).
     EmptyCloud,
+    /// A frame holds a point with a NaN or infinite coordinate, which no
+    /// search index can order.
+    NonFinitePoint,
     /// The fine-tuning phase ran out of correspondences entirely.
     IcpStarved,
     /// The configured `Custom` search backend is not in the registry.
@@ -63,6 +66,9 @@ impl std::fmt::Display for RegistrationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RegistrationError::EmptyCloud => write!(f, "a frame holds no points"),
+            RegistrationError::NonFinitePoint => {
+                write!(f, "a frame holds a point with a non-finite coordinate")
+            }
             RegistrationError::IcpStarved => {
                 write!(f, "fine-tuning found no correspondences; clouds may not overlap")
             }
@@ -316,8 +322,9 @@ fn run_front_end(
 /// # Errors
 ///
 /// [`RegistrationError::EmptyCloud`] when the cloud is empty (or becomes
-/// empty after downsampling); [`RegistrationError::UnknownBackend`] when
-/// a `Custom` backend name is not registered.
+/// empty after downsampling); [`RegistrationError::NonFinitePoint`] when
+/// any coordinate is NaN or infinite; [`RegistrationError::UnknownBackend`]
+/// when a `Custom` backend name is not registered.
 pub fn prepare_frame(
     cloud: &PointCloud,
     cfg: &RegistrationConfig,
@@ -342,6 +349,9 @@ pub fn prepare_frame_with(
 ) -> Result<PreparedFrame, RegistrationError> {
     let _span = tigris_obs::span!("pipeline.prepare", points = cloud.len());
     let t0 = Instant::now();
+    if !cloud.points().iter().all(|p| p.is_finite()) {
+        return Err(RegistrationError::NonFinitePoint);
+    }
     // Downsample when configured; otherwise index the cloud's points
     // directly (no intermediate copy on the no-downsample path).
     let searcher = if cfg.voxel_size > 0.0 {

@@ -349,7 +349,8 @@ impl EpochTarget<'_> {
 /// and merge in the canonical order. Bit-identical to `Mapper::query`
 /// on the published map (conservative routing + the rebuild-identical
 /// index contract + the one shared [`sort_map_neighbors`] comparator),
-/// including its empty answer to a radius that is not `>= 0`.
+/// including its empty answer to a radius that is not `>= 0` or a probe
+/// with a non-finite coordinate.
 pub(crate) fn query_view(
     core: &ShardCore,
     view: &EpochView,
@@ -357,7 +358,7 @@ pub(crate) fn query_view(
     radius: f64,
 ) -> Vec<MapNeighbor> {
     let mut out: Vec<MapNeighbor> = Vec::new();
-    if radius.is_nan() || radius < 0.0 {
+    if radius.is_nan() || radius < 0.0 || !point.is_finite() {
         return out;
     }
     for tile_idx in view.router().covering(point, radius) {
@@ -400,9 +401,10 @@ pub(crate) fn query_batch_view(
         return out;
     }
     // Queries per covering tile (each submap belongs to exactly one
-    // tile, so no query meets a submap twice).
+    // tile, so no query meets a submap twice); a probe with a non-finite
+    // coordinate routes nowhere and answers empty.
     let mut per_tile: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (qi, &p) in points.iter().enumerate() {
+    for (qi, &p) in points.iter().enumerate().filter(|(_, p)| p.is_finite()) {
         for tile_idx in view.router().covering(p, radius) {
             per_tile.entry(tile_idx).or_default().push(qi);
         }

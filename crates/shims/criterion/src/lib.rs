@@ -10,7 +10,7 @@
 //! (capped at ~3 s wall clock) and prints mean / min / max per iteration.
 //! There is no statistical analysis and no HTML report. A single
 //! positional CLI argument acts as a substring filter on
-//! `"group/benchmark"` ids, so `cargo bench --bench batch -- two_stage`
+//! `"group/benchmark"` ids, so `cargo bench --bench kdtree -- two_stage`
 //! works the way criterion users expect.
 
 use std::time::{Duration, Instant};

@@ -6,8 +6,12 @@
 
 use tigris::core::index::SearchIndex;
 use tigris::core::{ApproxConfig, ApproxIndex, KdTree, SearchStats, TwoStageKdTree};
+use tigris::data::{LidarConfig, Sequence, SequenceConfig};
 use tigris::geom::{PointCloud, RigidTransform, Vec3};
-use tigris::pipeline::{register, RegistrationConfig, RegistrationError};
+use tigris::map::{Mapper, MapperConfig};
+use tigris::pipeline::{register, Odometer, RegistrationConfig, RegistrationError};
+use tigris::serve::shard::{EpochPublisher, ShardConfig, ShardService};
+use tigris::serve::{ServeError, StepKind};
 
 fn fast_config() -> RegistrationConfig {
     RegistrationConfig {
@@ -64,10 +68,13 @@ fn single_point_and_two_point_clouds() {
             Ok(r) => assert!(r.transform.translation.is_finite()),
             Err(RegistrationError::EmptyCloud | RegistrationError::IcpStarved) => {}
             Err(
-                e @ (RegistrationError::UnknownBackend(_) | RegistrationError::PreparationMismatch),
+                e @ (RegistrationError::UnknownBackend(_)
+                | RegistrationError::PreparationMismatch
+                | RegistrationError::NonFinitePoint),
             ) => {
-                // register() prepares both frames under the one config
-                // with a built-in backend; neither error is reachable.
+                // register() prepares both finite frames under the one
+                // config with a built-in backend; none of these errors is
+                // reachable.
                 panic!("impossible for register() with a built-in backend: {e}")
             }
         }
@@ -166,4 +173,90 @@ fn metrics_on_stationary_ground_truth() {
     let err = sequence_error(&tiny, &tiny);
     assert_eq!(err.pairs, 0);
     assert!(err.translational_percent.is_finite());
+}
+
+/// A short stretch of the 60 m serving circuit at the low-resolution
+/// scanner: frames real enough to register, map and serve, small enough
+/// for debug-mode CI.
+fn circuit() -> Sequence {
+    let mut cfg = SequenceConfig::loop_circuit(60.0, 6);
+    cfg.lidar = LidarConfig::tiny();
+    Sequence::generate(&cfg, 7)
+}
+
+/// Corrupted copies of a valid frame: one NaN coordinate, one `+∞`
+/// coordinate, and every coordinate NaN.
+fn non_finite_copies(frame: &PointCloud) -> [(&'static str, PointCloud); 3] {
+    let mid = frame.len() / 2;
+    let mut one_nan = frame.points().to_vec();
+    one_nan[mid].y = f64::NAN;
+    let mut one_inf = frame.points().to_vec();
+    one_inf[mid].x = f64::INFINITY;
+    let all_nan = vec![Vec3::new(f64::NAN, f64::NAN, f64::NAN); frame.len()];
+    [
+        ("one NaN", PointCloud::from_points(one_nan)),
+        ("one +inf", PointCloud::from_points(one_inf)),
+        ("all NaN", PointCloud::from_points(all_nan)),
+    ]
+}
+
+#[test]
+fn non_finite_frames_fail_typed_in_register_and_odometry() {
+    let seq = circuit();
+    let cfg = MapperConfig::serving().registration;
+    let (f0, f1, f2) = (seq.frame(0), seq.frame(1), seq.frame(2));
+    for (what, bad) in non_finite_copies(f1) {
+        let err = Some(RegistrationError::NonFinitePoint);
+        assert_eq!(register(&bad, f0, &cfg).err(), err, "{what}: register, bad source");
+        assert_eq!(register(f0, &bad, &cfg).err(), err, "{what}: register, bad target");
+        assert!(register(f1, f0, &cfg).is_ok(), "{what}: register after the rejection");
+
+        // As the odometer's first frame and mid-stream: rejected before
+        // any state changes, so the next valid frame carries on.
+        let mut odo = Odometer::new(cfg.clone());
+        assert_eq!(odo.push(&bad).err(), err, "{what}: odometer, first frame");
+        assert!(odo.push(f0).unwrap().is_none(), "{what}: first valid frame");
+        assert_eq!(odo.push(&bad).err(), err, "{what}: odometer, mid-stream");
+        assert!(odo.push(f1).unwrap().is_some(), "{what}: next valid frame must register");
+        assert!(odo.push(f2).unwrap().is_some(), "{what}: the stream must go on");
+    }
+}
+
+#[test]
+fn non_finite_frames_leave_the_mapper_unchanged() {
+    let seq = circuit();
+    for (what, bad) in non_finite_copies(seq.frame(1)) {
+        let err = Some(RegistrationError::NonFinitePoint);
+        let mut mapper = Mapper::new(MapperConfig::serving());
+        assert_eq!(mapper.push(&bad).err(), err, "{what}: mapper, first frame");
+        assert!(mapper.poses().is_empty(), "{what}: a rejected first frame adds no node");
+        mapper.push(seq.frame(0)).unwrap();
+        assert_eq!(mapper.push(&bad).err(), err, "{what}: mapper, mid-stream");
+        assert_eq!(mapper.poses().len(), 1, "{what}: a rejected frame adds no node");
+        mapper.push(seq.frame(1)).unwrap();
+        assert_eq!(mapper.poses().len(), 2, "{what}: next valid frame");
+    }
+}
+
+#[test]
+fn non_finite_frames_fail_typed_in_serving_sessions() {
+    let seq = circuit();
+    let mut mapper = Mapper::new(MapperConfig::serving());
+    for i in 0..8 {
+        mapper.push(seq.frame(i)).unwrap();
+    }
+    let epoch = EpochPublisher::new().publish(&mapper).unwrap();
+    let service = ShardService::with_epoch(epoch, ShardConfig::default());
+    let rejected = |r: Result<_, ServeError>| {
+        matches!(r, Err(ServeError::Registration(RegistrationError::NonFinitePoint)))
+    };
+    for (what, bad) in non_finite_copies(seq.frame(2)) {
+        let mut session = service.open_session().unwrap();
+        assert!(rejected(session.localize(&bad)), "{what}: cold start");
+        let step = session.localize(seq.frame(2)).unwrap();
+        assert!(matches!(step.kind, StepKind::Relocalized(_)), "{what}: next valid cold start");
+        assert!(rejected(session.localize(&bad)), "{what}: tracking");
+        let step = session.localize(seq.frame(3)).unwrap();
+        assert!(matches!(step.kind, StepKind::Tracked { .. }), "{what}: next valid frame tracks");
+    }
 }

@@ -400,23 +400,40 @@ fn snapshot_queries_match_the_mapper_and_batch_bitwise() {
 fn radius_without_interior_answers_empty_on_every_read_path() {
     // A negative or NaN radius passes the `d² <= r²` bounds gates for a
     // probe on the map; every read path must answer it empty rather than
-    // reach the index's non-negative-radius assertion.
+    // reach the index's non-negative-radius assertion. A probe with a
+    // NaN or infinite coordinate has no sphere either: answered empty on
+    // every path, it cannot make tile routing and the whole-map fan-out
+    // disagree.
     let fx = fixture();
     let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
     let session = service.open_session().unwrap();
     let on_map = fx.mapper.submaps()[0].world_points()[0];
     assert!(!fx.mapper.query(on_map, 1.0).is_empty(), "the probe must sit on mapped points");
-    for radius in [-1.0, f64::NAN] {
-        assert!(fx.mapper.query(on_map, radius).is_empty(), "Mapper::query at r={radius}");
-        assert!(service.query(on_map, radius).unwrap().is_empty(), "service query at r={radius}");
-        assert!(session.query(on_map, radius).is_empty(), "session query at r={radius}");
-        let probes = [on_map, on_map];
+    let cases = [
+        (on_map, -1.0),
+        (on_map, f64::NAN),
+        (Vec3::new(f64::INFINITY, 0.0, 0.0), 1.0e300),
+        (Vec3::new(on_map.x, f64::NEG_INFINITY, on_map.z), 1.0e300),
+        (Vec3::new(on_map.x, on_map.y, f64::NAN), 1.0),
+    ];
+    for (probe, radius) in cases {
+        let at = format!("probe {probe}, r={radius}");
+        assert!(fx.mapper.query(probe, radius).is_empty(), "Mapper::query at {at}");
+        assert!(service.query(probe, radius).unwrap().is_empty(), "service query at {at}");
+        assert!(session.query(probe, radius).is_empty(), "session query at {at}");
+        let probes = [probe, probe];
         for batch in
             [service.query_batch(&probes, radius).unwrap(), session.query_batch(&probes, radius)]
         {
             assert_eq!(batch.len(), probes.len());
-            assert!(batch.iter().all(Vec::is_empty), "batched query at r={radius}");
+            assert!(batch.iter().all(Vec::is_empty), "batched query at {at}");
         }
+    }
+    // In a mixed batch the non-finite probe answers empty alone.
+    let mixed = [on_map, Vec3::new(f64::NAN, 0.0, 0.0)];
+    for batch in [service.query_batch(&mixed, 1.0).unwrap(), session.query_batch(&mixed, 1.0)] {
+        assert_eq!(batch[0], fx.mapper.query(on_map, 1.0), "the finite probe of a mixed batch");
+        assert!(batch[1].is_empty(), "the NaN probe of a mixed batch");
     }
 }
 
