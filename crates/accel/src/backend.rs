@@ -31,10 +31,9 @@
 //! assert!(backend.meter().cycles > 0);
 //! ```
 
-use tigris_core::batch::parallel_queries;
 use tigris_core::twostage::default_top_height;
 use tigris_core::{
-    register_backend, BatchConfig, IndexSize, Neighbor, SearchIndex, SearchStats, TwoStageKdTree,
+    register_backend, BatchConfig, Neighbor, SearchIndex, SearchStats, TwoStageKdTree,
 };
 use tigris_geom::Vec3;
 
@@ -221,14 +220,6 @@ impl SearchIndex for AccelBackend {
         self.tree.points()
     }
 
-    fn size(&self) -> IndexSize {
-        IndexSize {
-            points: self.tree.len(),
-            interior_nodes: self.tree.top_nodes().len(),
-            leaf_sets: self.tree.leaves().len(),
-        }
-    }
-
     fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
         let report = self.run(&[query], SearchKind::Nn, false);
         Self::absorb_stats(stats, &report, 1);
@@ -260,17 +251,6 @@ impl SearchIndex for AccelBackend {
         let report = self.run(queries, SearchKind::Nn, false);
         Self::absorb_stats(stats, &report, queries.len() as u64);
         report.nn_results
-    }
-
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let tree = &self.tree;
-        parallel_queries(queries, cfg, stats, |q, s| tree.knn_with_stats(q, k, s))
     }
 
     /// See [`AccelBackend::nn_batch`]: one hardware run per batch.
@@ -342,6 +322,26 @@ mod tests {
             assert_eq!(hw_ball, sw_ball, "radius results must match bit-for-bit");
 
             assert_eq!(backend.knn(q, 6, &mut stats), tree.knn(q, 6));
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_never_served() {
+        // The machine walks the two-stage tree, whose build leaves points
+        // with a NaN or infinite coordinate out.
+        let mut pts = lcg_cloud(1500, 6);
+        pts[3] = Vec3::splat(f64::NAN);
+        pts[700] = Vec3::new(0.0, f64::INFINITY, 0.0);
+        pts[1400] = Vec3::splat(f64::NEG_INFINITY);
+        let queries = lcg_cloud(60, 7);
+        let mut backend = AccelBackend::build(&pts, 5, AcceleratorConfig::default());
+        let tree = TwoStageKdTree::build(&pts, 5);
+        let mut stats = SearchStats::new();
+        let nn = backend.nn_batch(&queries, &BatchConfig::serial(), &mut stats);
+        let balls = backend.radius_batch(&queries, 4.0, &BatchConfig::serial(), &mut stats);
+        for (i, &q) in queries.iter().enumerate() {
+            assert_eq!(nn[i], tree.nn(q));
+            assert_eq!(balls[i], tree.radius(q, 4.0));
         }
     }
 

@@ -763,24 +763,28 @@ pub fn fig15(seed: u64) -> Vec<Fig15Row> {
 /// GPU baseline model, and compare end-to-end totals under Amdahl's law.
 pub fn end_to_end(seed: u64) -> (f64, f64) {
     use tigris_accel::baseline::Workload;
-    use tigris_pipeline::register_with_searchers;
-    use tigris_pipeline::Searcher3;
+    use tigris_pipeline::{prepare_frame_from_searcher, register_prepared, Searcher3};
 
     println!("== End-to-end registration improvement (query-log replay) ==");
     let mut out = [0.0f64; 2];
     let seq = short_sequence(2, seed);
     for (slot, dp) in [DesignPoint::Dp7, DesignPoint::Dp4].into_iter().enumerate() {
         let cfg = dp.config();
-        // Registration with logging on both frames' searchers.
+        // Registration with logging on both frames' searchers. Logging
+        // also keeps ICP from skipping provably unchanged searches, so the
+        // log holds every query the pipeline issued.
         let src_pts = seq.frame(1).voxel_downsample(cfg.voxel_size).points().to_vec();
         let tgt_pts = seq.frame(0).voxel_downsample(cfg.voxel_size).points().to_vec();
-        let mut src_searcher = Searcher3::classic(&src_pts);
-        let mut tgt_searcher = Searcher3::classic(&tgt_pts);
-        src_searcher.enable_query_logging();
-        tgt_searcher.enable_query_logging();
+        let logged = |pts: &[Vec3]| {
+            let mut searcher = Searcher3::classic(pts);
+            searcher.enable_query_logging();
+            searcher
+        };
+        let (src_searcher, tgt_searcher) = (logged(&src_pts), logged(&tgt_pts));
         let t0 = std::time::Instant::now();
-        let result = register_with_searchers(&mut src_searcher, &mut tgt_searcher, &cfg)
-            .expect("registration failed");
+        let prepare = |searcher| prepare_frame_from_searcher(searcher, &cfg).expect("non-empty");
+        let (mut src, mut tgt) = (prepare(src_searcher), prepare(tgt_searcher));
+        let result = register_prepared(&mut src, &mut tgt, &cfg).expect("registration failed");
         let total = t0.elapsed().as_secs_f64();
         let kd_cpu = result.profile.kd_search_time.as_secs_f64();
         let other = total - kd_cpu;
@@ -790,8 +794,8 @@ pub fn end_to_end(seed: u64) -> (f64, f64) {
         let h_tgt = height_for_leaf_size(tgt_pts.len(), 128);
         let src_tree = TwoStageKdTree::build(&src_pts, h_src);
         let tgt_tree = TwoStageKdTree::build(&tgt_pts, h_tgt);
-        let src_log = src_searcher.take_query_log().unwrap();
-        let tgt_log = tgt_searcher.take_query_log().unwrap();
+        let src_log = src.searcher_mut().take_query_log().unwrap();
+        let tgt_log = tgt.searcher_mut().take_query_log().unwrap();
         let mut src_sim = AcceleratorSim::new(&src_tree, AcceleratorConfig::paper());
         let mut tgt_sim = AcceleratorSim::new(&tgt_tree, AcceleratorConfig::paper());
         let kd_acc = src_sim.replay(&src_log).seconds + tgt_sim.replay(&tgt_log).seconds;

@@ -151,3 +151,17 @@ fn ablations_support_paper_design_choices() {
     let (low, hash) = figures::ablation_mapping(42);
     assert!((hash - low).abs() / low < 0.25, "low {low} hash {hash}");
 }
+
+#[test]
+#[ignore = "release-scale workload"]
+fn end_to_end_replays_a_nonempty_stream() {
+    // A real registration's logged query stream, replayed on the
+    // accelerator, must beat the CPU+GPU baseline without erasing the
+    // non-search work: both improvements are proper fractions. (Their
+    // DP7-vs-DP4 order depends on the host's CPU timings, so it is not
+    // asserted.)
+    let (dp7, dp4) = figures::end_to_end(42);
+    for (name, improvement) in [("DP7", dp7), ("DP4", dp4)] {
+        assert!(improvement > 0.0 && improvement < 1.0, "{name} improvement {improvement}");
+    }
+}

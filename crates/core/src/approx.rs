@@ -25,7 +25,7 @@
 //! where banked kernels pay off.
 
 use crate::batch::BatchConfig;
-use crate::index::{IndexSize, SearchIndex};
+use crate::index::SearchIndex;
 use crate::twostage::default_top_height;
 use crate::{Neighbor, SearchStats, TwoStageKdTree};
 use tigris_geom::Vec3;
@@ -395,14 +395,6 @@ impl SearchIndex for ApproxIndex {
 
     fn points(&self) -> &[Vec3] {
         self.tree.points()
-    }
-
-    fn size(&self) -> IndexSize {
-        IndexSize {
-            points: self.tree.len(),
-            interior_nodes: self.tree.top_nodes().len(),
-            leaf_sets: self.tree.leaves().len(),
-        }
     }
 
     fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {

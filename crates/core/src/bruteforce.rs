@@ -5,6 +5,7 @@
 //! unordered set (paper Sec. 4.1: "the two-stage KD-tree enables exhaustive
 //! searches in certain sub-trees").
 
+use crate::kdtree::finite_indices;
 use crate::soa::PointSoA;
 use crate::{simd, Neighbor, SearchStats};
 use tigris_geom::Vec3;
@@ -55,49 +56,6 @@ pub fn radius_brute_force(points: &[Vec3], query: Vec3, radius: f64) -> Vec<Neig
     out
 }
 
-/// [`nn_brute_force`] with visit accounting: the whole point set is an
-/// exhaustive scan, so every point counts toward
-/// [`SearchStats::leaf_points_scanned`].
-pub fn nn_brute_force_with_stats(
-    points: &[Vec3],
-    query: Vec3,
-    stats: &mut SearchStats,
-) -> Option<Neighbor> {
-    stats.queries += 1;
-    stats.leaf_points_scanned += points.len() as u64;
-    nn_brute_force(points, query)
-}
-
-/// [`radius_brute_force`] with visit accounting; see
-/// [`nn_brute_force_with_stats`].
-///
-/// # Panics
-///
-/// Panics when `radius` is negative.
-pub fn radius_brute_force_with_stats(
-    points: &[Vec3],
-    query: Vec3,
-    radius: f64,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    stats.queries += 1;
-    stats.leaf_points_scanned += points.len() as u64;
-    radius_brute_force(points, query, radius)
-}
-
-/// [`knn_brute_force`] with visit accounting; see
-/// [`nn_brute_force_with_stats`].
-pub fn knn_brute_force_with_stats(
-    points: &[Vec3],
-    query: Vec3,
-    k: usize,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    stats.queries += 1;
-    stats.leaf_points_scanned += points.len() as u64;
-    knn_brute_force(points, query, k)
-}
-
 /// An owning brute-force backend: the exhaustive-scan oracle as a
 /// selectable index structure.
 ///
@@ -110,7 +68,9 @@ pub fn knn_brute_force_with_stats(
 /// Unlike the free functions above (which stay the plain scalar
 /// reference), the owned index mirrors its points into a [`PointSoA`] and
 /// serves queries through the [`crate::simd`] kernels — bit-identical
-/// results, one full-width exhaustive scan per query.
+/// results, one full-width exhaustive scan per query. Like the trees, it
+/// leaves points with a NaN or infinite coordinate out of the mirror, so
+/// they are never returned.
 ///
 /// # Example
 ///
@@ -134,10 +94,14 @@ pub struct BruteForceIndex {
 }
 
 impl BruteForceIndex {
-    /// Wraps a point set, taking ownership and building the SoA mirror.
+    /// Wraps a point set, taking ownership and building the SoA mirror
+    /// of its finite points.
     pub fn new(points: Vec<Vec3>) -> Self {
-        let soa = PointSoA::from_points(&points);
-        let ids = (0..points.len() as u32).collect();
+        let ids = finite_indices(&points);
+        let mut soa = PointSoA::with_capacity(ids.len());
+        for &i in &ids {
+            soa.push(points[i as usize]);
+        }
         BruteForceIndex { points, soa, ids }
     }
 
@@ -150,7 +114,7 @@ impl BruteForceIndex {
     /// accounting. Bit-identical to [`nn_brute_force`].
     pub fn nn_with_stats(&self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
         stats.queries += 1;
-        stats.leaf_points_scanned += self.points.len() as u64;
+        stats.leaf_points_scanned += self.ids.len() as u64;
         simd::nn_reduce(query, self.soa.view(), &self.ids)
             .map(|(d2, id)| Neighbor::new(id as usize, d2))
     }
@@ -159,11 +123,11 @@ impl BruteForceIndex {
     /// Bit-identical to [`knn_brute_force`].
     pub fn knn_with_stats(&self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
         stats.queries += 1;
-        stats.leaf_points_scanned += self.points.len() as u64;
-        let mut d2s = vec![0.0_f64; self.points.len()];
+        stats.leaf_points_scanned += self.ids.len() as u64;
+        let mut d2s = vec![0.0_f64; self.ids.len()];
         simd::squared_distances(query, self.soa.view(), &mut d2s);
         let mut all: Vec<Neighbor> =
-            d2s.iter().enumerate().map(|(i, &d2)| Neighbor::new(i, d2)).collect();
+            d2s.iter().zip(&self.ids).map(|(&d2, &id)| Neighbor::new(id as usize, d2)).collect();
         all.sort();
         all.truncate(k);
         all
@@ -183,7 +147,7 @@ impl BruteForceIndex {
     ) -> Vec<Neighbor> {
         assert!(radius >= 0.0, "radius must be non-negative");
         stats.queries += 1;
-        stats.leaf_points_scanned += self.points.len() as u64;
+        stats.leaf_points_scanned += self.ids.len() as u64;
         let mut out = Vec::new();
         simd::radius_collect(query, self.soa.view(), &self.ids, radius * radius, &mut out);
         out.sort();

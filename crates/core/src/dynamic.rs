@@ -38,7 +38,7 @@
 //! ```
 
 use crate::batch::{parallel_queries, BatchConfig};
-use crate::index::{IndexSize, SearchIndex, SharedIndex};
+use crate::index::{SearchIndex, SharedIndex};
 use crate::soa::PointSoA;
 use crate::{simd, KdTree, Neighbor, SearchStats};
 use tigris_geom::Vec3;
@@ -115,9 +115,7 @@ impl DynamicMapIndex {
 
     /// Inserts one point, merge-rebuilding when the fresh buffer is full.
     pub fn insert(&mut self, p: Vec3) {
-        self.points.push(p);
-        self.fresh.push(p);
-        self.fresh_ids.push((self.points.len() - 1) as u32);
+        self.push(p);
         if self.fresh_len() >= self.fresh_capacity {
             self.rebuild();
         }
@@ -127,12 +125,21 @@ impl DynamicMapIndex {
     /// than point-at-a-time inserts across a capacity boundary).
     pub fn extend(&mut self, points: &[Vec3]) {
         for &p in points {
-            self.points.push(p);
-            self.fresh.push(p);
-            self.fresh_ids.push((self.points.len() - 1) as u32);
+            self.push(p);
         }
         if self.fresh_len() >= self.fresh_capacity {
             self.rebuild();
+        }
+    }
+
+    /// Appends `p` to the fresh buffer. A point with a NaN or infinite
+    /// coordinate takes its index but joins no scan, exactly as a tree
+    /// build leaves it out (see [`KdTree::build`]).
+    fn push(&mut self, p: Vec3) {
+        self.points.push(p);
+        if p.is_finite() {
+            self.fresh.push(p);
+            self.fresh_ids.push((self.points.len() - 1) as u32);
         }
     }
 
@@ -192,7 +199,7 @@ impl DynamicMapIndex {
         tree_stats.queries = 0;
         *stats += tree_stats;
         stats.queries += 1;
-        stats.leaf_points_scanned += self.fresh_len() as u64;
+        stats.leaf_points_scanned += self.fresh_ids.len() as u64;
     }
 
     /// Nearest neighbor, bit-identical to a full rebuild's answer.
@@ -338,16 +345,6 @@ impl SearchIndex for DynamicMapIndex {
         &self.points
     }
 
-    fn size(&self) -> IndexSize {
-        // The settled tree's structure, plus the fresh buffer reported as
-        // one extra unordered set when non-empty.
-        IndexSize {
-            points: self.points.len(),
-            interior_nodes: self.tree.interior_count(),
-            leaf_sets: self.tree.leaf_count() + usize::from(self.fresh_len() > 0),
-        }
-    }
-
     fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
         self.nn_query_with_stats(query, stats)
     }
@@ -473,10 +470,6 @@ mod tests {
             let mut serial_stats = SearchStats::new();
             let nn_serial: Vec<_> =
                 queries.iter().map(|&q| idx.nn_query_with_stats(q, &mut serial_stats)).collect();
-            let knn_serial: Vec<_> = queries
-                .iter()
-                .map(|&q| idx.knn_query_with_stats(q, 5, &mut serial_stats))
-                .collect();
             let radius_serial: Vec<_> = queries
                 .iter()
                 .map(|&q| idx.radius_query_with_stats(q, 3.0, &mut serial_stats))
@@ -484,7 +477,6 @@ mod tests {
 
             let mut batch_stats = SearchStats::new();
             assert_eq!(idx.nn_batch_shared(&queries, &cfg, &mut batch_stats), nn_serial);
-            assert_eq!(idx.knn_batch_shared(&queries, 5, &cfg, &mut batch_stats), knn_serial);
             assert_eq!(
                 idx.radius_batch_shared(&queries, 3.0, &cfg, &mut batch_stats),
                 radius_serial
@@ -523,11 +515,6 @@ mod tests {
         assert_eq!(idx.fresh_len(), 0);
         assert_eq!(SearchIndex::name(&idx), "dynamic");
         assert_eq!(SearchIndex::points(&idx), &pts[..]);
-        let size = SearchIndex::size(&idx);
-        assert_eq!(size.points, 200);
-        // Fully settled: the reported leaf sets are exactly the tree's
-        // buckets, with no extra set for an (empty) fresh buffer.
-        assert_eq!(size.leaf_sets, KdTree::build(&pts).leaf_count());
-        assert!(size.interior_nodes > 0);
+        assert_eq!(SearchIndex::len(&idx), 200);
     }
 }

@@ -8,7 +8,7 @@
 //! module makes that seam a first-class public trait:
 //!
 //! * [`SearchIndex`] — build-from-points construction, `nn`/`knn`/`radius`
-//!   queries plus their `*_batch` forms, and size/name reporting. Every
+//!   queries plus batched `nn`/`radius` forms, and name reporting. Every
 //!   backend (including stateful approximate ones) implements it, so the
 //!   pipeline's `Searcher3` can hold a `Box<dyn SearchIndex>` and new
 //!   backends plug in without touching the pipeline. The `*_batch`
@@ -61,22 +61,12 @@ use crate::twostage::default_top_height;
 use crate::{KdTree, Neighbor, SearchStats, TwoStageKdTree};
 use tigris_geom::Vec3;
 
-/// Structural size of an index, for memory/footprint reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexSize {
-    /// Points indexed.
-    pub points: usize,
-    /// Interior (recursively traversed) tree nodes.
-    pub interior_nodes: usize,
-    /// Unordered leaf sets (two-stage structures only).
-    pub leaf_sets: usize,
-}
-
 /// A neighbor-search backend over one 3D point cloud.
 ///
 /// This is the boundary between the registration pipeline and the search
-/// engine: the pipeline issues `nn`/`knn`/`radius` queries (serial or
-/// batched) and never sees which structure serves them. Implementations:
+/// engine: the pipeline issues `nn`/`knn`/`radius` queries (`nn` and
+/// `radius` also batched) and never sees which structure serves them.
+/// Implementations:
 ///
 /// | backend | type | exactness |
 /// |---|---|---|
@@ -127,9 +117,6 @@ pub trait SearchIndex: Send + Sync {
     /// slice).
     fn points(&self) -> &[Vec3];
 
-    /// Structural size of the index.
-    fn size(&self) -> IndexSize;
-
     /// Number of indexed points.
     fn len(&self) -> usize {
         self.points().len()
@@ -164,21 +151,6 @@ pub trait SearchIndex: Send + Sync {
         match self.as_shared() {
             Some(shared) => shared.nn_batch_shared(queries, cfg, stats),
             None => queries.iter().map(|&q| self.nn(q, stats)).collect(),
-        }
-    }
-
-    /// The `k` nearest neighbors of every query; results in query order.
-    /// Routed like [`SearchIndex::nn_batch`].
-    fn knn_batch(
-        &mut self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        match self.as_shared() {
-            Some(shared) => shared.knn_batch_shared(queries, k, cfg, stats),
-            None => queries.iter().map(|&q| self.knn(q, k, stats)).collect(),
         }
     }
 
@@ -257,18 +229,6 @@ pub trait SharedIndex: Sync {
         parallel_queries(queries, cfg, stats, |q, s| self.nn_shared(q, s))
     }
 
-    /// The `k` nearest neighbors of every query; see
-    /// [`SharedIndex::nn_batch_shared`].
-    fn knn_batch_shared(
-        &self,
-        queries: &[Vec3],
-        k: usize,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        parallel_queries(queries, cfg, stats, |q, s| self.knn_shared(q, k, s))
-    }
-
     /// All neighbors within `radius` of every query; see
     /// [`SharedIndex::nn_batch_shared`].
     fn radius_batch_shared(
@@ -279,21 +239,6 @@ pub trait SharedIndex: Sync {
         stats: &mut SearchStats,
     ) -> Vec<Vec<Neighbor>> {
         parallel_queries(queries, cfg, stats, |q, s| self.radius_shared(q, radius, s))
-    }
-
-    /// Radius search appending into a caller-owned buffer: hits are
-    /// pushed onto `out` (existing contents untouched) with the appended
-    /// range sorted ascending — bit-identical per query to
-    /// [`SharedIndex::radius_shared`], allocation-free once the buffer
-    /// is warm.
-    fn radius_into_shared(
-        &self,
-        query: Vec3,
-        radius: f64,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) {
-        out.extend(self.radius_shared(query, radius, stats));
     }
 
     /// Radius search for a group of co-located queries, one output row
@@ -319,7 +264,7 @@ pub trait SharedIndex: Sync {
         assert_eq!(queries.len(), rows.len(), "one output row per query");
         for (q, row) in queries.iter().zip(rows.iter_mut()) {
             row.clear();
-            self.radius_into_shared(*q, radius, row, stats);
+            row.extend(self.radius_shared(*q, radius, stats));
         }
     }
 
@@ -360,14 +305,6 @@ impl SearchIndex for KdTree {
         KdTree::points(self)
     }
 
-    fn size(&self) -> IndexSize {
-        IndexSize {
-            points: KdTree::len(self),
-            interior_nodes: self.interior_count(),
-            leaf_sets: self.leaf_count(),
-        }
-    }
-
     fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
         self.nn_with_stats(query, stats)
     }
@@ -402,16 +339,6 @@ impl SharedIndex for KdTree {
         self.radius_with_stats(query, radius, stats)
     }
 
-    fn radius_into_shared(
-        &self,
-        query: Vec3,
-        radius: f64,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) {
-        self.radius_into_with_stats(query, radius, out, stats);
-    }
-
     fn radius_group_into_shared(
         &self,
         queries: &[Vec3],
@@ -444,14 +371,6 @@ impl SearchIndex for TwoStageKdTree {
 
     fn points(&self) -> &[Vec3] {
         TwoStageKdTree::points(self)
-    }
-
-    fn size(&self) -> IndexSize {
-        IndexSize {
-            points: TwoStageKdTree::len(self),
-            interior_nodes: self.top_nodes().len(),
-            leaf_sets: self.leaves().len(),
-        }
     }
 
     fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
@@ -500,10 +419,6 @@ impl SearchIndex for BruteForceIndex {
 
     fn points(&self) -> &[Vec3] {
         BruteForceIndex::points(self)
-    }
-
-    fn size(&self) -> IndexSize {
-        IndexSize { points: BruteForceIndex::points(self).len(), ..IndexSize::default() }
     }
 
     fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
@@ -630,7 +545,6 @@ mod tests {
             assert_eq!(index.name(), name);
             assert_eq!(index.len(), 200);
             assert!(!index.is_empty());
-            assert_eq!(index.size().points, 200);
         }
     }
 
@@ -704,18 +618,12 @@ mod tests {
                 .collect();
             let shared = index.as_shared().unwrap_or_else(|| panic!("{name} must be shared"));
             let mut stats = SearchStats::new();
-            let mut into_stats = SearchStats::new();
-            let mut appended = Vec::new();
             for (&q, want) in queries.iter().zip(&expected) {
                 assert_eq!(shared.nn_shared(q, &mut stats), want.0, "{name} nn");
                 assert_eq!(shared.knn_shared(q, 4, &mut stats), want.1, "{name} knn");
                 assert_eq!(shared.radius_shared(q, 2.0, &mut stats), want.2, "{name} radius");
-                let start = appended.len();
-                shared.radius_into_shared(q, 2.0, &mut appended, &mut into_stats);
-                assert_eq!(&appended[start..], want.2.as_slice(), "{name} radius_into");
             }
             assert_eq!(stats, exclusive, "{name} metering must match");
-            assert_eq!(into_stats.queries, queries.len() as u64, "{name} radius_into metering");
         }
     }
 

@@ -92,6 +92,10 @@ impl KdTree {
     /// The split axis at each node is the axis of largest extent of the
     /// node's point subset (the classic surface-area heuristic simplified
     /// for points). Construction is `O(n log² n)`.
+    ///
+    /// Points with a NaN or infinite coordinate are left out of the tree:
+    /// they keep their slot in [`KdTree::points`] (so indices still refer
+    /// to the input) but no search ever returns them.
     pub fn build(points: &[Vec3]) -> Self {
         let mut tree = KdTree {
             points: points.to_vec(),
@@ -100,10 +104,10 @@ impl KdTree {
             ids: Vec::with_capacity(points.len()),
             height: 0,
         };
-        if points.is_empty() {
+        let mut indices = finite_indices(points);
+        if indices.is_empty() {
             return tree;
         }
-        let mut indices: Vec<u32> = (0..points.len() as u32).collect();
         let mut height = 0;
         build_into(
             points,
@@ -389,32 +393,6 @@ impl KdTree {
         out
     }
 
-    /// Radius search appending into a caller-owned buffer: the hits are
-    /// pushed onto `out` (existing contents untouched) and only the
-    /// appended range is sorted, so the results for this query are
-    /// bit-identical to [`KdTree::radius_with_stats`] while a warm
-    /// buffer makes the query allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `radius` is negative.
-    pub fn radius_into_with_stats(
-        &self,
-        query: Vec3,
-        radius: f64,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        if self.nodes.is_empty() {
-            return;
-        }
-        stats.queries += 1;
-        let start = out.len();
-        self.radius_scan(query, radius * radius, radius, out, stats);
-        out[start..].sort_unstable();
-    }
-
     /// Radius search for a whole group of (ideally co-located) queries
     /// in one traversal, filling `rows[i]` with the hits of
     /// `queries[i]`.
@@ -656,6 +634,13 @@ impl KdTree {
             }
         }
     }
+}
+
+/// Indices of the points whose coordinates are all finite — the subset a
+/// tree build indexes (a NaN would break the median split's ordering, an
+/// infinity would surface as an infinitely distant neighbor).
+pub(crate) fn finite_indices(points: &[Vec3]) -> Vec<u32> {
+    (0..points.len() as u32).filter(|&i| points[i as usize].is_finite()).collect()
 }
 
 /// Recursively builds the subtree over `indices` into implicit slot

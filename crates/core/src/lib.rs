@@ -15,9 +15,6 @@
 //!   ([`ApproxIndex`]): queries reaching the same leaf are split into
 //!   leaders (searched exhaustively) and followers (searched only against
 //!   the closest leader's result set).
-//! * [`inject`] — the error-injection instruments of Sec. 4.2 (return the
-//!   k-th nearest neighbor; return a `<r1, r2>` shell instead of a ball),
-//!   used to quantify the pipeline's tolerance to inexact search.
 //! * [`dynamic`] — the incrementally insertable [`DynamicMapIndex`] (static
 //!   tree + fresh-points buffer, merged by periodic rebuild) that mapping
 //!   workloads insert into as the map grows, registered as `"dynamic"`.
@@ -60,7 +57,6 @@ pub mod batch;
 pub mod bruteforce;
 pub mod dynamic;
 pub mod index;
-pub mod inject;
 pub mod kdtree;
 pub mod kdtree_nd;
 pub mod record;
@@ -73,9 +69,7 @@ pub use approx::{ApproxConfig, ApproxIndex};
 pub use batch::BatchConfig;
 pub use bruteforce::{knn_brute_force, nn_brute_force, radius_brute_force, BruteForceIndex};
 pub use dynamic::DynamicMapIndex;
-pub use index::{
-    backend_names, build_backend, register_backend, IndexSize, SearchIndex, SharedIndex,
-};
+pub use index::{backend_names, build_backend, register_backend, SearchIndex, SharedIndex};
 pub use kdtree::KdTree;
 pub use kdtree_nd::KdTreeN;
 pub use record::{segment_by_kind, QueryKind, QueryRecord};

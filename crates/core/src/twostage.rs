@@ -22,6 +22,7 @@
 //! of the paper's search units streaming a leaf's unordered set through
 //! the distance datapath.
 
+use crate::kdtree::finite_indices;
 use crate::soa::PointSoA;
 use crate::{simd, Neighbor, SearchStats};
 use tigris_geom::Vec3;
@@ -126,8 +127,12 @@ impl TwoStageKdTree {
     /// the same points. Descendants beyond the top-tree become unordered
     /// leaf sets. A `top_height` of 0 produces a single leaf set holding
     /// every point.
+    ///
+    /// As in [`crate::KdTree::build`], points with a NaN or infinite
+    /// coordinate keep their slot in [`TwoStageKdTree::points`] but are
+    /// left out of the tree, so no search ever returns them.
     pub fn build(points: &[Vec3], top_height: usize) -> Self {
-        let mut indices: Vec<u32> = (0..points.len() as u32).collect();
+        let mut indices = finite_indices(points);
         let mut top_nodes = Vec::new();
         let mut leaves = Vec::new();
         let root = build_top(points, &mut indices[..], top_height, &mut top_nodes, &mut leaves);

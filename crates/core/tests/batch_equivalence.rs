@@ -64,21 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn kdtree_knn_batch_equals_serial(
-        pts in cloud(), qs in queries(), k in 1usize..12, cfg in batch_cfg(),
-    ) {
-        assert_batch_equals_serial!(
-            KdTree::build(&pts),
-            qs,
-            cfg,
-            |t: &mut KdTree, q, s: &mut SearchStats| t.knn_with_stats(q, k, s),
-            |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
-                t.knn_batch(qs, k, c, s)
-            }
-        );
-    }
-
-    #[test]
     fn kdtree_radius_batch_equals_serial(
         pts in cloud(), qs in queries(), r in 0.0f64..30.0, cfg in batch_cfg(),
     ) {
@@ -119,15 +104,24 @@ proptest! {
 
     #[test]
     fn brute_force_batches_equal_serial(
-        pts in cloud(), qs in queries(), k in 1usize..8, cfg in batch_cfg(),
+        pts in cloud(), qs in queries(), r in 0.0f64..30.0, cfg in batch_cfg(),
     ) {
         assert_batch_equals_serial!(
             BruteForceIndex::new(pts.clone()),
             qs,
             cfg,
-            |t: &mut BruteForceIndex, q, s: &mut SearchStats| t.knn_with_stats(q, k, s),
+            |t: &mut BruteForceIndex, q, s: &mut SearchStats| t.nn_with_stats(q, s),
             |t: &mut BruteForceIndex, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
-                t.knn_batch(qs, k, c, s)
+                t.nn_batch(qs, c, s)
+            }
+        );
+        assert_batch_equals_serial!(
+            BruteForceIndex::new(pts.clone()),
+            qs,
+            cfg,
+            |t: &mut BruteForceIndex, q, s: &mut SearchStats| t.radius_with_stats(q, r, s),
+            |t: &mut BruteForceIndex, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
+                t.radius_batch(qs, r, c, s)
             }
         );
     }
@@ -207,7 +201,7 @@ proptest! {
     /// occupancy, and batched queries must stay bit-identical to serial.
     #[test]
     fn clouds_straddling_leaf_capacity_equal_serial(
-        qs in queries(), k in 1usize..6, cfg in batch_cfg(), seed in 0u64..1000,
+        qs in queries(), r in 0.0f64..30.0, cfg in batch_cfg(), seed in 0u64..1000,
     ) {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         let mut next = move || {
@@ -222,9 +216,18 @@ proptest! {
                 KdTree::build(&pts),
                 qs,
                 cfg,
-                |t: &mut KdTree, q, s: &mut SearchStats| t.knn_with_stats(q, k, s),
+                |t: &mut KdTree, q, s: &mut SearchStats| t.nn_with_stats(q, s),
                 |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
-                    t.knn_batch(qs, k, c, s)
+                    t.nn_batch(qs, c, s)
+                }
+            );
+            assert_batch_equals_serial!(
+                KdTree::build(&pts),
+                qs,
+                cfg,
+                |t: &mut KdTree, q, s: &mut SearchStats| t.radius_with_stats(q, r, s),
+                |t: &mut KdTree, qs: &[Vec3], c: &BatchConfig, s: &mut SearchStats| {
+                    t.radius_batch(qs, r, c, s)
                 }
             );
         }

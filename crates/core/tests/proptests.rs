@@ -1,9 +1,8 @@
 //! Property-based tests for the KD-tree structures: the canonical tree, the
-//! two-stage tree, the approximate searcher and the injection instruments
-//! are all checked against the brute-force oracle.
+//! two-stage tree and the approximate searcher are all checked against
+//! the brute-force oracle.
 
 use proptest::prelude::*;
-use tigris_core::inject::{kth_nn, shell_radius};
 use tigris_core::{
     nn_brute_force, radius_brute_force, ApproxConfig, ApproxIndex, KdTree, SearchStats,
     TwoStageKdTree,
@@ -130,37 +129,6 @@ proptest! {
                 prop_assert!(n.distance_squared <= r * r + 1e-12);
                 prop_assert!((q.distance_squared(pts[n.index]) - n.distance_squared).abs() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn kth_nn_is_monotone_in_k(pts in prop::collection::vec(point(), 10..200), q in point()) {
-        let tree = KdTree::build(&pts);
-        let mut prev = -1.0f64;
-        for k in 1..=pts.len().min(10) {
-            let n = kth_nn(&tree, q, k).unwrap();
-            prop_assert!(n.distance_squared >= prev);
-            prev = n.distance_squared;
-        }
-    }
-
-    #[test]
-    fn shell_is_ball_minus_inner_ball(
-        pts in cloud(), q in point(),
-        r1 in 0.0f64..10.0, extra in 0.0f64..10.0,
-    ) {
-        let r2 = r1 + extra;
-        let tree = KdTree::build(&pts);
-        let shell = shell_radius(&tree, q, r1, r2);
-        let outer = tree.radius(q, r2);
-        let inner_strict = outer
-            .iter()
-            .filter(|n| n.distance_squared < r1 * r1)
-            .count();
-        prop_assert_eq!(shell.len() + inner_strict, outer.len());
-        for n in &shell {
-            prop_assert!(n.distance_squared >= r1 * r1);
-            prop_assert!(n.distance_squared <= r2 * r2);
         }
     }
 

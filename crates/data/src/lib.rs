@@ -24,6 +24,8 @@
 //! assert!(seq.frame(0).len() > 100);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod kitti_io;
 pub mod lidar;
 pub mod metrics;

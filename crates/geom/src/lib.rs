@@ -28,6 +28,8 @@
 //! assert!((p - back).norm() < 1e-12);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod aabb;
 pub mod eigen;
 pub mod mat3;

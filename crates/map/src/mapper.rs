@@ -552,12 +552,17 @@ impl Mapper {
 
     /// The structure-overlap fraction of the current frame against
     /// `submap_id` under the verified `relative` — see
-    /// [`retrieval::structure_overlap`] for the gate's semantics.
+    /// [`retrieval::structure_overlap_batched`] for the gate's semantics.
     fn closure_overlap(&self, relative: &RigidTransform, submap_id: usize) -> f64 {
         let Some(prep) = self.odometer.reference_frame() else {
             return 0.0;
         };
-        retrieval::structure_overlap(prep.points(), relative, &self.submaps[submap_id])
+        retrieval::structure_overlap_batched(
+            prep.points(),
+            relative,
+            &self.submaps[submap_id],
+            &self.config.registration.parallel,
+        )
     }
 
     /// Runs Gauss–Newton over the whole trajectory and rebases every

@@ -19,7 +19,7 @@
 //! 2. **Geometric verification** ([`verify_geometry`]): register the
 //!    query frame's [`PreparedFrame`] against the candidate submap's
 //!    stored keyframe — no front-end stage reruns.
-//! 3. **Structure-overlap consistency** ([`structure_overlap`]): the
+//! 3. **Structure-overlap consistency** ([`structure_overlap_batched`]): the
 //!    anti-aliasing gate that rejects high-inlier false matches across
 //!    self-similar structure by measuring how much of the frame's
 //!    elevated geometry lands on stored submap structure under the
@@ -205,35 +205,11 @@ pub fn verify_geometry(
 /// away from the match center the walls curve apart and the fraction
 /// collapses. Odometry drift cannot fool it: it compares geometry to
 /// geometry and never consults pose estimates.
-pub fn structure_overlap(points: &[Vec3], relative: &RigidTransform, submap: &Submap) -> f64 {
-    let Some(bounds) = submap.local_bounds() else {
-        return 0.0;
-    };
-    let structure_floor = bounds.min.z + OVERLAP_MIN_HEIGHT;
-    let mut structure = 0usize;
-    let mut hits = 0usize;
-    for &p in points {
-        let local = relative.apply(p);
-        if local.z < structure_floor {
-            continue;
-        }
-        structure += 1;
-        if let Some(n) = submap.index().nn_query(local) {
-            if n.distance_squared <= OVERLAP_RADIUS * OVERLAP_RADIUS {
-                hits += 1;
-            }
-        }
-    }
-    if structure < OVERLAP_MIN_POINTS {
-        return 0.0;
-    }
-    hits as f64 / structure as f64
-}
-
-/// [`structure_overlap`] with the per-point NN lookups batched through
-/// the submap index's shared read-only batch path. Answers are
-/// bit-identical to the serial form (the index is exact and per-query
-/// answers are independent); only the scheduling differs.
+///
+/// The per-point NN lookups run through the submap index's shared
+/// read-only batch path under `cfg`; the index is exact and per-query
+/// answers are independent, so the fraction is bit-identical at any
+/// thread count.
 pub fn structure_overlap_batched(
     points: &[Vec3],
     relative: &RigidTransform,
@@ -450,10 +426,6 @@ mod tests {
         ];
         for t in &transforms {
             let expected = inline_overlap_oracle(&frame, t, &submap);
-            let got = structure_overlap(&frame, t, &submap);
-            assert!(got.to_bits() == expected.to_bits(), "{got} != {expected} for {t}");
-            // The batched form answers identically (exact index, independent
-            // per-point answers).
             let batched = structure_overlap_batched(&frame, t, &submap, &BatchConfig::serial());
             assert!(batched.to_bits() == expected.to_bits(), "batched {batched} != {expected}");
         }
@@ -463,21 +435,21 @@ mod tests {
     fn structure_overlap_separates_genuine_from_false_matches() {
         let submap = populated_submap();
         let frame = frame_points();
+        let overlap = |points: &[Vec3], t: &RigidTransform, submap: &Submap| {
+            structure_overlap_batched(points, t, submap, &BatchConfig::serial())
+        };
         // The genuine revisit: same geometry, same place.
-        let genuine = structure_overlap(&frame, &RigidTransform::IDENTITY, &submap);
+        let genuine = overlap(&frame, &RigidTransform::IDENTITY, &submap);
         assert!(genuine > 0.95, "genuine overlap {genuine}");
         // A gross mismatch: the wall lands far from any stored structure.
-        let wrong = structure_overlap(
-            &frame,
-            &RigidTransform::from_translation(Vec3::new(30.0, 30.0, 0.0)),
-            &submap,
-        );
+        let wrong =
+            overlap(&frame, &RigidTransform::from_translation(Vec3::new(30.0, 30.0, 0.0)), &submap);
         assert!(wrong < 0.1, "false-match overlap {wrong}");
         // An empty submap or a structure-poor frame is unverifiable.
         let empty = Submap::new(9, 0, RigidTransform::IDENTITY, 64);
-        assert_eq!(structure_overlap(&frame, &RigidTransform::IDENTITY, &empty), 0.0);
+        assert_eq!(overlap(&frame, &RigidTransform::IDENTITY, &empty), 0.0);
         let ground_only: Vec<Vec3> = frame.iter().copied().filter(|p| p.z < 0.1).collect();
-        assert_eq!(structure_overlap(&ground_only, &RigidTransform::IDENTITY, &submap), 0.0);
+        assert_eq!(overlap(&ground_only, &RigidTransform::IDENTITY, &submap), 0.0);
     }
 
     #[test]

@@ -177,9 +177,9 @@ pub enum SearchBackendConfig {
     /// embedded in every [`RegistrationConfig`] and cloned throughout the
     /// sweeps). Backends whose names only exist at runtime (parsed from a
     /// CLI flag or config file) don't need this variant at all: build the
-    /// index via `tigris_core::build_backend(name, points)` and hand it to
-    /// `Searcher3::from_index` /
-    /// [`crate::pipeline::register_with_searchers`].
+    /// index via `tigris_core::build_backend(name, points)`, wrap it with
+    /// `Searcher3::from_index` and prepare it with
+    /// [`crate::pipeline::prepare_frame_from_searcher`].
     Custom {
         /// The registry name the backend was registered under.
         name: &'static str,

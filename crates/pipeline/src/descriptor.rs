@@ -458,6 +458,41 @@ fn spfh_shared_pairs(points: &[Vec3], normals: &[Vec3], scratch: &mut PrepareScr
     }
 }
 
+/// One key-point's FPFH: its own SPFH plus the distance-weighted mean of
+/// its neighbors' SPFHs. `neighbors` is the key-point's radius row in
+/// canonical order; `remap` maps a point to its row in `spfh_rows`.
+fn fpfh_combine(
+    k: usize,
+    neighbors: &[Neighbor],
+    spfh_rows: &[f64],
+    remap: &[u32],
+) -> [f64; FPFH_DIM] {
+    let spfh = |i: usize| &spfh_rows[remap[i] as usize * FPFH_DIM..][..FPFH_DIM];
+    let mut out = [0.0f64; FPFH_DIM];
+    out.copy_from_slice(spfh(k));
+    let mut acc = [0.0f64; FPFH_DIM];
+    let mut weight_total = 0.0;
+    for nb in neighbors {
+        let j = nb.index;
+        if j == k {
+            continue;
+        }
+        let d = nb.distance_squared.sqrt();
+        if d < 1e-9 {
+            continue;
+        }
+        let w = 1.0 / d;
+        simd::axpy(&mut acc, w, spfh(j));
+        weight_total += w;
+    }
+    if weight_total > 0.0 {
+        for (o, a) in out.iter_mut().zip(acc.iter()) {
+            *o += a / weight_total;
+        }
+    }
+    out
+}
+
 fn fpfh(
     searcher: &mut Searcher3,
     normals: &[Vec3],
@@ -594,68 +629,18 @@ fn fpfh(
     // neighbor distance is recovered from the stored squared distance
     // (`sqrt` of an exact square — same bits as recomputing the norm).
     let mut data = Vec::with_capacity(keypoints.len() * FPFH_DIM);
+    let (kp_rows, kp_table) = (&scratch.kp_rows, &scratch.kp_table);
+    let (spfh_rows, remap) = (&scratch.spfh_rows, &scratch.remap);
+    let combine = |ki: usize| {
+        let k = keypoints[ki];
+        fpfh_combine(k, kp_table.row(kp_rows[ki] as usize), spfh_rows, remap)
+    };
     if parallel.resolve_threads(keypoints.len()) <= 1 {
-        let mut acc = [0.0f64; FPFH_DIM];
-        for (ki, &k) in keypoints.iter().enumerate() {
-            let krow = scratch.kp_rows[ki] as usize;
-            let dk = scratch.remap[k] as usize;
-            let start = data.len();
-            data.extend_from_slice(&scratch.spfh_rows[dk * FPFH_DIM..][..FPFH_DIM]);
-            acc.fill(0.0);
-            let mut weight_total = 0.0;
-            for nb in scratch.kp_table.row(krow) {
-                let j = nb.index;
-                if j == k {
-                    continue;
-                }
-                let d = nb.distance_squared.sqrt();
-                if d < 1e-9 {
-                    continue;
-                }
-                let w = 1.0 / d;
-                let h = &scratch.spfh_rows[scratch.remap[j] as usize * FPFH_DIM..][..FPFH_DIM];
-                simd::axpy(&mut acc, w, h);
-                weight_total += w;
-            }
-            if weight_total > 0.0 {
-                for (o, a) in data[start..].iter_mut().zip(acc.iter()) {
-                    *o += a / weight_total;
-                }
-            }
+        for ki in 0..keypoints.len() {
+            data.extend_from_slice(&combine(ki));
         }
     } else {
-        let kp_rows = &scratch.kp_rows;
-        let remap = &scratch.remap;
-        let kp_table = &scratch.kp_table;
-        let spfh_rows = &scratch.spfh_rows;
-        let rows = tigris_core::batch::parallel_map_indexed(keypoints.len(), &parallel, |ki| {
-            let k = keypoints[ki];
-            let krow = kp_rows[ki] as usize;
-            let mut out = [0.0f64; FPFH_DIM];
-            out.copy_from_slice(&spfh_rows[remap[k] as usize * FPFH_DIM..][..FPFH_DIM]);
-            let mut acc = [0.0f64; FPFH_DIM];
-            let mut weight_total = 0.0;
-            for nb in kp_table.row(krow) {
-                let j = nb.index;
-                if j == k {
-                    continue;
-                }
-                let d = nb.distance_squared.sqrt();
-                if d < 1e-9 {
-                    continue;
-                }
-                let w = 1.0 / d;
-                let h = &spfh_rows[remap[j] as usize * FPFH_DIM..][..FPFH_DIM];
-                simd::axpy(&mut acc, w, h);
-                weight_total += w;
-            }
-            if weight_total > 0.0 {
-                for (o, a) in out.iter_mut().zip(acc.iter()) {
-                    *o += a / weight_total;
-                }
-            }
-            out
-        });
+        let rows = tigris_core::batch::parallel_map_indexed(keypoints.len(), &parallel, combine);
         for row in rows {
             data.extend_from_slice(&row);
         }

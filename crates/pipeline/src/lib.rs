@@ -48,6 +48,8 @@ pub mod correspond;
 pub mod descriptor;
 pub mod dse;
 pub mod icp;
+#[cfg(test)]
+mod inject;
 pub mod keypoint;
 pub mod normal;
 pub mod odometry;
@@ -69,8 +71,8 @@ pub use odometry::{Odometer, OdometryStep};
 pub use pipeline::prepare_frame_with;
 pub use pipeline::{
     prepare_frame, prepare_frame_from_searcher, register, register_prepared,
-    register_prepared_with_prior, register_with_searchers, PreparedFrame, RegistrationError,
-    RegistrationResult, PRIOR_ROTATION_SLACK, PRIOR_TRANSLATION_SLACK,
+    register_prepared_with_prior, PreparedFrame, RegistrationError, RegistrationResult,
+    PRIOR_ROTATION_SLACK, PRIOR_TRANSLATION_SLACK,
 };
 pub use profile::{Stage, StageProfile};
 pub use scratch::{GroupScratch, NeighborTable, PrepareScratch};

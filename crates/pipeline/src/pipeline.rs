@@ -659,39 +659,6 @@ pub fn register_prepared_with_prior(
     Ok(assemble_result(summary, profile))
 }
 
-/// Registration over caller-provided searchers — the borrowed-searcher
-/// escape hatch for experiments that need query logging or
-/// backend-specific metering on both frames and the searchers back
-/// afterwards. Runs the same preparation and matching layers as
-/// [`register`], with both front ends computed fresh on every call; for
-/// streaming reuse hold [`PreparedFrame`]s instead.
-pub fn register_with_searchers(
-    src_searcher: &mut Searcher3,
-    tgt_searcher: &mut Searcher3,
-    cfg: &RegistrationConfig,
-) -> Result<RegistrationResult, RegistrationError> {
-    if src_searcher.is_empty() || tgt_searcher.is_empty() {
-        return Err(RegistrationError::EmptyCloud);
-    }
-    let mut profile = StageProfile::new();
-    profile.kd_build_time += src_searcher.build_time() + tgt_searcher.build_time();
-
-    let t0 = Instant::now();
-    let mut scratch = PrepareScratch::new();
-    let src_art = run_front_end(src_searcher, cfg, &mut profile, &mut scratch);
-    let tgt_art = run_front_end(tgt_searcher, cfg, &mut profile, &mut scratch);
-    profile.frames_prepared += 2;
-    // Index builds happened before this call but belong to the
-    // preparation layer, same as on the PreparedFrame path.
-    profile.prepare_time += t0.elapsed() + profile.kd_build_time;
-
-    let t0 = Instant::now();
-    let summary =
-        run_match(src_searcher, &src_art, tgt_searcher, &tgt_art, cfg, None, &mut profile)?;
-    profile.match_time += t0.elapsed();
-    Ok(assemble_result(summary, profile))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,12 +90,42 @@ pub struct Searcher3 {
     index: Box<dyn SearchIndex>,
     injection: Option<Injection>,
     build_time: Duration,
+    meters: Meters,
+    /// Parallelism for the `*_batch` entry points (serial by default).
+    parallel: BatchConfig,
+}
+
+/// What a searcher's queries cost, and — when logging — what they were.
+/// Held apart from the index so a batch over the index's own points can
+/// borrow both at once.
+#[derive(Default)]
+struct Meters {
     search_time: Duration,
     stats: SearchStats,
     /// When `Some`, every query is appended (for accelerator replay).
     query_log: Option<Vec<QueryRecord>>,
-    /// Parallelism for the `*_batch` entry points (serial by default).
-    parallel: BatchConfig,
+}
+
+impl Meters {
+    /// Meters one batched search: logs each of `queries` as `record`
+    /// makes it, runs `search` against fresh stats, and folds those stats
+    /// and the batch's wall-clock into the totals.
+    fn batch<R>(
+        &mut self,
+        queries: &[Vec3],
+        record: impl Fn(Vec3) -> QueryRecord,
+        search: impl FnOnce(&mut SearchStats) -> R,
+    ) -> R {
+        if let Some(log) = &mut self.query_log {
+            log.extend(queries.iter().map(|&q| record(q)));
+        }
+        let t0 = Instant::now();
+        let mut stats = SearchStats::new();
+        let result = search(&mut stats);
+        self.stats += stats;
+        self.search_time += t0.elapsed();
+        result
+    }
 }
 
 impl std::fmt::Debug for Searcher3 {
@@ -104,7 +134,7 @@ impl std::fmt::Debug for Searcher3 {
             .field("backend", &self.index.name())
             .field("points", &self.index.len())
             .field("injection", &self.injection)
-            .field("stats", &self.stats)
+            .field("stats", &self.meters.stats)
             .finish()
     }
 }
@@ -118,9 +148,7 @@ impl Searcher3 {
             index,
             injection: None,
             build_time,
-            search_time: Duration::ZERO,
-            stats: SearchStats::new(),
-            query_log: None,
+            meters: Meters::default(),
             parallel: BatchConfig::serial(),
         }
     }
@@ -194,18 +222,6 @@ impl Searcher3 {
         self.index.name()
     }
 
-    /// Direct access to the backend, for experiments that need
-    /// backend-specific state (e.g. draining an accelerator meter).
-    pub fn index_mut(&mut self) -> &mut dyn SearchIndex {
-        self.index.as_mut()
-    }
-
-    /// Clears any approximation state the backend accumulated (leader
-    /// books / leader buffers); exact backends are unaffected.
-    pub fn reset_index(&mut self) {
-        self.index.reset();
-    }
-
     /// Enables error injection on subsequent searches.
     pub fn set_injection(&mut self, injection: Option<Injection>) {
         self.injection = injection;
@@ -214,15 +230,15 @@ impl Searcher3 {
     /// Starts logging every query (for accelerator replay via
     /// `tigris-accel`'s `AcceleratorSim::replay`). Idempotent.
     pub fn enable_query_logging(&mut self) {
-        if self.query_log.is_none() {
-            self.query_log = Some(Vec::new());
+        if self.meters.query_log.is_none() {
+            self.meters.query_log = Some(Vec::new());
         }
     }
 
     /// Takes the accumulated query log (logging stays enabled, restarting
     /// empty); `None` when logging was never enabled.
     pub fn take_query_log(&mut self) -> Option<Vec<QueryRecord>> {
-        self.query_log.as_mut().map(std::mem::take)
+        self.meters.query_log.as_mut().map(std::mem::take)
     }
 
     /// Time spent building the index.
@@ -232,12 +248,12 @@ impl Searcher3 {
 
     /// Accumulated time spent inside searches.
     pub fn search_time(&self) -> Duration {
-        self.search_time
+        self.meters.search_time
     }
 
     /// Accumulated node-visit statistics.
     pub fn stats(&self) -> &SearchStats {
-        &self.stats
+        &self.meters.stats
     }
 
     /// The indexed points.
@@ -257,7 +273,8 @@ impl Searcher3 {
 
     /// Nearest neighbor (respecting any configured injection).
     pub fn nn(&mut self, query: Vec3) -> Option<Neighbor> {
-        if let Some(log) = &mut self.query_log {
+        let m = &mut self.meters;
+        if let Some(log) = &mut m.query_log {
             log.push(QueryRecord::nn(query));
         }
         let t0 = Instant::now();
@@ -266,19 +283,20 @@ impl Searcher3 {
                 // The k-th NN is the last entry of an exact k-NN; every
                 // backend serves k-NN exactly (the approximate path covers
                 // only NN and radius), so injection semantics are uniform.
-                let knn = self.index.knn(query, k, &mut self.stats);
+                let knn = self.index.knn(query, k, &mut m.stats);
                 (knn.len() == k).then(|| knn[k - 1])
             }
-            _ => self.index.nn(query, &mut self.stats),
+            _ => self.index.nn(query, &mut m.stats),
         };
-        self.search_time += t0.elapsed();
+        m.search_time += t0.elapsed();
         result
     }
 
     /// All neighbors within `radius` (respecting any configured injection),
     /// sorted ascending by distance.
     pub fn radius(&mut self, query: Vec3, radius: f64) -> Vec<Neighbor> {
-        if let Some(log) = &mut self.query_log {
+        let m = &mut self.meters;
+        if let Some(log) = &mut m.query_log {
             log.push(QueryRecord::radius(query, radius));
         }
         let t0 = Instant::now();
@@ -287,24 +305,25 @@ impl Searcher3 {
                 let r1 = inner_frac * radius;
                 let r2 = outer_frac * radius;
                 let (lo, hi) = (r1.min(r2), r1.max(r2));
-                let mut out = self.index.radius(query, hi, &mut self.stats);
+                let mut out = self.index.radius(query, hi, &mut m.stats);
                 out.retain(|n| n.distance_squared >= lo * lo);
                 out
             }
-            _ => self.index.radius(query, radius, &mut self.stats),
+            _ => self.index.radius(query, radius, &mut m.stats),
         };
-        self.search_time += t0.elapsed();
+        m.search_time += t0.elapsed();
         result
     }
 
     /// The k nearest neighbors, sorted ascending.
     pub fn knn(&mut self, query: Vec3, k: usize) -> Vec<Neighbor> {
-        if let Some(log) = &mut self.query_log {
+        let m = &mut self.meters;
+        if let Some(log) = &mut m.query_log {
             log.push(QueryRecord::knn(query, k));
         }
         let t0 = Instant::now();
-        let result = self.index.knn(query, k, &mut self.stats);
-        self.search_time += t0.elapsed();
+        let result = self.index.knn(query, k, &mut m.stats);
+        m.search_time += t0.elapsed();
         result
     }
 
@@ -334,16 +353,8 @@ impl Searcher3 {
         if self.injection.is_some() {
             return queries.iter().map(|&q| self.nn(q)).collect();
         }
-        if let Some(log) = &mut self.query_log {
-            log.extend(queries.iter().map(|&q| QueryRecord::nn(q)));
-        }
-        let t0 = Instant::now();
-        let cfg = self.parallel;
-        let mut stats = SearchStats::new();
-        let result = self.index.nn_batch(queries, &cfg, &mut stats);
-        self.stats += stats;
-        self.search_time += t0.elapsed();
-        result
+        let (index, cfg) = (&mut self.index, &self.parallel);
+        self.meters.batch(queries, QueryRecord::nn, |s| index.nn_batch(queries, cfg, s))
     }
 
     /// `true` when a caller may skip a query whose answer it can prove:
@@ -351,7 +362,9 @@ impl Searcher3 {
     /// injection bends the answers, and no query log records the stream
     /// (an accelerator replay must see every query).
     pub(crate) fn queries_skippable(&self) -> bool {
-        self.injection.is_none() && self.query_log.is_none() && self.index.as_shared().is_some()
+        self.injection.is_none()
+            && self.meters.query_log.is_none()
+            && self.index.as_shared().is_some()
     }
 
     /// The two nearest neighbors of every query (`SharedIndex::nn2_shared`,
@@ -363,13 +376,13 @@ impl Searcher3 {
     pub(crate) fn nn2_batch(&mut self, queries: &[Vec3]) -> Vec<[Option<Neighbor>; 2]> {
         assert!(self.queries_skippable(), "nn2_batch needs an exact, unobserved searcher");
         let shared = self.index.as_shared().expect("checked above");
-        let t0 = Instant::now();
-        let mut stats = SearchStats::new();
-        let result =
-            parallel_queries(queries, &self.parallel, &mut stats, |q, s| shared.nn2_shared(q, s));
-        self.stats += stats;
-        self.search_time += t0.elapsed();
-        result
+        let cfg = &self.parallel;
+        // The record is never made: a skippable searcher logs nothing.
+        self.meters.batch(
+            queries,
+            |q| QueryRecord::knn(q, 2),
+            |s| parallel_queries(queries, cfg, s, |q, st| shared.nn2_shared(q, st)),
+        )
     }
 
     /// All neighbors within `radius` of every query, each sorted ascending
@@ -379,30 +392,12 @@ impl Searcher3 {
         if self.injection.is_some() {
             return queries.iter().map(|&q| self.radius(q, radius)).collect();
         }
-        if let Some(log) = &mut self.query_log {
-            log.extend(queries.iter().map(|&q| QueryRecord::radius(q, radius)));
-        }
-        let t0 = Instant::now();
-        let cfg = self.parallel;
-        let mut stats = SearchStats::new();
-        let result = self.index.radius_batch(queries, radius, &cfg, &mut stats);
-        self.stats += stats;
-        self.search_time += t0.elapsed();
-        result
-    }
-
-    /// The k nearest neighbors of every query, each sorted ascending.
-    pub fn knn_batch(&mut self, queries: &[Vec3], k: usize) -> Vec<Vec<Neighbor>> {
-        if let Some(log) = &mut self.query_log {
-            log.extend(queries.iter().map(|&q| QueryRecord::knn(q, k)));
-        }
-        let t0 = Instant::now();
-        let cfg = self.parallel;
-        let mut stats = SearchStats::new();
-        let result = self.index.knn_batch(queries, k, &cfg, &mut stats);
-        self.stats += stats;
-        self.search_time += t0.elapsed();
-        result
+        let (index, cfg) = (&mut self.index, &self.parallel);
+        self.meters.batch(
+            queries,
+            |q| QueryRecord::radius(q, radius),
+            |s| index.radius_batch(queries, radius, cfg, s),
+        )
     }
 
     // ---- Shared-read table entry points ---------------------------------
@@ -477,16 +472,13 @@ impl Searcher3 {
             }
             return;
         }
-        if let Some(log) = &mut self.query_log {
-            log.extend(queries.iter().map(|&q| QueryRecord::radius(q, radius)));
-        }
-        let t0 = Instant::now();
-        let cfg = self.parallel;
-        let mut stats = SearchStats::new();
         let shared = self.index.as_shared().expect("checked above");
-        radius_rows_into(shared, queries, radius, &cfg, &mut stats, table, groups, order);
-        self.stats += stats;
-        self.search_time += t0.elapsed();
+        let cfg = &self.parallel;
+        self.meters.batch(
+            queries,
+            |q| QueryRecord::radius(q, radius),
+            |s| radius_rows_into(shared, queries, radius, cfg, s, table, groups, order),
+        );
     }
 
     /// All neighbors within `radius` of the searcher's *own* points
@@ -521,25 +513,13 @@ impl Searcher3 {
             return;
         }
         let queries = &self.index.points()[range];
-        if let Some(log) = &mut self.query_log {
-            log.extend(queries.iter().map(|&q| QueryRecord::radius(q, radius)));
-        }
-        let t0 = Instant::now();
-        let cfg = self.parallel;
-        let mut stats = SearchStats::new();
         let shared = self.index.as_shared().expect("checked above");
-        radius_rows_into(
-            shared,
+        let (cfg, order) = (&self.parallel, RowOrder::Canonical);
+        self.meters.batch(
             queries,
-            radius,
-            &cfg,
-            &mut stats,
-            table,
-            groups,
-            RowOrder::Canonical,
+            |q| QueryRecord::radius(q, radius),
+            |s| radius_rows_into(shared, queries, radius, cfg, s, table, groups, order),
         );
-        self.stats += stats;
-        self.search_time += t0.elapsed();
     }
 }
 
@@ -837,25 +817,6 @@ mod tests {
                 assert!(w[0].distance_squared <= w[1].distance_squared);
             }
         }
-    }
-
-    #[test]
-    fn reset_index_clears_leader_books() {
-        let pts = cloud();
-        let mut s = Searcher3::two_stage_approx(
-            &pts,
-            3,
-            ApproxConfig { nn_threshold: 5.0, ..Default::default() },
-        );
-        for i in 0..50 {
-            s.nn(Vec3::new(1.0 + 0.01 * i as f64, 2.0, 3.0));
-        }
-        assert!(s.stats().follower_hits > 0);
-        let followers_before = s.stats().follower_hits;
-        s.reset_index();
-        s.nn(Vec3::new(1.0, 2.0, 3.0));
-        // First query after reset is a leader, not a follower.
-        assert_eq!(s.stats().follower_hits, followers_before);
     }
 
     #[test]

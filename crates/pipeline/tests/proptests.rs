@@ -1,8 +1,9 @@
 //! Property-based tests of the registration pipeline's numeric stages:
 //! transform estimation, rejection, correspondence estimation and the
-//! metered searcher.
+//! metered searcher, including its error injection (paper Sec. 4.2).
 
 use proptest::prelude::*;
+use tigris_core::knn_brute_force;
 use tigris_geom::{RigidTransform, Vec3};
 use tigris_pipeline::correspond::{kpce, kpce_ratio, rpce, Correspondence};
 use tigris_pipeline::descriptor::Descriptors;
@@ -10,7 +11,7 @@ use tigris_pipeline::reject::reject_correspondences;
 use tigris_pipeline::transform::{
     estimate_svd, mse_point_to_plane, mse_point_to_point, point_to_plane_damped,
 };
-use tigris_pipeline::{RejectionAlgorithm, Searcher3};
+use tigris_pipeline::{Injection, RejectionAlgorithm, Searcher3};
 
 fn point() -> impl Strategy<Value = Vec3> {
     (-20.0f64..20.0, -20.0f64..20.0, -20.0f64..20.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -20,6 +21,12 @@ fn rigid() -> impl Strategy<Value = RigidTransform> {
     (point(), -2.0f64..2.0, point()).prop_filter_map("axis", |(axis, angle, t)| {
         axis.normalized().map(|a| RigidTransform::from_axis_angle(a, angle, t))
     })
+}
+
+/// The exact backends injection is checked on: it sits above the
+/// `SearchIndex` seam, so every backend must degrade identically.
+fn exact_searchers(pts: &[Vec3], top_height: usize) -> [Searcher3; 3] {
+    [Searcher3::classic(pts), Searcher3::two_stage(pts, top_height), Searcher3::brute_force(pts)]
 }
 
 fn identity_pairs(n: usize) -> Vec<Correspondence> {
@@ -245,6 +252,53 @@ proptest! {
             let b = two.nn(q).unwrap();
             prop_assert_eq!(a.distance_squared, b.distance_squared);
             prop_assert_eq!(classic.radius(q, 2.5).len(), two.radius(q, 2.5).len());
+        }
+    }
+
+    /// `NnKth(k)` answers with brute force's k-th nearest neighbor (and
+    /// `None` past the cloud size), so its distance never decreases in k.
+    #[test]
+    fn kth_nn_is_monotone_in_k(
+        pts in prop::collection::vec(point(), 10..200),
+        q in point(),
+        h in 0usize..7,
+    ) {
+        let oracle = knn_brute_force(&pts, q, 11);
+        for mut s in exact_searchers(&pts, h) {
+            let mut prev = -1.0f64;
+            for k in 1..=pts.len().min(10) {
+                s.set_injection(Some(Injection::NnKth(k)));
+                let n = s.nn(q).unwrap();
+                prop_assert_eq!(n, oracle[k - 1], "{} k={}", s.backend_name(), k);
+                prop_assert!(n.distance_squared >= prev);
+                prev = n.distance_squared;
+            }
+            s.set_injection(Some(Injection::NnKth(pts.len() + 1)));
+            prop_assert_eq!(s.nn(q), None, "{} past the cloud size", s.backend_name());
+        }
+    }
+
+    /// `RadiusShell` answers with exactly brute force's points at
+    /// `lo ≤ d ≤ hi`, in canonical `(d², index)` order.
+    #[test]
+    fn shell_is_ball_minus_inner_ball(
+        pts in prop::collection::vec(point(), 1..300),
+        q in point(),
+        r in 0.1f64..10.0,
+        inner_frac in 0.0f64..1.0,
+        outer_frac in 1.0f64..2.0,
+        h in 0usize..7,
+    ) {
+        let (lo, hi) = (inner_frac * r, outer_frac * r);
+        let oracle: Vec<_> = knn_brute_force(&pts, q, pts.len())
+            .into_iter()
+            .filter(|n| lo * lo <= n.distance_squared && n.distance_squared <= hi * hi)
+            .collect();
+        for mut s in exact_searchers(&pts, h) {
+            s.set_injection(Some(Injection::RadiusShell { inner_frac, outer_frac }));
+            let shell = s.radius(q, r);
+            prop_assert_eq!(&shell, &oracle, "{}", s.backend_name());
+            prop_assert!(shell.windows(2).all(|w| w[0] < w[1]));
         }
     }
 }

@@ -41,7 +41,7 @@ pub struct RelocConfig {
     /// the keyframe whose submap retrieval proposed.
     pub max_keyframe_offset: f64,
     /// Verification gate: minimum structure-overlap fraction (see
-    /// [`tigris_map::retrieval::structure_overlap`]) — the gate that
+    /// [`tigris_map::retrieval::structure_overlap_batched`]) — the gate that
     /// rejects high-inlier aliases across self-similar structure.
     pub min_structure_overlap: f64,
 }
