@@ -5,6 +5,9 @@
 //!   squared distances, tie-break and ordering included);
 //! * the approximate backend stays within Algorithm 1's bound (NN distance
 //!   at most `2·thd` beyond exact; radius results a sound subset);
+//! * an exact backend's radius row at `r` is, bit for bit, the
+//!   `d² ≤ r²` prefix of its row at any `R ≥ r` (grouped rows included)
+//!   — the rule the front end's shared neighbourhood pass rests on;
 //! * exact backends' 2-NN (`SharedIndex::nn2_shared`) is brute force's
 //!   `knn(q, 2)`, ties to the lower index included;
 //! * every `*_batch` entry point is equivalent to the serial loop —
@@ -261,6 +264,78 @@ fn degenerate_geometry_batches_match_serial() {
                     assert_eq!(s_rad, b_rad, "{at}: batched radius differs at r={r}");
                 }
                 assert_eq!(s_stats, b_stats, "{at}: stats merge");
+            }
+        }
+    }
+}
+
+/// `(index, d² bits)` of every hit — the bit-for-bit form of a row.
+fn row_bits(row: &[Neighbor]) -> Vec<(usize, u64)> {
+    row.iter().map(|n| (n.index, n.distance_squared.to_bits())).collect()
+}
+
+/// The hits of a canonical `(d², index)` row within `r`: the row's
+/// `d² ≤ r · r` prefix.
+fn radius_prefix(row: &[Neighbor], r: f64) -> &[Neighbor] {
+    &row[..row.partition_point(|n| n.distance_squared <= r * r)]
+}
+
+#[test]
+fn smaller_radius_rows_are_prefixes_of_larger_ones() {
+    // The front end fits normals on a prefix of each ISS row instead of
+    // searching again; that is exact only if every exact backend's
+    // radius(q, r) is, bit for bit, the d² ≤ r² prefix of
+    // radius(q, R ≥ r). An integer grid with every fifth point
+    // duplicated puts whole shells of hits exactly on r = 1, 2, 3 (d² =
+    // 1, 4, 9) and equal-d² runs that the index must tie-break alike.
+    let mut grid: Vec<Vec3> = (0..343)
+        .map(|i| Vec3::new((i % 7) as f64, ((i / 7) % 7) as f64, (i / 49) as f64))
+        .collect();
+    let copies: Vec<Vec3> = grid.iter().step_by(5).copied().collect();
+    grid.extend(copies);
+    let grid_probes: Vec<Vec3> = grid.iter().step_by(11).copied().chain(lcg_cloud(20, 9)).collect();
+    let fixtures = [
+        (
+            "grid with duplicates",
+            grid,
+            grid_probes,
+            vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (1.5, 1.5)],
+        ),
+        (
+            "lcg cloud",
+            lcg_cloud(1500, 10),
+            lcg_cloud(60, 11),
+            vec![(0.6, 0.8), (1.0, 2.5), (0.3, 3.0)],
+        ),
+    ];
+    for (fixture, pts, probes, radii) in fixtures {
+        for name in EXACT_BACKENDS {
+            let mut index = build_backend(name, &pts).unwrap();
+            let mut stats = SearchStats::new();
+            for &(small, big) in &radii {
+                let at = format!("{name} on {fixture}, r = {small} within R = {big}");
+                let mut grouped = vec![Vec::new(); probes.len()];
+                if let Some(shared) = index.as_shared() {
+                    shared.radius_group_into_shared(&probes, big, &mut grouped, &mut stats);
+                }
+                for (qi, &q) in probes.iter().enumerate() {
+                    let wide = index.radius(q, big, &mut stats);
+                    let narrow = index.radius(q, small, &mut stats);
+                    assert_eq!(
+                        row_bits(radius_prefix(&wide, small)),
+                        row_bits(&narrow),
+                        "{at}: probe {qi}"
+                    );
+                    if index.as_shared().is_some() {
+                        // The grouped traversal the front end reads its
+                        // rows from obeys the same rule.
+                        assert_eq!(
+                            row_bits(radius_prefix(&grouped[qi], small)),
+                            row_bits(&narrow),
+                            "{at}: grouped probe {qi}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -154,7 +154,11 @@ impl PointCloud {
     pub fn voxel_downsample(&self, voxel_size: f64) -> PointCloud {
         assert!(voxel_size > 0.0, "voxel size must be positive");
         use std::collections::HashMap;
-        let mut cells: HashMap<(i64, i64, i64), (Vec3, usize)> = HashMap::new();
+        use std::hash::BuildHasherDefault;
+        // Dense frames keep roughly one point in four; presizing to that
+        // skips the early rehashes of a map grown from empty.
+        let mut cells: HashMap<(i64, i64, i64), (Vec3, usize), BuildHasherDefault<CellHasher>> =
+            HashMap::with_capacity_and_hasher(self.points.len() / 4, Default::default());
         for &p in &self.points {
             let key = (
                 (p.x / voxel_size).floor() as i64,
@@ -166,9 +170,41 @@ impl PointCloud {
             e.1 += 1;
         }
         let mut entries: Vec<_> = cells.into_iter().collect();
-        entries.sort_by_key(|(k, _)| *k);
+        // Keys are unique, so the unstable sort's order is the stable one.
+        entries.sort_unstable_by_key(|(k, _)| *k);
         let points = entries.into_iter().map(|(_, (sum, n))| sum / n as f64).collect();
         PointCloud::from_points(points)
+    }
+}
+
+/// The voxel map's hasher: one multiply-rotate round per integer word
+/// (the Fx hash). Voxel keys are small trusted integers, so SipHash's
+/// flooding resistance buys nothing; output order never depends on the
+/// hash because the cells are sorted by key.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl std::hash::Hasher for CellHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_i64(&mut self, word: i64) {
+        self.write_u64(word as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -290,6 +326,63 @@ mod tests {
     fn voxel_downsample_is_deterministic() {
         let c = sample_cloud();
         assert_eq!(c.voxel_downsample(0.5), c.voxel_downsample(0.5));
+    }
+
+    /// The downsample before its hasher and presizing changed, verbatim:
+    /// SipHash into a map grown from empty, then a stable key sort.
+    fn frozen_voxel_downsample(cloud: &PointCloud, voxel_size: f64) -> PointCloud {
+        use std::collections::HashMap;
+        let mut cells: HashMap<(i64, i64, i64), (Vec3, usize)> = HashMap::new();
+        for &p in &cloud.points {
+            let key = (
+                (p.x / voxel_size).floor() as i64,
+                (p.y / voxel_size).floor() as i64,
+                (p.z / voxel_size).floor() as i64,
+            );
+            let e = cells.entry(key).or_insert((Vec3::ZERO, 0));
+            e.0 += p;
+            e.1 += 1;
+        }
+        let mut entries: Vec<_> = cells.into_iter().collect();
+        entries.sort_by_key(|(k, _)| *k);
+        let points = entries.into_iter().map(|(_, (sum, n))| sum / n as f64).collect();
+        PointCloud::from_points(points)
+    }
+
+    /// `n` pseudo-random points in the cube `origin + [0, extent)³`.
+    fn scattered(n: usize, origin: Vec3, extent: f64, seed: u64) -> PointCloud {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * extent
+        };
+        (0..n).map(|_| origin + Vec3::new(next(), next(), next())).collect()
+    }
+
+    #[test]
+    fn voxel_downsample_is_bit_identical_to_the_frozen_copy() {
+        let fixtures = [
+            // Many points per cell: the per-cell sums' order matters.
+            ("dense", scattered(20_000, Vec3::ZERO, 4.0, 1), 0.25),
+            // Keys straddling zero: floor, not truncation, splits cells.
+            ("negative", scattered(5_000, Vec3::new(-3.0, -3.0, -3.0), 6.0, 2), 0.5),
+            // Far from the origin, where cell sums lose low bits.
+            ("1e9 offset", scattered(5_000, Vec3::new(1e9, -1e9, 1e9), 10.0, 3), 0.3),
+        ];
+        for (what, cloud, voxel) in fixtures {
+            let new = cloud.voxel_downsample(voxel);
+            let old = frozen_voxel_downsample(&cloud, voxel);
+            assert!(new.len() > 1 && new.len() < cloud.len(), "{what}: fixture must merge cells");
+            assert_eq!(new.len(), old.len(), "{what}: cell count");
+            for (i, (a, b)) in new.points().iter().zip(old.points()).enumerate() {
+                assert!(
+                    a.x.to_bits() == b.x.to_bits()
+                        && a.y.to_bits() == b.y.to_bits()
+                        && a.z.to_bits() == b.z.to_bits(),
+                    "{what}: point {i} differs: {a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

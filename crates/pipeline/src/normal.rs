@@ -65,13 +65,9 @@ pub fn estimate_normals_with(
     let n = searcher.len();
     let parallel = searcher.parallel();
     // One radius query per point — the front-end's dominant KD-tree
-    // fan-out. Batches run per fixed-size chunk: dense scenes have
-    // hundreds of neighbors per point, and holding every neighborhood of
-    // a 100k-point frame at once would cost O(total neighbors) peak
-    // memory for no extra parallelism. The queries are the searcher's own
-    // points, read in place through the shared-read entry point — no
-    // per-chunk staging copy.
-    const CHUNK: usize = 16 * 1024;
+    // fan-out — batched per `CHUNK` points. The queries are the
+    // searcher's own points, read in place through the shared-read entry
+    // point — no per-chunk staging copy.
     let mut normals = Vec::with_capacity(n);
     let mut start = 0;
     while start < n {
@@ -90,32 +86,66 @@ pub fn estimate_normals_with(
         let rows = &scratch.groups;
         if parallel.resolve_threads(end - start) <= 1 {
             // Serial: fits reuse the scratch's gather lanes.
-            let lanes = &mut scratch.lanes;
+            let block = &mut scratch.block;
             for i in 0..end - start {
-                let p = points[start + i];
                 let neighbors = table.row(rows.table_row(i));
-                let normal = match algorithm {
-                    NormalAlgorithm::PlaneSvd => plane_svd_normal_with(points, neighbors, lanes),
-                    NormalAlgorithm::AreaWeighted => area_weighted_normal(points, neighbors, p),
-                };
-                normals.push(orient_toward_sensor(normal, p));
+                block.clear();
+                block.push(points, neighbors);
+                let gathered = block.row(0, neighbors.len());
+                normals.push(normal_from_gathered(
+                    points,
+                    neighbors,
+                    points[start + i],
+                    algorithm,
+                    gathered,
+                ));
             }
         } else {
             // Parallel: per-fit stack gathers (workers cannot share the
             // scratch lanes), same kernels, same bits.
             normals.extend(tigris_core::batch::parallel_map_indexed(end - start, &parallel, |i| {
-                let p = points[start + i];
-                let neighbors = table.row(rows.table_row(i));
-                let normal = match algorithm {
-                    NormalAlgorithm::PlaneSvd => plane_svd_normal(points, neighbors),
-                    NormalAlgorithm::AreaWeighted => area_weighted_normal(points, neighbors, p),
-                };
-                orient_toward_sensor(normal, p)
+                normal_at(points, table.row(rows.table_row(i)), points[start + i], algorithm)
             }));
         }
         start = end;
     }
     normals
+}
+
+/// Points per batched radius search of the front end's own-point passes.
+/// Dense scenes have hundreds of neighbors per point, and holding every
+/// neighborhood of a 100k-point frame at once would cost O(total
+/// neighbors) peak memory for no extra parallelism.
+pub(crate) const CHUNK: usize = 16 * 1024;
+
+/// The oriented normal at `p` from its neighborhood, gathering on the
+/// stack (the parallel paths' per-fit form).
+pub(crate) fn normal_at(
+    points: &[Vec3],
+    neighbors: &[Neighbor],
+    p: Vec3,
+    algorithm: NormalAlgorithm,
+) -> Vec3 {
+    with_gathered(points, neighbors, |v| normal_from_gathered(points, neighbors, p, algorithm, v))
+}
+
+/// [`normal_at`] over a neighborhood whose coordinates `gathered`
+/// already holds in row order (the serial paths gather through the
+/// scratch's lanes; the fused ISS pass gathers each row once and hands
+/// normal estimation the row's first entries).
+pub(crate) fn normal_from_gathered(
+    points: &[Vec3],
+    neighbors: &[Neighbor],
+    p: Vec3,
+    algorithm: NormalAlgorithm,
+    gathered: SoaView<'_>,
+) -> Vec3 {
+    let normal = match algorithm {
+        NormalAlgorithm::PlaneSvd if neighbors.len() < 3 => fallback_normal(),
+        NormalAlgorithm::PlaneSvd => fit_plane_normal(gathered.xs, gathered.ys, gathered.zs),
+        NormalAlgorithm::AreaWeighted => area_weighted_normal(points, neighbors, p),
+    };
+    orient_toward_sensor(normal, p)
 }
 
 /// Orients `normal` toward the viewpoint (sensor at the origin).
@@ -151,13 +181,16 @@ fn fit_plane_normal(xs: &[f64], ys: &[f64], zs: &[f64]) -> Vec3 {
 /// heap gather.
 const GATHER_STACK: usize = 256;
 
-/// PlaneSVD: the eigenvector of the smallest eigenvalue of the neighborhood
-/// covariance (total least squares plane fit).
-fn plane_svd_normal(points: &[Vec3], neighbors: &[Neighbor]) -> Vec3 {
+/// Runs `fit` over the coordinates of `neighbors`, gathered in row order
+/// into stack lanes (or, for rows longer than [`GATHER_STACK`], heap
+/// lanes) — the per-fit gather parallel workers use, since they cannot
+/// share the scratch's lanes.
+pub(crate) fn with_gathered<R>(
+    points: &[Vec3],
+    neighbors: &[Neighbor],
+    fit: impl FnOnce(SoaView<'_>) -> R,
+) -> R {
     let len = neighbors.len();
-    if len < 3 {
-        return fallback_normal();
-    }
     if len <= GATHER_STACK {
         let mut xs = [0.0f64; GATHER_STACK];
         let mut ys = [0.0f64; GATHER_STACK];
@@ -168,22 +201,21 @@ fn plane_svd_normal(points: &[Vec3], neighbors: &[Neighbor]) -> Vec3 {
             ys[i] = p.y;
             zs[i] = p.z;
         }
-        fit_plane_normal(&xs[..len], &ys[..len], &zs[..len])
+        fit(SoaView { xs: &xs[..len], ys: &ys[..len], zs: &zs[..len] })
     } else {
         let mut lanes = GatherLanes::default();
         lanes.gather(points, neighbors);
-        fit_plane_normal(&lanes.xs, &lanes.ys, &lanes.zs)
+        fit(SoaView { xs: &lanes.xs, ys: &lanes.ys, zs: &lanes.zs })
     }
 }
 
-/// [`plane_svd_normal`] gathering through caller-owned lanes (the serial
-/// path's allocation-free variant).
-fn plane_svd_normal_with(points: &[Vec3], neighbors: &[Neighbor], lanes: &mut GatherLanes) -> Vec3 {
+/// PlaneSVD: the eigenvector of the smallest eigenvalue of the neighborhood
+/// covariance (total least squares plane fit).
+fn plane_svd_normal(points: &[Vec3], neighbors: &[Neighbor]) -> Vec3 {
     if neighbors.len() < 3 {
         return fallback_normal();
     }
-    lanes.gather(points, neighbors);
-    fit_plane_normal(&lanes.xs, &lanes.ys, &lanes.zs)
+    with_gathered(points, neighbors, |v| fit_plane_normal(v.xs, v.ys, v.zs))
 }
 
 /// AreaWeighted: average of the normals of triangles formed by the query

@@ -22,11 +22,11 @@ use std::time::Instant;
 
 use tigris_geom::{PointCloud, RigidTransform, Vec3};
 
-use crate::config::{ConfigError, RegistrationConfig, SearchBackendConfig};
+use crate::config::{ConfigError, KeypointAlgorithm, RegistrationConfig, SearchBackendConfig};
 use crate::correspond::{kpce_batched, kpce_ratio_batched};
 use crate::descriptor::{compute_descriptors_with, Descriptors};
 use crate::icp::{IcpResult, IcpTermination};
-use crate::keypoint::detect_keypoints;
+use crate::keypoint::{detect_keypoints_with, iss_sharing_normals};
 use crate::normal::estimate_normals_with;
 use crate::profile::{Stage, StageProfile};
 use crate::reject::reject_correspondences;
@@ -257,6 +257,25 @@ impl PreparedFrame {
     }
 }
 
+/// The ISS radius when normal estimation and key-point detection can
+/// share one radius pass (ARCHITECTURE.md invariant 10): the detector is
+/// ISS at a radius no smaller than the normal radius, no error is
+/// injected into normal estimation, and the searcher's queries are
+/// skippable — exact, stateless, unlogged — so no observer misses the
+/// queries the shared pass does not issue.
+fn shared_iss_radius(searcher: &Searcher3, cfg: &RegistrationConfig) -> Option<f64> {
+    match cfg.keypoint {
+        KeypointAlgorithm::Iss { radius }
+            if radius >= cfg.normal_radius
+                && cfg.inject_ne.is_none()
+                && searcher.queries_skippable() =>
+        {
+            Some(radius)
+        }
+        _ => None,
+    }
+}
+
 /// Runs the front-end stages over an already-built searcher, metering
 /// each stage and the searcher's incremental search work into `profile`.
 fn run_front_end(
@@ -272,21 +291,44 @@ fn run_front_end(
     let bytes_grown0 = scratch.bytes_grown();
     let reuses0 = scratch.reuses();
 
-    // ---- Stage 1: Normal Estimation --------------------------------------
-    let t0 = Instant::now();
-    let span = tigris_obs::span!("prepare.normals", points = searcher.len());
-    searcher.set_injection(cfg.inject_ne);
-    let normals = estimate_normals_with(searcher, cfg.normal_radius, cfg.normal_algorithm, scratch);
-    searcher.set_injection(None);
-    drop(span);
-    profile.add(Stage::NormalEstimation, t0.elapsed());
+    // ---- Stages 1 + 2: Normal Estimation, Key-point Detection -------------
+    let (normals, keypoints) = match shared_iss_radius(searcher, cfg) {
+        // One radius pass serves both stages: the search and the normal
+        // fits bill to normal estimation, ISS fits and suppression to
+        // key-point detection.
+        Some(radius) => {
+            let t0 = Instant::now();
+            let span = tigris_obs::span!("prepare.normals", points = searcher.len(), iss = radius);
+            let pass = iss_sharing_normals(
+                searcher,
+                radius,
+                cfg.normal_radius,
+                cfg.normal_algorithm,
+                scratch,
+            );
+            drop(span);
+            profile.add(Stage::NormalEstimation, t0.elapsed().saturating_sub(pass.keypoint_time));
+            profile.add(Stage::KeypointDetection, pass.keypoint_time);
+            (pass.normals, pass.keypoints)
+        }
+        None => {
+            let t0 = Instant::now();
+            let span = tigris_obs::span!("prepare.normals", points = searcher.len());
+            searcher.set_injection(cfg.inject_ne);
+            let normals =
+                estimate_normals_with(searcher, cfg.normal_radius, cfg.normal_algorithm, scratch);
+            searcher.set_injection(None);
+            drop(span);
+            profile.add(Stage::NormalEstimation, t0.elapsed());
 
-    // ---- Stage 2: Key-point Detection ------------------------------------
-    let t0 = Instant::now();
-    let span = tigris_obs::span!("prepare.keypoints");
-    let keypoints = detect_keypoints(searcher, &normals, cfg.keypoint);
-    drop(span);
-    profile.add(Stage::KeypointDetection, t0.elapsed());
+            let t0 = Instant::now();
+            let span = tigris_obs::span!("prepare.keypoints");
+            let keypoints = detect_keypoints_with(searcher, &normals, cfg.keypoint, scratch);
+            drop(span);
+            profile.add(Stage::KeypointDetection, t0.elapsed());
+            (normals, keypoints)
+        }
+    };
 
     // ---- Stage 3: Descriptor Calculation ---------------------------------
     let t0 = Instant::now();

@@ -19,6 +19,7 @@
 //! same `(distance², index)` ordering, one allocation instead of one
 //! per query.
 
+use tigris_core::soa::SoaView;
 use tigris_core::Neighbor;
 use tigris_geom::Vec3;
 
@@ -140,6 +141,59 @@ impl GatherLanes {
     }
 }
 
+/// Coordinate lanes for a block of neighborhoods gathered back to back:
+/// block row `r` spans `starts[r]..starts[r + 1]` of the lanes. The
+/// fused ISS pass gathers each row of a block once and lets normal
+/// estimation read the row's first entries.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockLanes {
+    lanes: GatherLanes,
+    starts: Vec<usize>,
+}
+
+impl BlockLanes {
+    /// Empties the block, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.lanes.xs.clear();
+        self.lanes.ys.clear();
+        self.lanes.zs.clear();
+        self.starts.clear();
+        self.starts.push(0);
+    }
+
+    /// Appends one row: the points `neighbors` refers to, in row order.
+    pub fn push(&mut self, points: &[Vec3], neighbors: &[Neighbor]) {
+        for n in neighbors {
+            let p = points[n.index];
+            self.lanes.xs.push(p.x);
+            self.lanes.ys.push(p.y);
+            self.lanes.zs.push(p.z);
+        }
+        self.starts.push(self.lanes.xs.len());
+    }
+
+    /// The first `len` gathered points of block row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when row `r` was not pushed or holds fewer than `len`
+    /// points.
+    pub fn row(&self, r: usize, len: usize) -> SoaView<'_> {
+        let start = self.starts[r];
+        assert!(start + len <= self.starts[r + 1], "prefix longer than the row");
+        let span = start..start + len;
+        SoaView {
+            xs: &self.lanes.xs[span.clone()],
+            ys: &self.lanes.ys[span.clone()],
+            zs: &self.lanes.zs[span],
+        }
+    }
+
+    pub fn capacity_bytes(&self) -> usize {
+        self.lanes.capacity_bytes() + self.starts.capacity() * std::mem::size_of::<usize>()
+    }
+}
+
 /// Reusable buffers for the spatially-grouped radius fan-out (the
 /// serial path of [`crate::Searcher3::radius_batch_into`] and
 /// [`crate::Searcher3::self_radius_range_into`]): Morton sort keys and
@@ -234,10 +288,17 @@ pub struct PrepareScratch {
     pub(crate) spfh_rows: Vec<f64>,
     /// Valid-pair counts parallel to the SPFH rows.
     pub(crate) counts: Vec<f64>,
-    /// Coordinate lanes for plane-fit gathers (serial path).
-    pub(crate) lanes: GatherLanes,
     /// Grouped radius fan-out buffers (serial batched searches).
     pub(crate) groups: GroupScratch,
+    /// Coordinate lanes for the serial plane and ISS fits.
+    pub(crate) block: BlockLanes,
+    /// ISS saliency per point of the current frame.
+    pub(crate) saliency: Vec<f64>,
+    /// Salient points whose suppression waits on the saliency of a later
+    /// chunk, ascending, parallel to the rows of `nms_rows`.
+    pub(crate) nms_points: Vec<u32>,
+    /// Those points' neighbors in later chunks.
+    pub(crate) nms_rows: NeighborTable,
     capacity_seen: usize,
     bytes_grown: u64,
     reuses: u64,
@@ -296,8 +357,11 @@ impl PrepareScratch {
             + self.needed_src.capacity() * std::mem::size_of::<u32>()
             + self.spfh_rows.capacity() * std::mem::size_of::<f64>()
             + self.counts.capacity() * std::mem::size_of::<f64>()
-            + self.lanes.capacity_bytes()
             + self.groups.capacity_bytes()
+            + self.block.capacity_bytes()
+            + self.saliency.capacity() * std::mem::size_of::<f64>()
+            + self.nms_points.capacity() * std::mem::size_of::<u32>()
+            + self.nms_rows.capacity_bytes()
     }
 
     /// Closes out one prepared frame: accounts any capacity growth since

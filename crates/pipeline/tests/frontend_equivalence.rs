@@ -4,9 +4,10 @@
 //! The SIMD/dense rewrite of normal estimation and descriptor
 //! calculation promises *bit-identical* outputs — not approximately
 //! equal, identical to the last ULP — so these tests carry frozen,
-//! verbatim copies of the old `estimate_normals`, `fpfh` and `shot`
-//! (written against the public `Searcher3` API only) and compare with
-//! `assert_eq!` on the raw `f64`s.
+//! verbatim copies of the old `estimate_normals`, `fpfh`, `shot`, `iss`,
+//! `harris3d` and `non_max_suppress` (written against the public
+//! `Searcher3` API only) and compare with `assert_eq!` on the raw `f64`s
+//! and key-point indices.
 //!
 //! Under the default features the new code runs the `wide` SIMD
 //! kernels; under `--features scalar-kernels` it runs the scalar
@@ -19,10 +20,14 @@
 //! key-points, and cloud/neighborhood sizes straddling the SIMD width.
 
 use tigris_core::batch::BatchConfig;
+use tigris_geom::PointCloud;
 use tigris_geom::{symmetric_eigen3, Mat3, Vec3};
 use tigris_pipeline::descriptor::{compute_descriptors, Descriptors, FPFH_DIM, SHOT_DIM};
 use tigris_pipeline::normal::estimate_normals;
-use tigris_pipeline::{DescriptorAlgorithm, NormalAlgorithm, Searcher3};
+use tigris_pipeline::{
+    prepare_frame, prepare_frame_from_searcher, DescriptorAlgorithm, Injection, KeypointAlgorithm,
+    NormalAlgorithm, RegistrationConfig, Searcher3,
+};
 
 // ==========================================================================
 // Frozen pre-refactor implementations (verbatim, modulo import paths and
@@ -374,6 +379,89 @@ mod frozen {
         }
         Descriptors { dim: SHOT_DIM, data }
     }
+
+    // ---- Key-point detection (ISS, Harris, suppression) -----------------
+
+    pub fn harris3d(searcher: &mut Searcher3, normals: &[Vec3], radius: f64) -> Vec<usize> {
+        assert_eq!(normals.len(), searcher.len(), "Harris needs normals parallel to the cloud");
+        let n = searcher.len();
+        let mut response = vec![0.0f64; n];
+        const K: f64 = 0.02;
+        for (i, r) in response.iter_mut().enumerate() {
+            let p = searcher.points()[i];
+            let neighbors = searcher.radius(p, radius);
+            if neighbors.len() < 5 {
+                continue;
+            }
+            let mut cov = Mat3::ZERO;
+            for nb in &neighbors {
+                let nrm = normals[nb.index];
+                cov = cov + Mat3::outer(nrm, nrm);
+            }
+            cov = cov.scale(1.0 / neighbors.len() as f64);
+            *r = cov.determinant() - K * cov.trace() * cov.trace();
+        }
+        non_max_suppress(searcher, &response, radius, 1e-6)
+    }
+
+    pub fn iss(searcher: &mut Searcher3, radius: f64) -> Vec<usize> {
+        const GAMMA_21: f64 = 0.975;
+        const GAMMA_32: f64 = 0.975;
+        const MIN_SALIENCY: f64 = 3e-3;
+        let n = searcher.len();
+        let mut response = vec![0.0f64; n];
+        for (i, r) in response.iter_mut().enumerate() {
+            let p = searcher.points()[i];
+            let neighbors = searcher.radius(p, radius);
+            if neighbors.len() < 8 {
+                continue;
+            }
+            let pts = searcher.points();
+            let mut centroid = Vec3::ZERO;
+            for n in &neighbors {
+                centroid += pts[n.index];
+            }
+            centroid = centroid / neighbors.len() as f64;
+            let mut cov = Mat3::ZERO;
+            for n in &neighbors {
+                let d = pts[n.index] - centroid;
+                cov = cov + Mat3::outer(d, d);
+            }
+            cov = cov.scale(1.0 / neighbors.len() as f64);
+            let eig = symmetric_eigen3(&cov);
+            let (l3, l2, l1) = (eig.values[0], eig.values[1], eig.values[2]);
+            if l1 <= 0.0 {
+                continue;
+            }
+            if l2 / l1 < GAMMA_21 && l3 / l2.max(1e-30) < GAMMA_32 {
+                *r = l3;
+            }
+        }
+        non_max_suppress(searcher, &response, radius, MIN_SALIENCY)
+    }
+
+    fn non_max_suppress(
+        searcher: &mut Searcher3,
+        response: &[f64],
+        radius: f64,
+        threshold: f64,
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (i, &r) in response.iter().enumerate() {
+            if r <= threshold {
+                continue;
+            }
+            let p = searcher.points()[i];
+            let neighbors = searcher.radius(p, radius);
+            let is_max = neighbors.iter().all(|n| {
+                n.index == i || response[n.index] < r || (response[n.index] == r && n.index > i)
+            });
+            if is_max {
+                out.push(i);
+            }
+        }
+        out
+    }
 }
 
 // ==========================================================================
@@ -615,5 +703,177 @@ fn shot_bit_identical_on_scene_and_adversarial() {
         );
         let old = frozen::shot(&mut serial(&pts), &normals, &kps, radius);
         assert_rows_identical(&new, &old, &format!("shot {what}"));
+    }
+}
+
+// ==========================================================================
+// Key-points: `prepare_frame`'s normals and key-points against frozen
+// normal estimation followed by frozen ISS / Harris.
+// ==========================================================================
+
+/// The scene plus exact copies of every seventh point: duplicates see
+/// identical rows, so their saliencies tie and suppression must break
+/// the tie to the lower index.
+fn scene_with_duplicates() -> Vec<Vec3> {
+    let mut pts = scene();
+    let copies: Vec<Vec3> = pts.iter().step_by(7).copied().collect();
+    pts.extend(copies);
+    pts
+}
+
+/// A corner of two walls on a floor, on the integer lattice: at radii
+/// 1 and 2 whole shells of neighbors sit exactly on the boundary
+/// (d² = 1, 4), so a prefix cut by `<` instead of `≤` would show.
+fn lattice_corner() -> Vec<Vec3> {
+    let mut pts = Vec::new();
+    for i in 0..10 {
+        for j in 0..10 {
+            pts.push(Vec3::new(i as f64, j as f64, 0.0));
+        }
+    }
+    for i in 0..10 {
+        for k in 1..5 {
+            pts.push(Vec3::new(i as f64, 5.0, k as f64));
+            pts.push(Vec3::new(5.0, i as f64, k as f64));
+        }
+    }
+    pts
+}
+
+/// A front-end config over the un-downsampled cloud with a cheap
+/// descriptor (the descriptor stage is not under test here).
+fn keypoint_config(
+    normal_radius: f64,
+    keypoint: KeypointAlgorithm,
+    threads: usize,
+) -> RegistrationConfig {
+    RegistrationConfig {
+        voxel_size: 0.0,
+        normal_radius,
+        keypoint,
+        descriptor: DescriptorAlgorithm::Fpfh { radius: normal_radius },
+        parallel: BatchConfig { threads, min_chunk: 2 },
+        ..RegistrationConfig::default()
+    }
+}
+
+/// Frozen normal estimation then the frozen detector, on a searcher
+/// configured like `prepare_frame`'s.
+fn frozen_front_end(searcher: &mut Searcher3, cfg: &RegistrationConfig) -> (Vec<Vec3>, Vec<usize>) {
+    searcher.set_parallel(cfg.parallel);
+    searcher.set_injection(cfg.inject_ne);
+    let normals = frozen::estimate_normals(searcher, cfg.normal_radius, cfg.normal_algorithm);
+    searcher.set_injection(None);
+    let keypoints = match cfg.keypoint {
+        KeypointAlgorithm::Iss { radius } => frozen::iss(searcher, radius),
+        KeypointAlgorithm::Harris { radius } => frozen::harris3d(searcher, &normals, radius),
+        other => panic!("no frozen copy of {other:?}"),
+    };
+    (normals, keypoints)
+}
+
+/// Asserts `prepare_frame` reproduces the frozen front end's normals and
+/// key-points bit for bit; returns the key-point count.
+fn assert_front_end_matches_frozen(pts: &[Vec3], cfg: &RegistrationConfig, what: &str) -> usize {
+    let frame = prepare_frame(&PointCloud::from_points(pts.to_vec()), cfg).unwrap();
+    let (normals, keypoints) = frozen_front_end(&mut serial(pts), cfg);
+    assert_normals_identical(frame.normals(), &normals, what);
+    assert_eq!(frame.keypoints(), &keypoints[..], "{what}: key-points");
+    keypoints.len()
+}
+
+#[test]
+fn iss_keypoints_and_normals_bit_identical_to_frozen() {
+    // ISS radius above, at and below the normal radius: the first two
+    // share one radius pass, the last runs two.
+    let fixtures = [
+        ("scene", scene(), 0.35, 0.5),
+        ("scene, equal radii", scene(), 0.5, 0.5),
+        ("scene, iss below normals", scene(), 0.5, 0.35),
+        ("duplicates", scene_with_duplicates(), 0.35, 0.5),
+        ("adversarial", adversarial(), 0.3, 0.4),
+        ("lattice", lattice_corner(), 1.0, 2.0),
+    ];
+    for (what, pts, normal_radius, iss_radius) in fixtures {
+        for algorithm in [NormalAlgorithm::PlaneSvd, NormalAlgorithm::AreaWeighted] {
+            for threads in [1, 2] {
+                let cfg = RegistrationConfig {
+                    normal_algorithm: algorithm,
+                    ..keypoint_config(
+                        normal_radius,
+                        KeypointAlgorithm::Iss { radius: iss_radius },
+                        threads,
+                    )
+                };
+                let what = format!("{what} {algorithm:?} threads={threads}");
+                let found = assert_front_end_matches_frozen(&pts, &cfg, &what);
+                if !what.starts_with("adversarial") {
+                    assert!(found > 0, "{what}: the fixture must produce ISS key-points");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn iss_bit_identical_across_simd_width_straddling_counts() {
+    // ISS needs 8 neighbors; 8..=21 covers every remainder of the wide
+    // kernels' blocks above that floor, with every point in every row.
+    for n in 1..=21usize {
+        let pts = scatter(n, 0x1555 ^ n as u64);
+        for threads in [1, 2] {
+            let cfg = keypoint_config(6.0, KeypointAlgorithm::Iss { radius: 9.0 }, threads);
+            assert_front_end_matches_frozen(&pts, &cfg, &format!("n = {n} threads={threads}"));
+        }
+    }
+}
+
+#[test]
+fn harris_keypoints_bit_identical_to_frozen() {
+    for (what, pts) in [("scene", scene()), ("adversarial", adversarial())] {
+        for threads in [1, 2] {
+            let cfg = keypoint_config(0.3, KeypointAlgorithm::Harris { radius: 0.4 }, threads);
+            assert_front_end_matches_frozen(
+                &pts,
+                &cfg,
+                &format!("harris {what} threads={threads}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn iss_with_injected_normals_matches_frozen() {
+    // An injected normal stage cannot share its rows: normals see the
+    // shell, ISS and suppression search on their own.
+    let cfg = RegistrationConfig {
+        inject_ne: Some(Injection::RadiusShell { inner_frac: 0.3, outer_frac: 1.1 }),
+        ..keypoint_config(0.35, KeypointAlgorithm::Iss { radius: 0.5 }, 1)
+    };
+    assert_front_end_matches_frozen(&scene(), &cfg, "injected normals");
+}
+
+#[test]
+fn logged_searcher_sees_the_frozen_query_stream() {
+    // A logged searcher falls back to separate passes: its log must hold
+    // exactly the stream the frozen front end issues, in order —
+    // normals, ISS, suppression, then the descriptor stage.
+    for threads in [1, 2] {
+        let cfg = keypoint_config(0.35, KeypointAlgorithm::Iss { radius: 0.5 }, threads);
+        let pts = scene_with_duplicates();
+        let mut logged = serial(&pts);
+        logged.enable_query_logging();
+        let mut frame = prepare_frame_from_searcher(logged, &cfg).unwrap();
+        let log = frame.searcher_mut().take_query_log().unwrap();
+
+        let mut frozen_searcher = serial(&pts);
+        frozen_searcher.enable_query_logging();
+        let (normals, keypoints) = frozen_front_end(&mut frozen_searcher, &cfg);
+        assert!(!keypoints.is_empty());
+        compute_descriptors(&mut frozen_searcher, &normals, &keypoints, cfg.descriptor);
+        let frozen_log = frozen_searcher.take_query_log().unwrap();
+        assert_eq!(frame.keypoints(), &keypoints[..], "threads={threads}");
+        assert_eq!(log.len(), frozen_log.len(), "threads={threads}: stream length");
+        assert!(log == frozen_log, "threads={threads}: the logged stream must match in order");
     }
 }

@@ -260,3 +260,91 @@ fn non_finite_frames_fail_typed_in_serving_sessions() {
         assert!(matches!(step.kind, StepKind::Tracked { .. }), "{what}: next valid frame tracks");
     }
 }
+
+/// A valid frame moved by `d` metres on every axis (sign-alternating) —
+/// a bad GPS initialisation or a unit slip upstream.
+fn offset_copy(frame: &PointCloud, d: f64) -> PointCloud {
+    PointCloud::from_points(frame.points().iter().map(|&p| p + Vec3::new(d, -d, d)).collect())
+}
+
+#[test]
+fn empty_and_far_offset_frames_fail_typed_in_the_mapper() {
+    let seq = circuit();
+    let (f0, f1, f2, f3) = (seq.frame(0), seq.frame(1), seq.frame(2), seq.frame(3));
+
+    // An empty frame is refused before any state changes, first or
+    // mid-stream, and the next valid frame carries on.
+    let empty = PointCloud::new();
+    let err = Some(RegistrationError::EmptyCloud);
+    let mut mapper = Mapper::new(MapperConfig::serving());
+    assert_eq!(mapper.push(&empty).err(), err, "empty first frame");
+    assert!(mapper.poses().is_empty(), "a refused first frame adds no node");
+    mapper.push(f0).unwrap();
+    assert_eq!(mapper.push(&empty).err(), err, "empty frame mid-stream");
+    assert_eq!(mapper.poses().len(), 1, "a refused frame adds no node");
+    mapper.push(f1).unwrap();
+    assert_eq!(mapper.poses().len(), 2, "next valid frame");
+
+    for d in [1e9, 1e12] {
+        let far = offset_copy(f1, d);
+        // Mid-stream, a far frame prepares but cannot match: a typed
+        // error, and the odometer keeps it as its reference (a tracking
+        // break), so the next valid frame fails typed too and the one
+        // after registers again.
+        let mut mapper = Mapper::new(MapperConfig::serving());
+        mapper.push(f0).unwrap();
+        assert_eq!(mapper.push(&far).err(), Some(RegistrationError::IcpStarved), "{d}: mid-stream");
+        assert_eq!(mapper.push(f1).err(), Some(RegistrationError::IcpStarved), "{d}: next frame");
+        assert!(mapper.push(f2).is_ok(), "{d}: the stream recovers");
+        assert!(mapper.push(f3).is_ok(), "{d}: and goes on");
+
+        // As the first frame it is a legal map origin; the valid stream
+        // that follows breaks once against it and then maps.
+        let mut mapper = Mapper::new(MapperConfig::serving());
+        assert!(mapper.push(&far).is_ok(), "{d}: first frame");
+        assert_eq!(mapper.push(f0).err(), Some(RegistrationError::IcpStarved), "{d}: after it");
+        assert!(mapper.push(f1).is_ok(), "{d}: the stream recovers");
+    }
+}
+
+#[test]
+fn empty_and_far_offset_frames_fail_typed_in_serving_sessions() {
+    let seq = circuit();
+    let mut mapper = Mapper::new(MapperConfig::serving());
+    for i in 0..8 {
+        mapper.push(seq.frame(i)).unwrap();
+    }
+    let epoch = EpochPublisher::new().publish(&mapper).unwrap();
+    let service = ShardService::with_epoch(epoch, ShardConfig::default());
+
+    // An empty frame is refused without touching the session: a tracking
+    // session keeps tracking.
+    let empty = PointCloud::new();
+    let refused = |r: Result<_, ServeError>| {
+        matches!(r, Err(ServeError::Registration(RegistrationError::EmptyCloud)))
+    };
+    let mut session = service.open_session().unwrap();
+    assert!(refused(session.localize(&empty)), "empty cold start");
+    let step = session.localize(seq.frame(2)).unwrap();
+    assert!(matches!(step.kind, StepKind::Relocalized(_)), "next valid cold start");
+    assert!(refused(session.localize(&empty)), "empty frame while tracking");
+    let step = session.localize(seq.frame(3)).unwrap();
+    assert!(matches!(step.kind, StepKind::Tracked { .. }), "tracking survives an empty frame");
+
+    // A far frame matches nothing in the map: a typed relocalization
+    // failure, cold or tracking, and the session serves the next valid
+    // frame and tracks from there.
+    for d in [1e9, 1e12] {
+        let far = offset_copy(seq.frame(2), d);
+        let lost =
+            |r: Result<_, ServeError>| matches!(r, Err(ServeError::RelocalizationFailed { .. }));
+        let mut session = service.open_session().unwrap();
+        assert!(lost(session.localize(&far)), "{d}: cold start");
+        let step = session.localize(seq.frame(2)).unwrap();
+        assert!(matches!(step.kind, StepKind::Relocalized(_)), "{d}: next valid cold start");
+        assert!(lost(session.localize(&far)), "{d}: while tracking");
+        session.localize(seq.frame(3)).unwrap();
+        let step = session.localize(seq.frame(4)).unwrap();
+        assert!(matches!(step.kind, StepKind::Tracked { .. }), "{d}: tracking resumes");
+    }
+}
