@@ -10,8 +10,10 @@
 //! where the same source points move a little each iteration, the
 //! crate-private `RpceCache` skips the queries whose answer provably
 //! cannot have changed since the point's last exact search (a
-//! triangle-inequality certificate on its two nearest distances) and
-//! returns exactly what [`rpce`] would, bit for bit.
+//! triangle-inequality certificate on its two nearest distances), or
+//! that the target frame's own neighbour rows answer (the prepared
+//! frame's `NeighborGraph`), and returns exactly what [`rpce`] would,
+//! bit for bit.
 
 use tigris_core::batch::parallel_map_indexed;
 use tigris_core::{BatchConfig, KdTreeN, Neighbor};
@@ -204,25 +206,101 @@ pub fn rpce(
     out
 }
 
-/// Relative slack of the reuse certificates; see [`Anchor::certifies`].
+/// Relative slack of the reuse certificates; see [`Anchor::certify`].
 const REL_SLACK: f64 = 1e-12;
 
 /// Absolute slack of the reuse certificates, in distance units; see
-/// [`Anchor::certifies`].
+/// [`Anchor::certify`].
 const ABS_SLACK: f64 = 1e-150;
 
-/// One source point's certificate from its last exact 2-NN search.
+/// Entries a [`NeighborGraph`] keeps per point.
+pub(crate) const GRAPH_K: usize = 16;
+
+/// Padding for rows shorter than [`GRAPH_K`].
+const NO_ENTRY: u32 = u32::MAX;
+
+/// A prepared frame's neighbour graph: per point `p`, the first
+/// [`GRAPH_K`] entries of its canonical `(d², index)` radius row and a
+/// bound `b(p)` such that every point outside those entries lies at
+/// least `b(p)` from `p` — the distance of the row's next entry, or the
+/// pass radius when the row has no more. Harvested from a front-end
+/// radius pass that computes the rows anyway, on exact searchers only
+/// (a row from an approximate or injected search proves nothing); RPCE
+/// reads it to certify reuse where the anchor alone cannot
+/// ([`Anchor::certify`]'s test (c)). 72 bytes per point.
+#[derive(Debug)]
+pub(crate) struct NeighborGraph {
+    /// [`GRAPH_K`] indices per point, padded with [`NO_ENTRY`].
+    entries: Vec<u32>,
+    /// `b(p)` per point.
+    bounds: Vec<f64>,
+}
+
+impl NeighborGraph {
+    /// An empty graph for a cloud of `n` points, to be filled row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` exceeds `u32::MAX`: the indices are stored as
+    /// `u32`, below the padding value.
+    pub(crate) fn for_points(n: usize) -> Self {
+        assert!(n <= NO_ENTRY as usize, "neighbour graph indices are u32");
+        NeighborGraph { entries: Vec::with_capacity(n * GRAPH_K), bounds: Vec::with_capacity(n) }
+    }
+
+    /// Appends the next point from its canonical row at `radius` (the
+    /// row of point [`NeighborGraph::len`]).
+    pub(crate) fn push_row(&mut self, row: &[Neighbor], radius: f64) {
+        let kept = row.len().min(GRAPH_K);
+        self.entries.extend(row[..kept].iter().map(|nb| nb.index as u32));
+        self.entries.extend(std::iter::repeat_n(NO_ENTRY, GRAPH_K - kept));
+        self.bounds.push(row.get(GRAPH_K).map_or(radius, Neighbor::distance));
+    }
+
+    /// Points covered.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// Point `p`'s stored neighbours, in row order.
+    fn entries(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        self.entries[p * GRAPH_K..(p + 1) * GRAPH_K]
+            .iter()
+            .take_while(|&&j| j != NO_ENTRY)
+            .map(|&j| j as usize)
+    }
+
+    /// `b(p)`: every point outside `p`'s stored entries lies at least
+    /// this far from `p`.
+    fn bound(&self, p: usize) -> f64 {
+        self.bounds[p]
+    }
+}
+
+/// One source point's certificate: the position it was last certified
+/// at, by an exact 2-NN search or by the target's [`NeighborGraph`].
 #[derive(Debug, Clone, Copy)]
 struct Anchor {
-    /// The moved position the search ran at.
+    /// The moved position the certificate was made at.
     at: Vec3,
     /// Index of the nearest target point.
     nearest: usize,
     /// Distance from `at` to it.
     d1: f64,
-    /// Distance from `at` to the second-nearest target point (∞ when the
+    /// A lower bound on the distance from `at` to every other target
+    /// point: the second-nearest distance after a search (∞ when the
     /// target has one point).
     d2: f64,
+}
+
+/// What [`Anchor::certify`] proved about a moved source point.
+enum Verdict {
+    /// Nothing: search.
+    Search,
+    /// The anchor still answers (tests (a), (b)).
+    Anchor,
+    /// The graph answers (test (c)); the anchor moves here.
+    Graph(Anchor),
 }
 
 impl Anchor {
@@ -241,57 +319,124 @@ impl Anchor {
         Anchor { at, nearest: first.index, d1: first.distance(), d2: second_d2.sqrt() }
     }
 
-    /// `true` when an exact NN search at `q` provably returns either
-    /// `nearest` or nothing within `max_distance` (non-negative) — so
-    /// the search can be skipped, and `nearest`'s squared distance to
-    /// `q` decides the correspondence exactly as the search's would.
+    /// Whether an exact NN search at `q` can be skipped: it provably
+    /// returns `nearest` (or, for [`Verdict::Graph`], the new anchor's
+    /// `nearest`), or nothing within `max_distance` (non-negative) — so
+    /// that point's squared distance to `q` decides the correspondence
+    /// exactly as the search's would. `target` is the searcher's cloud
+    /// and `graph`, when given, its [`NeighborGraph`].
     ///
-    /// With `δ = |q − at|`, the triangle inequality bounds every target
-    /// point `p` by `|at − p| − δ ≤ |q − p| ≤ |at − p| + δ`, so
+    /// With `δ = |q − at|`, `p1 = nearest` and `a = |q − p1|`, the
+    /// triangle inequality bounds every target point `p` by
+    /// `|at − p| − δ ≤ |q − p|`, and three tests run in order:
     ///
-    /// * `d1 + 2δ < d2` ⇒ `|q − nearest| ≤ d1 + δ < d2 − δ ≤ |q − p|`
-    ///   for every other `p`: `nearest` is the unique nearest point;
-    /// * `d1 − δ > max_distance` ⇒ every `|q − p| ≥ d1 − δ` is out of
-    ///   range: no correspondence, whichever point is nearest.
+    /// * (a) `d1 − δ > max_distance` ⇒ every `|q − p| ≥ d1 − δ` is out
+    ///   of range: no correspondence, whichever point is nearest;
+    /// * (b) `a + δ < d2` ⇒ `|q − p1| < d2 − δ ≤ |q − p|` for every
+    ///   other `p`: `p1` is the unique nearest point. Since
+    ///   `a ≤ d1 + δ`, this is stronger than `d1 + 2δ < d2`;
+    /// * (c) with `c*` the `(d², index)` minimum of `{p1} ∪ G(p1)` at
+    ///   `q`, `|q − c*| + a < b(p1)` ⇒ every `x` outside the set has
+    ///   `|q − x| ≥ |x − p1| − a ≥ b(p1) − a > |q − c*|`: `c*` beats
+    ///   every outside point strictly, and inside the set the search's
+    ///   own order picked it. The anchor moves to `q` with
+    ///   `nearest = c*`, `d1 = |q − c*|` and `d2` the smaller of the
+    ///   set's second-best distance and `b(p1) − a` — a lower bound on
+    ///   every other point's distance, with the subtraction's rounding
+    ///   pushed downward by the slack.
     ///
-    /// The search decides on *computed* squared distances, so both tests
-    /// carry a slack that covers rounding. For finite inputs and no
+    /// The search decides on *computed* squared distances, so each test
+    /// carries a slack that covers rounding. For finite inputs and no
     /// underflow every computed quantity is within a few ulps
     /// *relative*: a squared distance `(dx·dx + dy·dy) + dz·dz` with
     /// `dx = fl(qx − px)` is five roundings of non-negative terms, so it
     /// is within `(1 + ε)⁵` of the true value (`ε = 2⁻⁵³`) however large
-    /// the coordinates are; `sqrt` (for `d1`, `d2`) and `norm` (for `δ`)
-    /// add at most another ulp or two, and so do the sums and products
-    /// of the tests themselves. Every quantity compared is a sum of
-    /// non-negative terms, so no cancellation amplifies these errors,
-    /// and a relative slack of [`REL_SLACK`] (≈ 9000 ε) on each side
-    /// leaves a margin of hundreds of times the total rounding: when a
-    /// test passes, the computed `d²(q, nearest)` is strictly below
-    /// every other computed `d²(q, p)` (so index tie-breaks never
-    /// matter), or every computed `d²(q, p)` exceeds the computed
-    /// `max_distance²`. Underflowing products add absolute errors below
-    /// `10⁻³²³` in `d²`, i.e. below `10⁻¹⁶¹` in distance; [`ABS_SLACK`]
-    /// covers them. Non-finite or NaN values fail both tests and fall
-    /// back to a search.
-    fn certifies(&self, q: Vec3, max_distance: f64) -> bool {
+    /// the coordinates are; `sqrt` (for `d1`, `d2`, `a`, `b`) and `norm`
+    /// (for `δ`) add at most another ulp or two, and so do the sums and
+    /// products of the tests themselves. Every quantity a test compares
+    /// is a sum of non-negative terms, so no cancellation amplifies these
+    /// errors, and a relative slack of [`REL_SLACK`] (≈ 9000 ε) on each
+    /// side leaves a margin of hundreds of times the total rounding:
+    /// when a test passes, the computed `d²(q, answer)` is strictly below
+    /// every computed `d²(q, p)` outside the set the test compared
+    /// exactly (so index tie-breaks never matter outside it), or every
+    /// computed `d²(q, p)` exceeds the computed `max_distance²`.
+    /// Underflowing products add absolute errors below `10⁻³²³` in `d²`,
+    /// i.e. below `10⁻¹⁶¹` in distance; [`ABS_SLACK`] covers them.
+    /// Non-finite or NaN values fail every test and fall back to a
+    /// search.
+    fn certify(
+        &self,
+        q: Vec3,
+        max_distance: f64,
+        target: &[Vec3],
+        graph: Option<&NeighborGraph>,
+    ) -> Verdict {
         let delta = (q - self.at).norm();
-        (self.d1 + 2.0 * delta) * (1.0 + REL_SLACK) + ABS_SLACK < self.d2 * (1.0 - REL_SLACK)
-            || self.d1 * (1.0 - REL_SLACK) > (delta + max_distance) * (1.0 + REL_SLACK) + ABS_SLACK
+        if self.d1 * (1.0 - REL_SLACK) > (delta + max_distance) * (1.0 + REL_SLACK) + ABS_SLACK {
+            return Verdict::Anchor;
+        }
+        if self.d1.is_nan() {
+            // No certificate yet: `nearest` names no point.
+            return Verdict::Search;
+        }
+        let p1 = self.nearest;
+        let a2 = q.distance_squared(target[p1]);
+        let a = a2.sqrt();
+        if (a + delta) * (1.0 + REL_SLACK) + ABS_SLACK < self.d2 * (1.0 - REL_SLACK) {
+            return Verdict::Anchor;
+        }
+        let Some(graph) = graph else { return Verdict::Search };
+        let mut best = Neighbor::new(p1, a2);
+        let mut second_d2 = f64::INFINITY;
+        for j in graph.entries(p1).filter(|&j| j != p1) {
+            let n = Neighbor::new(j, q.distance_squared(target[j]));
+            if n < best {
+                second_d2 = best.distance_squared;
+                best = n;
+            } else if n.distance_squared < second_d2 {
+                second_d2 = n.distance_squared;
+            }
+        }
+        let b = graph.bound(p1);
+        let d1 = best.distance();
+        if (d1 + a) * (1.0 + REL_SLACK) + ABS_SLACK < b * (1.0 - REL_SLACK) {
+            let outside = b * (1.0 - REL_SLACK) - a * (1.0 + REL_SLACK) - ABS_SLACK;
+            Verdict::Graph(Anchor {
+                at: q,
+                nearest: best.index,
+                d1,
+                d2: second_d2.sqrt().min(outside),
+            })
+        } else {
+            Verdict::Search
+        }
     }
+}
+
+/// How one [`RpceCache::rpce_into`] call answered its points.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RpceCounts {
+    /// Points answered by an exact search.
+    pub searched: usize,
+    /// Points whose anchor still answered (tests (a), (b)).
+    pub anchor_reused: usize,
+    /// Points the target's neighbour graph answered (test (c)).
+    pub graph_reused: usize,
 }
 
 /// [`rpce`] with certified correspondence reuse, owned by one ICP run.
 ///
-/// Each source point keeps an [`Anchor`] from its last exact search;
-/// while the anchor certifies the point's moved position, the NN query is
-/// skipped and the pair is rebuilt from the anchor, with its squared
-/// distance recomputed in the search kernels' exact association. Output
-/// is bit-identical to [`rpce`]. Reuse needs a searcher whose skipped
-/// queries nobody observes ([`Searcher3::queries_skippable`]: exact
-/// stateless backend, no injection, no query log); any other searcher
-/// gets plain [`rpce`], so approximate leader books, accelerator models,
-/// injected errors and replay logs see exactly the query stream they
-/// always did.
+/// Each source point keeps an [`Anchor`] from its last certificate;
+/// while [`Anchor::certify`] proves the point's moved position answered,
+/// the NN query is skipped and the pair is rebuilt from the anchor, with
+/// its squared distance recomputed in the search kernels' exact
+/// association. Output is bit-identical to [`rpce`]. Reuse needs a
+/// searcher whose skipped queries nobody observes
+/// ([`Searcher3::queries_skippable`]: exact stateless backend, no
+/// injection, no query log); any other searcher gets plain [`rpce`], so
+/// approximate leader books, accelerator models, injected errors and
+/// replay logs see exactly the query stream they always did.
 #[derive(Debug, Default)]
 pub(crate) struct RpceCache {
     anchors: Vec<Anchor>,
@@ -305,20 +450,25 @@ impl RpceCache {
     /// Writes `rpce(source_points, target_searcher, max_distance)` into
     /// `out`, searching only where no certificate holds. The anchors
     /// describe one target cloud, so `target_searcher` must index the
-    /// same points on every call. Returns the number of NN searches
-    /// issued; the rest were reused.
+    /// same points on every call; `graph`, when given, must be that
+    /// cloud's [`NeighborGraph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `graph` covers a different number of points.
     pub(crate) fn rpce_into(
         &mut self,
         source_points: &[Vec3],
         target_searcher: &mut Searcher3,
+        graph: Option<&NeighborGraph>,
         max_distance: f64,
         out: &mut Vec<Correspondence>,
-    ) -> usize {
+    ) -> RpceCounts {
         out.clear();
         if !target_searcher.queries_skippable() {
             self.anchors.clear();
             out.extend(rpce(source_points, target_searcher, max_distance));
-            return source_points.len();
+            return RpceCounts { searched: source_points.len(), ..RpceCounts::default() };
         }
         if self.anchors.len() != source_points.len() {
             self.anchors.clear();
@@ -326,12 +476,24 @@ impl RpceCache {
         }
         // `rpce` keeps pairs with d² ≤ max_distance², i.e. within |max_distance|.
         let reach = max_distance.abs();
+        let target = target_searcher.points();
+        if let Some(graph) = graph {
+            assert_eq!(graph.len(), target.len(), "a neighbour graph of another cloud");
+        }
+        let mut counts = RpceCounts::default();
         self.pending.clear();
         self.queries.clear();
-        for (i, (&q, anchor)) in source_points.iter().zip(&self.anchors).enumerate() {
-            if !anchor.certifies(q, reach) {
-                self.pending.push(i as u32);
-                self.queries.push(q);
+        for (i, (&q, anchor)) in source_points.iter().zip(&mut self.anchors).enumerate() {
+            match anchor.certify(q, reach, target, graph) {
+                Verdict::Anchor => counts.anchor_reused += 1,
+                Verdict::Graph(moved) => {
+                    *anchor = moved;
+                    counts.graph_reused += 1;
+                }
+                Verdict::Search => {
+                    self.pending.push(i as u32);
+                    self.queries.push(q);
+                }
             }
         }
         let found = target_searcher.nn2_batch(&self.queries);
@@ -344,8 +506,8 @@ impl RpceCache {
                     self.anchors[i] = Anchor::searched(q, two);
                     two[0]
                 }
-                // Certified: the anchor's nearest is still the nearest,
-                // or nothing is in range and its d² fails the test below
+                // Certified: the anchor's nearest is the nearest, or
+                // nothing is in range and its d² fails the test below
                 // like every point's.
                 None => {
                     let p = self.anchors[i].nearest;
@@ -360,7 +522,34 @@ impl RpceCache {
                 });
             }
         }
-        self.pending.len()
+        counts.searched = self.pending.len();
+        counts
+    }
+}
+
+/// The neighbour graph a front-end pass at `radius` harvests, built from
+/// brute-force canonical `(d², index)` rows.
+#[cfg(test)]
+pub(crate) fn brute_force_graph(points: &[Vec3], radius: f64) -> NeighborGraph {
+    let mut graph = NeighborGraph::for_points(points.len());
+    for &p in points {
+        let mut row: Vec<Neighbor> = points
+            .iter()
+            .enumerate()
+            .map(|(j, &x)| Neighbor::new(j, p.distance_squared(x)))
+            .filter(|n| n.distance_squared <= radius * radius)
+            .collect();
+        row.sort();
+        graph.push_row(&row, radius);
+    }
+    graph
+}
+
+#[cfg(test)]
+impl NeighborGraph {
+    /// Point `p`'s stored neighbours and the bits of `b(p)`.
+    pub(crate) fn row(&self, p: usize) -> (Vec<usize>, u64) {
+        (self.entries(p).collect(), self.bound(p).to_bits())
     }
 }
 
@@ -552,26 +741,58 @@ mod tests {
             Vec3::new(7.0, 0.0, 0.5),
             Vec3::new(2.5, 0.0, 0.0),
         ];
+        let nudged: Vec<Vec3> = source.iter().map(|&p| p + Vec3::new(0.01, 0.0, 0.0)).collect();
+        let graph = brute_force_graph(&target, 2.0);
+        // Without a graph the tied point is searched every call; with
+        // one, both tied points are in its set, whose exact
+        // `(d², index)` order settles the tie, so it is certified too.
+        for (graph, searches) in [(None, [4, 1, 1]), (Some(&graph), [4, 0, 0])] {
+            let mut plain = Searcher3::classic(&target);
+            let mut cached = Searcher3::classic(&target);
+            let mut cache = RpceCache::default();
+            let mut out = Vec::new();
+            // First call: nothing to reuse. Second: unmoved. Third: a
+            // small step keeps the unique answers certified.
+            for (points, want) in [&source, &source, &nudged].into_iter().zip(searches) {
+                let counts = cache.rpce_into(points, &mut cached, graph, 0.6, &mut out);
+                assert_eq!(counts.searched, want);
+                assert_eq!(counts.searched + counts.anchor_reused + counts.graph_reused, 4);
+                assert_eq!(pair_bits(&out), pair_bits(&rpce(points, &mut plain, 0.6)));
+            }
+            assert_eq!(cached.stats().queries, searches.iter().sum::<usize>() as u64);
+        }
+    }
+
+    #[test]
+    fn graph_certifies_a_slide_to_a_neighbour() {
+        // A source point walks along a lattice of targets in small steps:
+        // its nearest target changes every few steps, which the anchor
+        // alone cannot certify but the graph can.
+        let target: Vec<Vec3> = (0..10).map(|i| Vec3::new(i as f64, 0.0, 0.0)).collect();
+        let graph = brute_force_graph(&target, 1.5);
         let mut plain = Searcher3::classic(&target);
         let mut cached = Searcher3::classic(&target);
         let mut cache = RpceCache::default();
         let mut out = Vec::new();
-        assert_eq!(cache.rpce_into(&source, &mut cached, 0.6, &mut out), 4);
-        assert_eq!(pair_bits(&out), pair_bits(&rpce(&source, &mut plain, 0.6)));
-        // Unmoved: only the tied point needs a search.
-        assert_eq!(cache.rpce_into(&source, &mut cached, 0.6, &mut out), 1);
-        assert_eq!(pair_bits(&out), pair_bits(&rpce(&source, &mut plain, 0.6)));
-        // A small step keeps the unique answers certified.
-        let nudged: Vec<Vec3> = source.iter().map(|&p| p + Vec3::new(0.01, 0.0, 0.0)).collect();
-        assert_eq!(cache.rpce_into(&nudged, &mut cached, 0.6, &mut out), 1);
-        assert_eq!(pair_bits(&out), pair_bits(&rpce(&nudged, &mut plain, 0.6)));
-        assert_eq!(cached.stats().queries, 6);
+        let mut total = RpceCounts::default();
+        for step in 0..40 {
+            let source = [Vec3::new(1.1 + step as f64 * 0.15, 0.2, 0.0)];
+            let counts = cache.rpce_into(&source, &mut cached, Some(&graph), 2.0, &mut out);
+            assert_eq!(pair_bits(&out), pair_bits(&rpce(&source, &mut plain, 2.0)));
+            total.searched += counts.searched;
+            total.anchor_reused += counts.anchor_reused;
+            total.graph_reused += counts.graph_reused;
+        }
+        assert_eq!(cached.stats().queries, total.searched as u64);
+        assert_eq!(total.searched, 1, "{total:?}");
+        assert!(total.graph_reused > 0 && total.anchor_reused > 0, "{total:?}");
     }
 
     #[test]
     fn cached_rpce_takes_the_full_path_for_observed_searchers() {
         let target: Vec<Vec3> = (0..10).map(|i| Vec3::new(i as f64, 0.0, 0.0)).collect();
         let source = vec![Vec3::new(0.1, 0.0, 0.0), Vec3::new(4.2, 0.1, 0.0)];
+        let graph = brute_force_graph(&target, 2.0);
         let mut logged = Searcher3::classic(&target);
         logged.enable_query_logging();
         let mut injected = Searcher3::classic(&target);
@@ -581,7 +802,8 @@ mod tests {
             let mut cache = RpceCache::default();
             let mut out = Vec::new();
             for _ in 0..3 {
-                assert_eq!(cache.rpce_into(&source, searcher, 1.0, &mut out), source.len());
+                let counts = cache.rpce_into(&source, searcher, Some(&graph), 1.0, &mut out);
+                assert_eq!(counts.searched, source.len());
             }
             assert_eq!(searcher.stats().queries, 3 * source.len() as u64);
         }
@@ -594,6 +816,43 @@ mod tests {
     fn lattice_point() -> impl Strategy<Value = Vec3> {
         (0i32..12, 0i32..12, 0i32..4)
             .prop_map(|(x, y, z)| Vec3::new(x as f64 * 0.25, y as f64 * 0.25, z as f64 * 0.25))
+    }
+
+    /// A denser lattice, so rows longer than the graph keeps (and ties
+    /// at its cut) occur at the proptests' radii.
+    fn dense_lattice_point() -> impl Strategy<Value = Vec3> {
+        (0i32..5, 0i32..5, 0i32..3)
+            .prop_map(|(x, y, z)| Vec3::new(x as f64 * 0.25, y as f64 * 0.25, z as f64 * 0.25))
+    }
+
+    /// A target cloud: sparse, dense, or a single point.
+    fn target_cloud() -> impl Strategy<Value = Vec<Vec3>> {
+        prop_oneof![
+            3 => prop::collection::vec(lattice_point(), 2..40),
+            2 => prop::collection::vec(dense_lattice_point(), 20..80),
+            1 => prop::collection::vec(lattice_point(), 1..2),
+        ]
+    }
+
+    /// The backend under test.
+    fn build_searcher(backend: usize, pts: &[Vec3]) -> Searcher3 {
+        match backend {
+            0 => Searcher3::classic(pts),
+            1 => Searcher3::two_stage(pts, 2),
+            _ => Searcher3::brute_force(pts),
+        }
+    }
+
+    /// `x` moved by `k` ulps.
+    fn ulps(mut x: f64, k: i32) -> f64 {
+        for _ in 0..k.unsigned_abs() {
+            x = if k > 0 { x.next_up() } else { x.next_down() };
+        }
+        x
+    }
+
+    fn nudge(p: Vec3, k: (i32, i32, i32)) -> Vec3 {
+        Vec3::new(ulps(p.x, k.0), ulps(p.y, k.1), ulps(p.z, k.2))
     }
 
     /// One ICP-like step: none, an exact lattice shift (ties survive it),
@@ -620,26 +879,22 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
         #[test]
         fn cached_rpce_is_bit_identical_to_rpce_at_every_step(
-            target in prop_oneof![
-                4 => prop::collection::vec(lattice_point(), 2..40),
-                1 => prop::collection::vec(lattice_point(), 1..2),
-            ],
+            target in target_cloud(),
             source in prop::collection::vec(lattice_point(), 0..30),
             steps in prop::collection::vec(small_step(), 1..12),
             jump_at in 0usize..12,
             jump in (-2.0f64..2.0, -2.0f64..2.0, -1.2f64..1.2),
             max_quarters in 1i32..5,
+            graph_quarters in 0i32..5,
             backend in 0usize..3,
             parallel in any::<bool>(),
         ) {
             let max_distance = max_quarters as f64 * 0.25;
-            let build = |pts: &[Vec3]| match backend {
-                0 => Searcher3::classic(pts),
-                1 => Searcher3::two_stage(pts, 2),
-                _ => Searcher3::brute_force(pts),
-            };
-            let mut plain = build(&target);
-            let mut cached = build(&target);
+            // Quarter 0: no graph, the anchor tests alone.
+            let graph =
+                (graph_quarters > 0).then(|| brute_force_graph(&target, graph_quarters as f64 * 0.25));
+            let mut plain = build_searcher(backend, &target);
+            let mut cached = build_searcher(backend, &target);
             if parallel {
                 cached.set_parallel(BatchConfig { threads: 3, min_chunk: 4 });
             }
@@ -655,12 +910,179 @@ mod tests {
                         * pose;
                 }
                 let moved: Vec<Vec3> = source.iter().map(|&p| pose.apply(p)).collect();
-                searches += cache.rpce_into(&moved, &mut cached, max_distance, &mut out);
+                let counts =
+                    cache.rpce_into(&moved, &mut cached, graph.as_ref(), max_distance, &mut out);
+                prop_assert_eq!(
+                    counts.searched + counts.anchor_reused + counts.graph_reused,
+                    moved.len()
+                );
+                searches += counts.searched;
                 let want = rpce(&moved, &mut plain, max_distance);
                 prop_assert_eq!(pair_bits(&out), pair_bits(&want), "step {}", k);
             }
             prop_assert_eq!(cached.stats().queries, searches as u64);
         }
+    }
+
+    proptest! {
+        // Near ties that rounding can tip are rare even among generated
+        // near ties; the cases are cheap, so run many.
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+        /// Each probe starts at `s0` and moves to `q`, built so one
+        /// certificate's margin sits within a few ulps of zero:
+        /// * kind 0: `s0` on the segment from target `i` to target `j`,
+        ///   `q` at their midpoint, so `d2 − |q − p1| − δ ≈ 0` (test (b));
+        /// * kind 1: `s0` at target `i`, `q` at `b(i) / 2` from it along
+        ///   an axis, so `b(p1) − |q − p1| − |q − c*| ≈ 0` (test (c));
+        /// * kind 2: `s0` at `max_distance` from target `i` along an
+        ///   axis and `q` a few ulps from it, so `d1 − δ − max_distance ≈ 0`
+        ///   (test (a));
+        /// * kind 3: `s0` at target `i`, `q` at the midpoint of `i` and
+        ///   the first point its graph left out, which sits at exactly
+        ///   `b(i)`: test (c)'s margin is near zero against a tied
+        ///   outside point.
+        ///
+        /// Every coordinate is nudged by up to ±3 ulps. A rigid motion
+        /// with a non-dyadic angle takes the lattice off the binary grid,
+        /// so the certificates' own rounding is in play.
+        #[test]
+        fn cached_rpce_is_bit_identical_at_ulp_near_ties(
+            target in target_cloud(),
+            angle in prop_oneof![1 => Just(0.0f64), 3 => -3.2f64..3.2],
+            probes in prop::collection::vec(
+                (0usize..4, any::<usize>(), any::<usize>(),
+                 0usize..6, 0usize..3, (-3i32..4, -3i32..4, -3i32..4),
+                 (-3i32..4, -3i32..4, -3i32..4)),
+                1..24,
+            ),
+            max_quarters in 1i32..5,
+            graph_quarters in 1i32..5,
+            backend in 0usize..3,
+        ) {
+            let max_distance = max_quarters as f64 * 0.25;
+            let motion = RigidTransform::from_axis_angle(Vec3::Z, angle, Vec3::new(angle, 0.3, 0.1));
+            let target: Vec<Vec3> = target.iter().map(|&p| motion.apply(p)).collect();
+            let graph = brute_force_graph(&target, graph_quarters as f64 * 0.25);
+            let axes = [Vec3::X, Vec3::Y, Vec3::Z, -Vec3::X, -Vec3::Y, -Vec3::Z]
+                .map(|u| motion.rotation * u);
+            let (mut starts, mut ties) = (Vec::new(), Vec::new());
+            for &(kind, i, j, axis, frac, k0, k1) in &probes {
+                let (i, j) = (i % target.len(), j % target.len());
+                let (ti, tj, u) = (target[i], target[j], axes[axis]);
+                let (s0, q) = match kind {
+                    0 => (ti + (tj - ti) * [0.0, 0.25, 0.375][frac], (ti + tj) * 0.5),
+                    1 => (ti, ti + u * (f64::from_bits(graph.row(i).1) * 0.5)),
+                    2 => {
+                        let at = ti + u * max_distance;
+                        (at, at)
+                    }
+                    _ => {
+                        let mut row: Vec<Neighbor> = target
+                            .iter()
+                            .enumerate()
+                            .map(|(j, &x)| Neighbor::new(j, ti.distance_squared(x)))
+                            .collect();
+                        row.sort();
+                        let left_out = row.get(GRAPH_K).map_or(tj, |n| target[n.index]);
+                        (ti, (ti + left_out) * 0.5)
+                    }
+                };
+                starts.push(nudge(s0, k0));
+                ties.push(nudge(q, k1));
+            }
+            let calls = [starts.clone(), ties.clone(), starts, ties];
+            cached_matches_plain(backend, &target, &graph, max_distance, &calls)?;
+        }
+
+        /// Two constructions whose margins only rounding decides:
+        /// * the graph re-anchors a source point at `c`, a graph entry
+        ///   just inside `b(p1)` whose twin `x` — the first point the
+        ///   graph left out — sits at exactly `b(p1)` in the same
+        ///   direction; the next query lands within a few ulps of their
+        ///   midpoint, where test (b)'s margin against the re-anchored
+        ///   `d2 = b(p1) − |q − p1|` is near zero;
+        /// * two isolated targets at `max_distance` from `edge`, queried
+        ///   a few ulps from it: test (a)'s margin is near zero, and
+        ///   which of the two is nearest, and in range, flips.
+        ///
+        /// A few ulps of a coordinate must be a few ulps of the margin,
+        /// so one construction sits near the origin and the other 4–8 m
+        /// away, chosen by `layout`.
+        #[test]
+        fn cached_rpce_is_bit_identical_at_constructed_near_ties(
+            origin in (-2.0f64..2.0, -2.0f64..2.0, -2.0f64..2.0),
+            dir in (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
+            b in 0.3f64..1.0,
+            gap in prop_oneof![Just(1e-11), Just(1e-10), Just(1e-9)],
+            twin_first in any::<bool>(),
+            max_distance in 0.2f64..1.0,
+            layout in 0usize..3,
+            nudges in prop::collection::vec((-4i32..5, -4i32..5, -4i32..5), 32),
+            backend in 0usize..3,
+        ) {
+            let Some(u) = Vec3::new(dir.0, dir.1, dir.2).normalized() else { return Ok(()) };
+            // Layout 0: the graph construction near the origin; 1 and 2:
+            // the edge pair near it, along `u` or along the axes.
+            let shift = |near: bool| if near { 0.0 } else { 6.0 };
+            let o = Vec3::new(origin.0 + shift(layout == 0), origin.1, origin.2);
+            let far = Vec3::new(origin.1, origin.2, origin.0) * 0.01
+                - Vec3::new(shift(layout != 0), 0.0, 0.0);
+            let (v, w) = if layout == 2 {
+                (Vec3::X, Vec3::Y)
+            } else {
+                (u, u.cross(Vec3::Z).normalized().unwrap_or(Vec3::X))
+            };
+            // `o`, 14 fillers within 0.05 of it, then `c` and `x`: `o`'s
+            // row keeps `c` as its 16th entry and leaves `x` out. The
+            // edge pair stays more than the graph radius from `o`.
+            let mut target = vec![o];
+            target.extend((0..14).map(|i| {
+                let f = |m: i32| ((i * m) % 5 - 2) as f64 * 0.01;
+                o + Vec3::new(f(7), f(3), f(11))
+            }));
+            let (c, x) = (o + u * (b * (1.0 - gap)), o + u * b);
+            target.extend(if twin_first { [x, c] } else { [c, x] });
+            let edge = far + v * max_distance;
+            target.extend([far, edge + w * max_distance]);
+            let graph = brute_force_graph(&target, 1.5);
+            let mid = (c + x) * 0.5;
+            // Source 0 walks `o` → `c` → the midpoint twice; sources
+            // 1..=8 each take their own nudges around `edge`.
+            let walk = [o, nudge(c, nudges[0]), nudge(mid, nudges[1]), nudge(mid, nudges[2])];
+            let calls: Vec<Vec<Vec3>> = (0..4)
+                .map(|call| {
+                    let probes = nudges.chunks(4).map(|k| nudge(edge, k[call]));
+                    std::iter::once(walk[call]).chain(probes).collect()
+                })
+                .collect();
+            cached_matches_plain(backend, &target, &graph, max_distance, &calls)?;
+        }
+    }
+
+    /// Runs `calls` in order through one [`RpceCache`] with `graph` and
+    /// through plain [`rpce`]: pair bits must agree on every call, and
+    /// the searches the cache reports must be the ones the searcher
+    /// counted.
+    fn cached_matches_plain(
+        backend: usize,
+        target: &[Vec3],
+        graph: &NeighborGraph,
+        max_distance: f64,
+        calls: &[Vec<Vec3>],
+    ) -> Result<(), TestCaseError> {
+        let mut plain = build_searcher(backend, target);
+        let mut cached = build_searcher(backend, target);
+        let mut cache = RpceCache::default();
+        let mut out = Vec::new();
+        let mut searches = 0;
+        for (k, points) in calls.iter().enumerate() {
+            let counts = cache.rpce_into(points, &mut cached, Some(graph), max_distance, &mut out);
+            searches += counts.searched;
+            let want = rpce(points, &mut plain, max_distance);
+            prop_assert_eq!(pair_bits(&out), pair_bits(&want), "call {}", k);
+        }
+        prop_assert_eq!(cached.stats().queries, searches as u64);
+        Ok(())
     }
 
     #[test]

@@ -11,17 +11,21 @@
 //! source point whose nearest target point provably cannot have changed
 //! since its last exact search skips its NN query (certified reuse — the
 //! correspondences, and so every transform, iteration count and MSE, are
-//! bit-identical to searching every point). Only exact, unobserved
-//! searchers reuse; approximate, injected or query-logged ones search
-//! every point every iteration. The `icp.iter` event reports how many
-//! points were `searched` and `reused`.
+//! bit-identical to searching every point). Matching prepared frames
+//! also hands the cache the target frame's neighbour graph, which
+//! certifies the points whose nearest target point moved to one of its
+//! neighbours. Only exact, unobserved searchers reuse; approximate,
+//! injected or query-logged ones search every point every iteration.
+//! The `icp.iter` event reports how many points were `searched`, and
+//! how many their anchor (`anchor_reused`) or the graph
+//! (`graph_reused`) answered.
 
 use std::time::Instant;
 
 use tigris_geom::{RigidTransform, Vec3};
 
 use crate::config::{ConvergenceCriteria, ErrorMetric, SolverAlgorithm};
-use crate::correspond::RpceCache;
+use crate::correspond::{NeighborGraph, RpceCache, RpceCounts};
 use crate::profile::{Stage, StageProfile};
 use crate::search::Searcher3;
 use crate::transform::{
@@ -111,6 +115,37 @@ pub fn icp_with_options(
     criteria: &ConvergenceCriteria,
     profile: &mut StageProfile,
 ) -> IcpResult {
+    icp_with_graph(
+        source,
+        target_searcher,
+        None,
+        target_normals,
+        initial,
+        error_metric,
+        solver,
+        max_correspondence_distance,
+        reciprocal,
+        criteria,
+        profile,
+    )
+}
+
+/// [`icp_with_options`] with the target frame's neighbour graph, which
+/// lets RPCE certify more reuse; every result stays bit-identical.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn icp_with_graph(
+    source: &[Vec3],
+    target_searcher: &mut Searcher3,
+    target_graph: Option<&NeighborGraph>,
+    target_normals: &[Vec3],
+    initial: RigidTransform,
+    error_metric: ErrorMetric,
+    solver: SolverAlgorithm,
+    max_correspondence_distance: f64,
+    reciprocal: bool,
+    criteria: &ConvergenceCriteria,
+    profile: &mut StageProfile,
+) -> IcpResult {
     if error_metric == ErrorMetric::PointToPlane {
         assert_eq!(
             target_normals.len(),
@@ -140,7 +175,7 @@ pub fn icp_with_options(
             moved.clear();
             moved.extend(source.iter().map(|&p| transform.apply(p)));
         }
-        let searched = if reciprocal {
+        let counts = if reciprocal {
             let mut moved_searcher = crate::search::Searcher3::classic(&moved);
             moved_searcher.set_parallel(target_searcher.parallel());
             profile.kd_build_time += moved_searcher.build_time();
@@ -153,11 +188,12 @@ pub fn icp_with_options(
             profile.kd_search_time += moved_searcher.search_time();
             profile.search_stats += *moved_searcher.stats();
             correspondences = out;
-            moved.len()
+            RpceCounts { searched: moved.len(), ..RpceCounts::default() }
         } else {
             cache.rpce_into(
                 &moved,
                 target_searcher,
+                target_graph,
                 max_correspondence_distance,
                 &mut correspondences,
             )
@@ -227,8 +263,9 @@ pub fn icp_with_options(
             iteration = iterations,
             mse = mse,
             correspondences = correspondences.len(),
-            searched = searched,
-            reused = moved.len() - searched,
+            searched = counts.searched,
+            anchor_reused = counts.anchor_reused,
+            graph_reused = counts.graph_reused,
         );
 
         // LM damping schedule: error went down → trust the model more.
@@ -464,34 +501,40 @@ mod tests {
     fn correspondence_reuse_leaves_every_result_bit_identical() {
         // A query-logged searcher takes the full path (every point
         // searched every iteration, as a replay needs); a plain one
-        // reuses certified correspondences. Nothing ICP returns may
-        // differ by a bit.
+        // reuses certified correspondences, with and without the
+        // target's neighbour graph. Nothing ICP returns may differ by a
+        // bit.
         let target = structured_cloud();
+        let graph = crate::correspond::brute_force_graph(&target, 0.5);
         let normals = normals_for(&target);
         let gt = RigidTransform::from_axis_angle(Vec3::Z, 0.03, Vec3::new(0.05, -0.03, 0.02));
         let source: Vec<Vec3> = target.iter().map(|&p| gt.inverse().apply(p)).collect();
         let criteria = ConvergenceCriteria { max_iterations: 40, ..Default::default() };
         for metric in [ErrorMetric::PointToPoint, ErrorMetric::PointToPlane] {
             for solver in [SolverAlgorithm::Svd, SolverAlgorithm::LevenbergMarquardt] {
-                let run = |searcher: &mut Searcher3| {
+                let run = |searcher: &mut Searcher3, graph: Option<&NeighborGraph>| {
                     let mut profile = StageProfile::new();
-                    icp(
+                    icp_with_graph(
                         &source,
                         searcher,
+                        graph,
                         &normals,
                         RigidTransform::IDENTITY,
                         metric,
                         solver,
                         1.0,
+                        false,
                         &criteria,
                         &mut profile,
                     )
                 };
                 let mut plain = Searcher3::classic(&target);
+                let mut with_graph = Searcher3::classic(&target);
                 let mut logged = Searcher3::classic(&target);
                 logged.enable_query_logging();
-                let reused = run(&mut plain);
-                let full = run(&mut logged);
+                let reused = run(&mut plain, None);
+                let graph_reused = run(&mut with_graph, Some(&graph));
+                let full = run(&mut logged, Some(&graph));
                 let at = format!("{metric:?} / {solver:?}");
                 let bits = |r: &IcpResult| {
                     let t = &r.transform;
@@ -501,13 +544,19 @@ mod tests {
                     v.push(r.final_mse.to_bits());
                     v
                 };
-                assert_eq!(bits(&reused), bits(&full), "{at}: transform / mse bits");
-                assert_eq!(reused.iterations, full.iterations, "{at}: iterations");
-                assert_eq!(reused.termination, full.termination, "{at}: termination");
+                for (r, arm) in [(&reused, "anchor"), (&graph_reused, "graph")] {
+                    assert_eq!(bits(r), bits(&full), "{at} / {arm}: transform / mse bits");
+                    assert_eq!(r.iterations, full.iterations, "{at} / {arm}: iterations");
+                    assert_eq!(r.termination, full.termination, "{at} / {arm}: termination");
+                }
                 let full_queries = (source.len() * full.iterations) as u64;
                 assert_eq!(logged.stats().queries, full_queries, "{at}: full path");
                 assert_eq!(logged.take_query_log().unwrap().len() as u64, full_queries);
                 assert!(full.iterations < 2 || plain.stats().queries < full_queries, "{at}: reuse");
+                assert!(
+                    full.iterations < 2 || with_graph.stats().queries < full_queries,
+                    "{at}: graph reuse"
+                );
             }
         }
     }

@@ -28,9 +28,10 @@
 //! stateless, unlogged), the pipeline shares that pass with normal
 //! estimation (`iss_sharing_normals`; ARCHITECTURE.md invariant 10): a
 //! point's `normal_radius` neighborhood is the `d² ≤ normal_radius²`
-//! prefix of its canonical `(d², index)` ISS row, and suppression reads
-//! the rows the pass already holds instead of searching again.
-//! Otherwise suppression searches again, so every observer sees the
+//! prefix of its canonical `(d², index)` ISS row, suppression reads
+//! the rows the pass already holds instead of searching again, and the
+//! rows' first entries become the frame's neighbour graph (RPCE's reuse
+//! certificates; ARCHITECTURE.md invariant 9). Otherwise suppression searches again, so every observer sees the
 //! query stream it always saw.
 
 use std::time::{Duration, Instant};
@@ -41,6 +42,7 @@ use tigris_core::{simd, Neighbor};
 use tigris_geom::{symmetric_eigen3, Mat3, Vec3};
 
 use crate::config::{KeypointAlgorithm, NormalAlgorithm};
+use crate::correspond::NeighborGraph;
 use crate::normal::{normal_at, normal_from_gathered, with_gathered, CHUNK};
 use crate::scratch::PrepareScratch;
 use crate::search::Searcher3;
@@ -80,8 +82,9 @@ pub(crate) fn detect_keypoints_with(
 
 /// ISS key-points at `radius` and normals at `normal_radius` from one
 /// radius pass at `radius`: each point's normal comes from the
-/// `d² ≤ normal_radius²` prefix of its ISS row, and non-maximum
-/// suppression reads the rows the pass holds. The pass's
+/// `d² ≤ normal_radius²` prefix of its ISS row, non-maximum
+/// suppression reads the rows the pass holds, and the rows' first
+/// entries become the frame's neighbour graph. The pass's
 /// `keypoint_time` is the time spent on ISS fits and suppression; the
 /// rest of the call — the search and the normal fits — is normal
 /// estimation's.
@@ -228,6 +231,9 @@ pub(crate) struct IssPass {
     /// Normals from the shared rows (empty when the pass was not
     /// shared).
     pub normals: Vec<Vec3>,
+    /// The neighbour graph of the shared rows (empty when the pass was
+    /// not shared).
+    pub graph: NeighborGraph,
     /// Key-point indices, sorted ascending.
     pub keypoints: Vec<usize>,
     /// Time spent on ISS fits and suppression.
@@ -236,9 +242,10 @@ pub(crate) struct IssPass {
 
 /// ISS over one grouped radius pass per `chunk` points at `radius`. With `share`
 /// = `Some((normal_radius, algorithm))` the pass also fits the normals
-/// from its rows' prefixes and suppresses from the rows it holds;
-/// without it, suppression searches again, so the query stream is the
-/// per-point ISS stream followed by the suppression stream.
+/// from its rows' prefixes, keeps the rows' neighbour graph and
+/// suppresses from the rows it holds; without it, suppression searches
+/// again, so the query stream is the per-point ISS stream followed by
+/// the suppression stream.
 fn iss(
     searcher: &mut Searcher3,
     radius: f64,
@@ -249,6 +256,7 @@ fn iss(
     let n = searcher.len();
     let parallel = searcher.parallel();
     let mut normals = Vec::with_capacity(if share.is_some() { n } else { 0 });
+    let mut graph = NeighborGraph::for_points(if share.is_some() { n } else { 0 });
     let mut keypoints = Vec::new();
     let mut keypoint_time = Duration::ZERO;
     scratch.saliency.clear();
@@ -318,6 +326,9 @@ fn iss(
             keypoint_time += t.elapsed();
         }
         if share.is_some() {
+            for i in start..end {
+                graph.push_row(row(i), radius);
+            }
             // Suppress from the rows in hand. Responses below `end` are
             // final; a salient point with neighbors past `end` keeps just
             // those until their chunk has been fitted.
@@ -373,7 +384,7 @@ fn iss(
     } else {
         keypoints = non_max_suppress(searcher, &scratch.saliency, radius, MIN_SALIENCY);
     }
-    IssPass { normals, keypoints, keypoint_time }
+    IssPass { normals, graph, keypoints, keypoint_time }
 }
 
 fn uniform(searcher: &mut Searcher3, voxel: f64) -> Vec<usize> {

@@ -19,6 +19,7 @@ use tigris_core::{simd, Neighbor};
 use tigris_geom::{symmetric_eigen3, Mat3, Vec3};
 
 use crate::config::NormalAlgorithm;
+use crate::correspond::NeighborGraph;
 use crate::scratch::{GatherLanes, PrepareScratch};
 use crate::search::Searcher3;
 
@@ -60,6 +61,19 @@ pub fn estimate_normals_with(
     radius: f64,
     algorithm: NormalAlgorithm,
     scratch: &mut PrepareScratch,
+) -> Vec<Vec3> {
+    estimate_normals_keeping(searcher, radius, algorithm, scratch, None)
+}
+
+/// [`estimate_normals_with`] that also appends every point's row to
+/// `graph` — the neighbour graph of a frame whose searcher is exact, so
+/// its rows are the canonical ones.
+pub(crate) fn estimate_normals_keeping(
+    searcher: &mut Searcher3,
+    radius: f64,
+    algorithm: NormalAlgorithm,
+    scratch: &mut PrepareScratch,
+    mut graph: Option<&mut NeighborGraph>,
 ) -> Vec<Vec3> {
     assert!(radius > 0.0, "normal-estimation radius must be positive");
     let n = searcher.len();
@@ -106,6 +120,11 @@ pub fn estimate_normals_with(
             normals.extend(tigris_core::batch::parallel_map_indexed(end - start, &parallel, |i| {
                 normal_at(points, table.row(rows.table_row(i)), points[start + i], algorithm)
             }));
+        }
+        if let Some(graph) = graph.as_deref_mut() {
+            for i in 0..end - start {
+                graph.push_row(table.row(rows.table_row(i)), radius);
+            }
         }
         start = end;
     }

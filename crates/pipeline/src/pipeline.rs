@@ -23,11 +23,11 @@ use std::time::Instant;
 use tigris_geom::{PointCloud, RigidTransform, Vec3};
 
 use crate::config::{ConfigError, KeypointAlgorithm, RegistrationConfig, SearchBackendConfig};
-use crate::correspond::{kpce_batched, kpce_ratio_batched};
+use crate::correspond::{kpce_batched, kpce_ratio_batched, NeighborGraph};
 use crate::descriptor::{compute_descriptors_with, Descriptors};
 use crate::icp::{IcpResult, IcpTermination};
 use crate::keypoint::{detect_keypoints_with, iss_sharing_normals};
-use crate::normal::estimate_normals_with;
+use crate::normal::estimate_normals_keeping;
 use crate::profile::{Stage, StageProfile};
 use crate::reject::reject_correspondences;
 use crate::scratch::PrepareScratch;
@@ -129,6 +129,10 @@ struct FrontEndArtifacts {
     keypoint_points: Vec<Vec3>,
     /// One descriptor row per key-point.
     descriptors: Descriptors,
+    /// The neighbour graph RPCE certifies reuse with when this frame is
+    /// a registration target; harvested from the front end's radius
+    /// pass when the searcher is exact and unobserved, `None` otherwise.
+    graph: Option<NeighborGraph>,
 }
 
 /// A frame run through the preparation layer: downsampled points behind
@@ -292,7 +296,9 @@ fn run_front_end(
     let reuses0 = scratch.reuses();
 
     // ---- Stages 1 + 2: Normal Estimation, Key-point Detection -------------
-    let (normals, keypoints) = match shared_iss_radius(searcher, cfg) {
+    // The neighbour graph comes from whichever pass computes the rows,
+    // when its searcher is exact and unobserved.
+    let (normals, keypoints, graph) = match shared_iss_radius(searcher, cfg) {
         // One radius pass serves both stages: the search and the normal
         // fits bill to normal estimation, ISS fits and suppression to
         // key-point detection.
@@ -309,14 +315,21 @@ fn run_front_end(
             drop(span);
             profile.add(Stage::NormalEstimation, t0.elapsed().saturating_sub(pass.keypoint_time));
             profile.add(Stage::KeypointDetection, pass.keypoint_time);
-            (pass.normals, pass.keypoints)
+            (pass.normals, pass.keypoints, Some(pass.graph))
         }
         None => {
             let t0 = Instant::now();
             let span = tigris_obs::span!("prepare.normals", points = searcher.len());
             searcher.set_injection(cfg.inject_ne);
-            let normals =
-                estimate_normals_with(searcher, cfg.normal_radius, cfg.normal_algorithm, scratch);
+            let mut graph =
+                searcher.queries_skippable().then(|| NeighborGraph::for_points(searcher.len()));
+            let normals = estimate_normals_keeping(
+                searcher,
+                cfg.normal_radius,
+                cfg.normal_algorithm,
+                scratch,
+                graph.as_mut(),
+            );
             searcher.set_injection(None);
             drop(span);
             profile.add(Stage::NormalEstimation, t0.elapsed());
@@ -326,7 +339,7 @@ fn run_front_end(
             let keypoints = detect_keypoints_with(searcher, &normals, cfg.keypoint, scratch);
             drop(span);
             profile.add(Stage::KeypointDetection, t0.elapsed());
-            (normals, keypoints)
+            (normals, keypoints, graph)
         }
     };
 
@@ -353,7 +366,7 @@ fn run_front_end(
     profile.scratch_bytes_grown += scratch.bytes_grown() - bytes_grown0;
     profile.scratch_reuses += scratch.reuses() - reuses0;
 
-    FrontEndArtifacts { normals, keypoints, keypoint_points, descriptors }
+    FrontEndArtifacts { normals, keypoints, keypoint_points, descriptors, graph }
 }
 
 /// Prepares one frame for registration: voxel-downsamples (per
@@ -539,9 +552,10 @@ fn run_match(
     // ---- Fine-tuning: ICP ---------------------------------------------------
     let icp_span = tigris_obs::span!("match.icp", inliers = inliers.len());
     tgt_searcher.set_injection(cfg.inject_rpce);
-    let icp_result = crate::icp::icp_with_options(
+    let icp_result = crate::icp::icp_with_graph(
         src_searcher.points(),
         tgt_searcher,
+        tgt.graph.as_ref(),
         &tgt.normals,
         initial,
         cfg.error_metric,
@@ -932,6 +946,92 @@ mod tests {
         let mut matching_only = cfg.clone();
         matching_only.max_correspondence_distance = 2.0;
         assert!(register_prepared(&mut source, &mut target, &matching_only).is_ok());
+    }
+
+    #[test]
+    fn prepared_graph_is_the_head_of_each_canonical_row() {
+        use crate::correspond::GRAPH_K;
+        use tigris_core::{BatchConfig, Neighbor};
+        // An integer lattice (spacing 0.25, exact in binary) with every
+        // fifth point duplicated: equidistant neighbours tie at the
+        // graph's cut, and duplicates tie at distance zero.
+        let mut pts = Vec::new();
+        for x in 0..8 {
+            for y in 0..8 {
+                for z in 0..3 {
+                    pts.push(Vec3::new(x as f64, y as f64, z as f64) * 0.25);
+                }
+            }
+        }
+        let dups: Vec<Vec3> = pts.iter().step_by(5).copied().collect();
+        pts.extend(dups);
+        let cloud = PointCloud::from_points(pts);
+        let base = RegistrationConfig { voxel_size: 0.0, normal_radius: 0.5, ..fast_config() };
+        let (mut cut_ties, mut zero_ties) = (0, 0);
+        // The shared ISS pass harvests at the ISS radius; a separate
+        // normal-estimation pass (another detector, or ISS below the
+        // normal radius) at the normal radius.
+        for (keypoint, radius) in [
+            (KeypointAlgorithm::Iss { radius: 0.75 }, 0.75),
+            (KeypointAlgorithm::Uniform { voxel: 1.0 }, 0.5),
+            (KeypointAlgorithm::Iss { radius: 0.3 }, 0.5),
+        ] {
+            for parallel in [BatchConfig::serial(), BatchConfig { threads: 2, min_chunk: 16 }] {
+                let cfg = RegistrationConfig { keypoint, parallel, ..base.clone() };
+                let frame = prepare_frame(&cloud, &cfg).unwrap();
+                let graph = frame.artifacts.graph.as_ref().expect("an exact front end keeps one");
+                let points = frame.points();
+                assert_eq!(graph.len(), points.len());
+                for (p, &at) in points.iter().enumerate() {
+                    let mut row: Vec<Neighbor> = points
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &x)| Neighbor::new(j, at.distance_squared(x)))
+                        .filter(|n| n.distance_squared <= radius * radius)
+                        .collect();
+                    row.sort();
+                    let head = row.iter().take(GRAPH_K).map(|n| n.index).collect();
+                    let bound = if row.len() > GRAPH_K { row[GRAPH_K].distance() } else { radius };
+                    assert_eq!(graph.row(p), (head, bound.to_bits()), "{keypoint:?}: point {p}");
+                    if row.len() > GRAPH_K
+                        && row[GRAPH_K - 1].distance_squared == row[GRAPH_K].distance_squared
+                    {
+                        cut_ties += 1;
+                    }
+                    if row.len() > 1 && row[1].distance_squared == 0.0 {
+                        zero_ties += 1;
+                    }
+                }
+            }
+        }
+        assert!(cut_ties > 0 && zero_ties > 0, "ties: {cut_ties} at the cut, {zero_ties} at zero");
+
+        // Approximate, query-logged and injected front ends keep none:
+        // their rows prove nothing about the true neighbours.
+        let iss = RegistrationConfig { keypoint: KeypointAlgorithm::Iss { radius: 0.75 }, ..base };
+        let approx = RegistrationConfig {
+            backend: SearchBackendConfig::TwoStageApprox {
+                top_height: 4,
+                approx: Default::default(),
+            },
+            ..iss.clone()
+        };
+        let injected = RegistrationConfig {
+            inject_ne: Some(crate::search::Injection::RadiusShell {
+                inner_frac: 0.5,
+                outer_frac: 1.2,
+            }),
+            ..iss.clone()
+        };
+        let mut logged = Searcher3::classic(cloud.points());
+        logged.enable_query_logging();
+        for frame in [
+            prepare_frame(&cloud, &approx).unwrap(),
+            prepare_frame(&cloud, &injected).unwrap(),
+            prepare_frame_from_searcher(logged, &iss).unwrap(),
+        ] {
+            assert!(frame.artifacts.graph.is_none(), "{}", frame.backend_name());
+        }
     }
 
     #[test]
