@@ -15,10 +15,11 @@
 //!   replaced.
 //! * **Tiles** ([`shard::tile`], [`shard::router`],
 //!   [`shard::residency`]) — an epoch is cut into spatial tiles; map
-//!   queries fan out only to the tiles their sphere touches, and a
-//!   tile's search indices are rebuilt on demand and evicted under a
-//!   byte budget. Routing is conservative, so answers are bit-identical
-//!   to `Mapper::query` on the published map whatever is resident.
+//!   queries fan out only to the tiles their sphere touches, and each
+//!   submap payload's search index is rebuilt on demand, kept across
+//!   epochs that share the payload, and evicted under a byte budget.
+//!   Routing is conservative, so answers are bit-identical to
+//!   `Mapper::query` on the published map whatever is resident.
 //! * **Cold-start relocalization** ([`reloc`]) — a client submits one
 //!   raw frame with no history; the service prepares it (the standard
 //!   pipeline front end, run exactly once), retrieves candidate submaps

@@ -13,8 +13,11 @@
 //! manifest data) and shares every point archive.
 //!
 //! Sessions pin the epoch they started on and drain on it; new sessions
-//! pin the newest. When the last session unpins a superseded epoch its
-//! uniquely-held payloads free with it.
+//! pin the newest. When the last holder of a superseded epoch drops it,
+//! its uniquely-held payloads free with it, and the serving cache drops
+//! their rebuilt indexes at its next sweep. A payload's identity (its
+//! `Arc`) is what the cache keys an index by, so a shared payload keeps
+//! its index across epochs.
 //!
 //! [`revision`]: Submap::revision
 
@@ -113,8 +116,9 @@ impl SubmapPayload {
     }
 
     /// Heap bytes of the archived point set and signature. This is the
-    /// *unavoidable* per-epoch cost of a payload — the rebuilt search
-    /// index a resident tile adds on top is what eviction reclaims.
+    /// *unavoidable* cost of a payload, paid once however many epochs
+    /// share it — the rebuilt search index residency adds on top is what
+    /// eviction reclaims.
     pub fn memory_bytes(&self) -> usize {
         self.points.capacity() * std::mem::size_of::<Vec3>()
             + self.signature.capacity() * std::mem::size_of::<f64>()

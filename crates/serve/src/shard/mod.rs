@@ -11,19 +11,22 @@
 //!   whose conservative world bounds its sphere intersects. Routing is
 //!   provably conservative, so tile-routed answers are bit-identical to
 //!   `Mapper::query` on the published map.
-//! * **Lazy residency** ([`residency`]) — a tile's search indices are
-//!   rebuilt on first session demand and evicted least-recently-touched
-//!   under an explicit byte budget; correctness never depends on what is
-//!   resident, only latency does, so a budgeted service answers exactly
-//!   like an unbounded one.
+//! * **Lazy residency** ([`residency`]) — each submap payload's search
+//!   index is rebuilt on first demand (only for members whose own bounds
+//!   a query reaches), shared by every epoch holding that payload, and
+//!   evicted least-recently-touched under an explicit byte budget;
+//!   correctness never depends on what is resident, only latency does,
+//!   so a budgeted service answers exactly like an unbounded one.
 //! * **Versioned epochs** ([`epoch`]) — a [`tigris_map::Mapper`],
 //!   finished or still mapping, is published copy-on-write at submap
 //!   granularity: unchanged submaps are shared by `Arc` across epochs,
 //!   and only changed ones are re-archived. [`ShardService::install_epoch`]
 //!   hot-swaps the served version: new sessions pin the newest epoch,
 //!   in-flight sessions drain on the epoch they started with, and a
-//!   superseded epoch frees when its last session unpins. A finished
-//!   map is one epoch that is never replaced.
+//!   superseded epoch frees when its last session drops; the index of a
+//!   payload it shared with the new epoch stays resident, and the index
+//!   of a payload nothing holds any more is dropped. A finished map is
+//!   one epoch that is never replaced.
 //!
 //! Sessions ([`ShardSession`]) drive the serving state machine
 //! ([`crate::session`]) and the relocalization gate pipeline

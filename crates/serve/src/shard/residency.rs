@@ -1,85 +1,65 @@
-//! Lazy tile residency: rebuild-on-demand search indices under an
-//! explicit byte budget.
+//! Lazy index residency: one rebuilt search index per submap payload,
+//! under an explicit byte budget.
 //!
 //! An epoch's payload archives are compact (bare point arrays); what
-//! costs real memory per *servable* tile is the rebuilt per-submap
-//! search index. The (crate-internal) `TileCache` loads a tile's indices on first
-//! session demand, keyed by `(epoch version, tile index)`, and evicts
-//! least-recently-touched tiles when the resident rebuilt-index bytes
-//! exceed the budget. Only reclaimable bytes are charged: the payload
-//! archives (and `Arc`-shared keyframes) survive eviction by design, so
-//! charging them would make the budget double-count memory eviction
-//! cannot free.
+//! costs real memory per *servable* submap is the rebuilt search index.
+//! The (crate-internal) `TileCache` builds a payload's index on first
+//! demand and keys it by the payload's identity — its `Arc` allocation —
+//! so every epoch sharing a payload shares its index, and an
+//! `install_epoch` keeps the index of every payload the publish left
+//! unchanged. Tiles only route queries; residency is per payload.
 //!
-//! Loaded tiles are handed out as `Arc`s — eviction drops the cache's
-//! reference while in-flight queries keep theirs, so a query never
-//! observes a half-freed tile. Correctness does not depend on residency:
-//! a rebuilt index answers bit-identically to the live submap's index
-//! (the `DynamicMapIndex` rebuild contract), so load/evict churn can
-//! change only latency, never results.
+//! This module alone decides when an index dies:
+//!
+//! * the byte budget evicts least-recently-touched indexes, one at a
+//!   time, while the resident bytes exceed it — never the index just
+//!   fetched, so a single index larger than the whole budget still
+//!   serves (the budget bounds *steady-state* residency);
+//! * `TileCache::sweep` drops every index whose payload nothing holds
+//!   any more (no current or pinned epoch, no caller's epoch `Arc`). The
+//!   service sweeps at `install_epoch` and at session release. An epoch
+//!   `Arc` a caller keeps outside the service therefore keeps its
+//!   payloads' indexes cached, though the budget still evicts them.
+//!
+//! An entry holds a `Weak` to its payload: the `Weak` keeps the
+//! allocation, so a freed payload's address is never reused under a
+//! stale key. Only reclaimable bytes are charged: the payload archives
+//! (and `Arc`-shared keyframes) survive eviction by design, so charging
+//! them would make the budget double-count memory eviction cannot free.
+//!
+//! Indexes are handed out as `Arc`s — eviction drops the cache's
+//! reference while in-flight queries keep theirs. Correctness does not
+//! depend on residency: a rebuilt index answers bit-identically to the
+//! live submap's index (the `DynamicMapIndex` rebuild contract), so
+//! load/evict churn can change only latency, never results.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use tigris_core::DynamicMapIndex;
 use tigris_obs::{Counter, Gauge, Registry};
 
-use super::epoch::{SnapshotEpoch, SubmapPayload};
-use super::router::EpochView;
-use super::tile::TileMeta;
+use super::epoch::SubmapPayload;
 use crate::stats::TileStats;
-
-/// One member submap of a resident tile: its archived payload plus the
-/// rebuilt search index over it.
-#[derive(Debug)]
-pub(crate) struct LoadedSubmap {
-    pub(crate) payload: Arc<SubmapPayload>,
-    pub(crate) index: DynamicMapIndex,
-}
-
-/// A resident tile: rebuilt indices for every member submap.
-#[derive(Debug)]
-pub(crate) struct LoadedTile {
-    pub(crate) submaps: Vec<LoadedSubmap>,
-    /// Reclaimable bytes: the rebuilt indices only.
-    bytes: usize,
-}
-
-impl LoadedTile {
-    fn load(epoch: &SnapshotEpoch, tile: &TileMeta) -> Self {
-        let submaps: Vec<LoadedSubmap> = tile
-            .members()
-            .iter()
-            .map(|&id| {
-                let payload = Arc::clone(&epoch.payloads()[id]);
-                let index = DynamicMapIndex::build(payload.points());
-                LoadedSubmap { payload, index }
-            })
-            .collect();
-        let bytes = submaps.iter().map(|s| s.index.memory_bytes()).sum();
-        LoadedTile { submaps, bytes }
-    }
-
-    /// The member entry for submap `id`, when this tile serves it.
-    pub(crate) fn submap(&self, id: usize) -> Option<&LoadedSubmap> {
-        self.submaps.iter().find(|s| s.payload.id() == id)
-    }
-}
 
 #[derive(Debug)]
 struct CacheEntry {
-    tile: Arc<LoadedTile>,
+    /// Pins the payload's allocation (and so the entry's key); dead once
+    /// nothing holds the payload.
+    payload: Weak<SubmapPayload>,
+    index: Arc<DynamicMapIndex>,
     last_touch: u64,
 }
 
-/// The LRU-by-touch tile cache; see the [module docs](self). The
+/// The LRU-by-touch index cache; see the [module docs](self). The
 /// residency counters are handles into the owning service's obs
 /// registry (`serve.tiles.*` names), so [`TileCache::stats`] and a
 /// registry snapshot report the same numbers.
 #[derive(Debug)]
 pub(crate) struct TileCache {
     budget_bytes: usize,
-    entries: HashMap<(u64, usize), CacheEntry>,
+    /// Payload allocation address → the index rebuilt over it.
+    entries: HashMap<usize, CacheEntry>,
     /// Logical clock: bumped per lookup, stamped on the touched entry.
     clock: u64,
     hits: Arc<Counter>,
@@ -107,78 +87,70 @@ impl TileCache {
         }
     }
 
-    /// The tile at `tile_idx` of the view's epoch, resident: returns the
-    /// cached load (a hit refreshes its LRU stamp) or rebuilds it, then
-    /// evicts least-recently-touched tiles while over budget. The tile
-    /// just fetched is never evicted by its own fetch, so a single tile
-    /// larger than the whole budget still serves (the budget bounds
-    /// *steady-state* residency).
-    pub(crate) fn fetch(&mut self, view: &EpochView, tile_idx: usize) -> Arc<LoadedTile> {
+    /// `payload`'s index, resident: returns the cached build (a hit
+    /// refreshes its LRU stamp) or rebuilds it, then evicts
+    /// least-recently-touched indexes while over budget.
+    pub(crate) fn fetch(&mut self, payload: &Arc<SubmapPayload>) -> Arc<DynamicMapIndex> {
         self.clock += 1;
-        let key = (view.epoch().version(), tile_idx);
+        let key = Arc::as_ptr(payload) as usize;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_touch = self.clock;
             self.hits.inc();
-            return Arc::clone(&entry.tile);
+            return Arc::clone(&entry.index);
         }
         self.misses.inc();
-        let span = tigris_obs::span!(
-            "tile.load",
-            epoch = key.0,
-            tile = tile_idx,
-            members = view.router().tiles()[tile_idx].members().len(),
-        );
-        let tile = Arc::new(LoadedTile::load(view.epoch(), &view.router().tiles()[tile_idx]));
+        let span = tigris_obs::span!("tile.load", submap = payload.id(), points = payload.len());
+        let index = Arc::new(DynamicMapIndex::build(payload.points()));
         drop(span);
         self.loads.inc();
         self.resident_tiles.add(1);
-        let resident = self.resident_bytes.add(tile.bytes as i64);
+        let resident = self.resident_bytes.add(index.memory_bytes() as i64);
         self.peak_resident_bytes.set_max(resident);
-        self.entries.insert(key, CacheEntry { tile: Arc::clone(&tile), last_touch: self.clock });
+        let entry = CacheEntry {
+            payload: Arc::downgrade(payload),
+            index: Arc::clone(&index),
+            last_touch: self.clock,
+        };
+        self.entries.insert(key, entry);
         self.evict_over_budget(key);
-        tile
+        index
     }
 
-    fn evict_over_budget(&mut self, keep: (u64, usize)) {
+    fn evict_over_budget(&mut self, keep: usize) {
         while self.resident_bytes.get().max(0) as usize > self.budget_bytes {
             let Some((&victim, _)) =
                 self.entries.iter().filter(|(&k, _)| k != keep).min_by_key(|(_, e)| e.last_touch)
             else {
                 break;
             };
-            let entry = self.entries.remove(&victim).expect("victim was just found");
+            let bytes = self.remove(victim);
             self.evictions.inc();
-            self.resident_tiles.add(-1);
-            self.resident_bytes.add(-(entry.tile.bytes as i64));
-            tigris_obs::event!(
-                "tile.evict",
-                epoch = victim.0,
-                tile = victim.1,
-                bytes = entry.tile.bytes,
-            );
+            tigris_obs::event!("tile.evict", bytes = bytes);
         }
     }
 
-    /// Drops every resident tile of a retired epoch version (the last
-    /// session unpinned it and it is not current). Not counted as
-    /// budget evictions.
-    pub(crate) fn purge_version(&mut self, version: u64) {
-        let (resident_tiles, resident_bytes) =
-            (Arc::clone(&self.resident_tiles), Arc::clone(&self.resident_bytes));
-        let mut purged = 0usize;
-        self.entries.retain(|&(v, _), entry| {
-            if v == version {
-                resident_tiles.add(-1);
-                resident_bytes.add(-(entry.tile.bytes as i64));
-                purged += 1;
-                false
-            } else {
-                true
-            }
-        });
-        if purged > 0 {
-            tigris_obs::event!("tile.purge", epoch = version, tiles = purged);
+    /// Drops every index whose payload nothing holds any more. Not
+    /// counted as budget evictions.
+    pub(crate) fn sweep(&mut self) {
+        let dead: Vec<usize> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| e.payload.strong_count() == 0)
+            .map(|(&k, _)| k)
+            .collect();
+        for key in dead {
+            self.remove(key);
         }
+    }
+
+    /// Removes the entry at `key` from the cache and the resident
+    /// gauges, returning its reclaimed bytes.
+    fn remove(&mut self, key: usize) -> usize {
+        let entry = self.entries.remove(&key).expect("removing a resident entry");
+        let bytes = entry.index.memory_bytes();
+        self.resident_tiles.add(-1);
+        self.resident_bytes.add(-(bytes as i64));
+        bytes
     }
 
     /// A point-in-time copy of the residency counters, assembled from

@@ -18,32 +18,17 @@ use super::tile::{partition, TileMeta, TilingConfig};
 #[derive(Debug)]
 pub struct TileRouter {
     tiles: Vec<TileMeta>,
-    /// Submap id → tile index (`None` for empty submaps, which no tile
-    /// serves).
-    tile_of: Vec<Option<usize>>,
 }
 
 impl TileRouter {
-    /// Partitions the epoch under `config` and indexes the result.
+    /// Partitions the epoch under `config`.
     pub fn build(epoch: &SnapshotEpoch, config: &TilingConfig) -> Self {
-        let tiles = partition(epoch, config);
-        let mut tile_of = vec![None; epoch.payloads().len()];
-        for (t, tile) in tiles.iter().enumerate() {
-            for &member in tile.members() {
-                tile_of[member] = Some(t);
-            }
-        }
-        TileRouter { tiles, tile_of }
+        TileRouter { tiles: partition(epoch, config) }
     }
 
     /// The epoch's tiles, in deterministic grid-cell order.
     pub fn tiles(&self) -> &[TileMeta] {
         &self.tiles
-    }
-
-    /// The tile serving submap `id`, or `None` for an empty submap.
-    pub fn tile_of(&self, id: usize) -> Option<usize> {
-        self.tile_of.get(id).copied().flatten()
     }
 
     /// Indices of every tile whose bounds intersect the query sphere —

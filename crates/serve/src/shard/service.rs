@@ -2,11 +2,10 @@
 //! residency and versioned epoch hot-swap over one live map.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use tigris_core::{BatchConfig, SearchStats, SharedIndex};
+use tigris_core::{BatchConfig, DynamicMapIndex, SearchStats, SharedIndex};
 use tigris_geom::{RigidTransform, Vec3};
 use tigris_map::retrieval;
 use tigris_map::{sort_map_neighbors, MapNeighbor};
@@ -14,7 +13,7 @@ use tigris_obs::sampler::{TailConfig, TailSampler};
 use tigris_obs::Registry;
 use tigris_pipeline::{PreparedFrame, RegistrationResult};
 
-use super::epoch::SnapshotEpoch;
+use super::epoch::{SnapshotEpoch, SubmapPayload};
 use super::residency::TileCache;
 use super::router::EpochView;
 use super::session::ShardSession;
@@ -32,9 +31,9 @@ pub struct ShardConfig {
     pub serve: ServeConfig,
     /// How published epochs are cut into tiles.
     pub tiling: TilingConfig,
-    /// Byte budget for resident rebuilt tile indices (reclaimable bytes
-    /// only; see [`crate::stats::TileStats`]). `usize::MAX` — the
-    /// default — keeps every touched tile resident.
+    /// Byte budget for resident rebuilt submap indexes (reclaimable
+    /// bytes only; see [`crate::stats::TileStats`]). `usize::MAX` — the
+    /// default — keeps every touched index resident.
     pub tile_budget_bytes: usize,
 }
 
@@ -48,15 +47,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// Epoch bookkeeping behind the service's state lock: the current view
-/// plus the pin count of every epoch still draining sessions.
-#[derive(Debug, Default)]
-struct EpochState {
-    current: Option<Arc<EpochView>>,
-    /// Epoch version → sessions pinned on it.
-    pins: HashMap<u64, usize>,
-}
-
 /// The state shared between a [`ShardService`] and its sessions.
 #[derive(Debug)]
 pub(crate) struct ShardCore {
@@ -68,16 +58,16 @@ pub(crate) struct ShardCore {
     /// failed requests, judged against this service's own latency
     /// history.
     pub(crate) sampler: Arc<TailSampler>,
-    /// Admission gate + epoch bookkeeping; touched only at request and
-    /// session boundaries.
-    state: Mutex<(RequestGate, EpochState)>,
-    /// Tile residency; touched per tile lookup, never while holding the
-    /// state lock.
+    /// Admission gate + the current epoch view; touched only at request
+    /// and session boundaries.
+    state: Mutex<(RequestGate, Option<Arc<EpochView>>)>,
+    /// Index residency; touched per index lookup, never while holding
+    /// the state lock.
     cache: Mutex<TileCache>,
 }
 
 impl ShardCore {
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, (RequestGate, EpochState)> {
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, (RequestGate, Option<Arc<EpochView>>)> {
         self.state.lock().expect("shard state lock poisoned")
     }
 
@@ -85,15 +75,11 @@ impl ShardCore {
         self.cache.lock().expect("tile cache lock poisoned")
     }
 
-    /// The tile at `tile_idx` of the view's epoch, resident (loading it
-    /// now when cold). The load runs under the cache lock; queries on
-    /// already-resident tiles only pay the lookup.
-    pub(crate) fn resident(
-        &self,
-        view: &EpochView,
-        tile_idx: usize,
-    ) -> Arc<super::residency::LoadedTile> {
-        self.lock_cache().fetch(view, tile_idx)
+    /// `payload`'s rebuilt index, resident (building it now when cold).
+    /// The build runs under the cache lock; queries on already-resident
+    /// indexes only pay the lookup.
+    pub(crate) fn index(&self, payload: &Arc<SubmapPayload>) -> Arc<DynamicMapIndex> {
+        self.lock_cache().fetch(payload)
     }
 
     pub(crate) fn begin_request(&self) -> Result<(), ServeError> {
@@ -104,27 +90,12 @@ impl ShardCore {
         self.lock_state().0.finish_request(latency, delta);
     }
 
-    /// A session closed: release its admission slot and unpin its epoch.
-    /// When the last session of a superseded epoch unpins, that epoch's
-    /// resident tiles are purged (its payload archives free with the
-    /// session's `Arc`).
-    pub(crate) fn release_session(&self, version: u64) {
-        let purge = {
-            let mut state = self.lock_state();
-            state.0.close_session();
-            let pinned =
-                state.1.pins.get_mut(&version).expect("session unpinned an epoch it never pinned");
-            *pinned -= 1;
-            if *pinned == 0 {
-                state.1.pins.remove(&version);
-                state.1.current.as_ref().map(|v| v.epoch().version()) != Some(version)
-            } else {
-                false
-            }
-        };
-        if purge {
-            self.lock_cache().purge_version(version);
-        }
+    /// A session closed (its epoch view already dropped): release its
+    /// admission slot and sweep the indexes of payloads no epoch holds
+    /// any more.
+    pub(crate) fn release_session(&self) {
+        self.lock_state().0.close_session();
+        self.lock_cache().sweep();
     }
 }
 
@@ -143,8 +114,9 @@ impl ShardCore {
 /// * **queries route by tile** — the router fans a query sphere out to
 ///   only the covering tiles (bit-identical to whole-map fan-out by the
 ///   conservative-bounds argument in the [tiling docs](super::tile));
-/// * **tiles load lazily and evict under a byte budget** — see the
-///   [residency docs](super::residency).
+/// * **indexes build lazily, one per payload, and evict under a byte
+///   budget** — an unchanged payload keeps its index across epochs; see
+///   the [residency docs](super::residency).
 #[derive(Debug)]
 pub struct ShardService {
     core: Arc<ShardCore>,
@@ -166,7 +138,7 @@ impl ShardService {
                 config,
                 registry,
                 sampler,
-                state: Mutex::new((gate, EpochState::default())),
+                state: Mutex::new((gate, None)),
                 cache: Mutex::new(cache),
             }),
         }
@@ -203,9 +175,9 @@ impl ShardService {
     }
 
     /// Hot-swaps the served epoch: sessions opened after this call pin
-    /// `epoch`; sessions already open keep draining on theirs. A
-    /// superseded epoch with no pinned sessions has its resident tiles
-    /// purged immediately.
+    /// `epoch`; sessions already open keep draining on theirs. Indexes
+    /// of payloads `epoch` shares stay resident; those of payloads that
+    /// nothing holds any more are dropped.
     pub fn install_epoch(&self, epoch: Arc<SnapshotEpoch>) {
         let view = Arc::new(EpochView::new(epoch, &self.core.config.tiling));
         tigris_obs::event!(
@@ -214,19 +186,15 @@ impl ShardService {
             submaps = view.epoch().payloads().len(),
             tiles = view.router().tiles().len(),
         );
-        let retired = {
-            let mut state = self.core.lock_state();
-            let old = state.1.current.replace(view);
-            old.map(|v| v.epoch().version()).filter(|version| !state.1.pins.contains_key(version))
-        };
-        if let Some(version) = retired {
-            self.core.lock_cache().purge_version(version);
-        }
+        let old = self.core.lock_state().1.replace(view);
+        // Dropped first, so the sweep sees the payloads only it held die.
+        drop(old);
+        self.core.lock_cache().sweep();
     }
 
     /// The currently served epoch, or `None` before the first install.
     pub fn current_epoch(&self) -> Option<Arc<SnapshotEpoch>> {
-        self.core.lock_state().1.current.as_ref().map(|v| Arc::clone(v.epoch()))
+        self.core.lock_state().1.as_ref().map(|v| Arc::clone(v.epoch()))
     }
 
     /// Admits a new localization session pinned to the current epoch.
@@ -239,9 +207,8 @@ impl ShardService {
     pub fn open_session(&self) -> Result<ShardSession, ServeError> {
         let (id, view) = {
             let mut state = self.core.lock_state();
-            let view = Arc::clone(state.1.current.as_ref().ok_or(ServeError::NoEpoch)?);
+            let view = Arc::clone(state.1.as_ref().ok_or(ServeError::NoEpoch)?);
             let id = state.0.admit_session(self.core.config.serve.max_sessions)?;
-            *state.1.pins.entry(view.epoch().version()).or_insert(0) += 1;
             (id, view)
         };
         Ok(ShardSession::new(id, Arc::clone(&self.core), view))
@@ -283,7 +250,7 @@ impl ShardService {
     }
 
     fn current_view(&self) -> Result<Arc<EpochView>, ServeError> {
-        self.core.lock_state().1.current.as_ref().map(Arc::clone).ok_or(ServeError::NoEpoch)
+        self.core.lock_state().1.as_ref().map(Arc::clone).ok_or(ServeError::NoEpoch)
     }
 
     /// A consistent point-in-time copy of the service-wide counters,
@@ -299,7 +266,7 @@ impl ShardService {
 
 /// A pinned epoch view as a relocalization target: retrieval and
 /// keyframe verification read the epoch directly; structure overlap
-/// touches the candidate submap's tile (loading it when cold).
+/// touches only the candidate submap's index (building it when cold).
 pub(crate) struct EpochTarget<'a> {
     pub(crate) core: &'a ShardCore,
     pub(crate) view: &'a EpochView,
@@ -321,7 +288,7 @@ impl EpochTarget<'_> {
     }
 
     /// Structure-overlap fraction of `points` against `submap` under
-    /// `relative`, NN lookups batched through the submap's rebuilt tile
+    /// `relative`, NN lookups batched through the submap's rebuilt
     /// index.
     pub(crate) fn structure_overlap(
         &self,
@@ -330,23 +297,21 @@ impl EpochTarget<'_> {
         submap: usize,
         cfg: &BatchConfig,
     ) -> f64 {
-        let Some(tile_idx) = self.view.router().tile_of(submap) else {
+        let Some(payload) = self.view.epoch().payloads().get(submap) else {
+            return 0.0;
+        };
+        let Some(bounds) = payload.local_bounds() else {
             return 0.0; // empty submap: nothing to overlap with
         };
-        let tile = self.core.resident(self.view, tile_idx);
-        let Some(loaded) = tile.submap(submap) else {
-            return 0.0;
-        };
-        let Some(bounds) = loaded.payload.local_bounds() else {
-            return 0.0;
-        };
-        retrieval::structure_overlap_indexed(points, relative, &loaded.index, bounds, cfg)
+        let index = self.core.index(payload);
+        retrieval::structure_overlap_indexed(points, relative, &index, bounds, cfg)
     }
 }
 
 /// Tile-routed serial map query over a pinned view: fan out to the
-/// covering tiles, apply each member submap's own local-bounds gate,
-/// and merge in the canonical order. Bit-identical to `Mapper::query`
+/// covering tiles, apply each member submap's own local-bounds gate
+/// (fetching its index only when the gate passes), and merge in the
+/// canonical order. Bit-identical to `Mapper::query`
 /// on the published map (conservative routing + the rebuild-identical
 /// index contract + the one shared [`sort_map_neighbors`] comparator),
 /// including its empty answer to a radius that is not `>= 0` or a probe
@@ -362,23 +327,22 @@ pub(crate) fn query_view(
         return out;
     }
     for tile_idx in view.router().covering(point, radius) {
-        let tile = core.resident(view, tile_idx);
-        for loaded in &tile.submaps {
-            let Some(bounds) = loaded.payload.local_bounds() else {
+        for &id in view.router().tiles()[tile_idx].members() {
+            let payload = &view.epoch().payloads()[id];
+            let Some(bounds) = payload.local_bounds() else {
                 continue;
             };
-            let anchor = view.epoch().anchor_pose(loaded.payload.id());
+            let anchor = view.epoch().anchor_pose(id);
             let local_q = anchor.inverse().apply(point);
             if !bounds.intersects_sphere(local_q, radius) {
                 continue;
             }
-            out.extend(loaded.index.radius_query(local_q, radius).into_iter().map(|n| {
-                MapNeighbor {
-                    submap: loaded.payload.id(),
-                    index: n.index,
-                    point: anchor.apply(loaded.index.all_points()[n.index]),
-                    distance_squared: n.distance_squared,
-                }
+            let index = core.index(payload);
+            out.extend(index.radius_query(local_q, radius).into_iter().map(|n| MapNeighbor {
+                submap: id,
+                index: n.index,
+                point: anchor.apply(index.all_points()[n.index]),
+                distance_squared: n.distance_squared,
             }));
         }
     }
@@ -387,8 +351,9 @@ pub(crate) fn query_view(
 }
 
 /// Batched [`query_view`]: queries grouped per covering tile, then
-/// batched per member submap through the shared read path —
-/// bit-identical to per-element [`query_view`].
+/// batched per member submap through the shared read path (a member's
+/// index fetched only when some query passes its gate) — bit-identical
+/// to per-element [`query_view`].
 pub(crate) fn query_batch_view(
     core: &ShardCore,
     view: &EpochView,
@@ -411,12 +376,12 @@ pub(crate) fn query_batch_view(
     }
     let mut stats = SearchStats::new();
     for (tile_idx, query_ids) in per_tile {
-        let tile = core.resident(view, tile_idx);
-        for loaded in &tile.submaps {
-            let Some(bounds) = loaded.payload.local_bounds() else {
+        for &id in view.router().tiles()[tile_idx].members() {
+            let payload = &view.epoch().payloads()[id];
+            let Some(bounds) = payload.local_bounds() else {
                 continue;
             };
-            let anchor = view.epoch().anchor_pose(loaded.payload.id());
+            let anchor = view.epoch().anchor_pose(id);
             let inverse = anchor.inverse();
             let mut hit_ids: Vec<usize> = Vec::new();
             let mut local_queries: Vec<Vec3> = Vec::new();
@@ -430,12 +395,13 @@ pub(crate) fn query_batch_view(
             if hit_ids.is_empty() {
                 continue;
             }
-            let answers = loaded.index.radius_batch_shared(&local_queries, radius, cfg, &mut stats);
+            let index = core.index(payload);
+            let answers = index.radius_batch_shared(&local_queries, radius, cfg, &mut stats);
             for (&qi, neighbors) in hit_ids.iter().zip(answers) {
                 out[qi].extend(neighbors.into_iter().map(|n| MapNeighbor {
-                    submap: loaded.payload.id(),
+                    submap: id,
                     index: n.index,
-                    point: anchor.apply(loaded.index.all_points()[n.index]),
+                    point: anchor.apply(index.all_points()[n.index]),
                     distance_squared: n.distance_squared,
                 }));
             }

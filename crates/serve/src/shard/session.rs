@@ -27,14 +27,26 @@ use crate::stats::SessionStats;
 #[derive(Debug)]
 pub struct ShardSession {
     id: usize,
-    core: Arc<ShardCore>,
     view: Arc<EpochView>,
     track: TrackCore,
+    /// Declared after `view`: fields drop in declaration order, so the
+    /// slot's release sweeps indexes once this session's pin is gone.
+    core: Admitted,
+}
+
+/// A session's admission slot: released on drop.
+#[derive(Debug)]
+struct Admitted(Arc<ShardCore>);
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        self.0.release_session();
+    }
 }
 
 impl ShardSession {
     pub(crate) fn new(id: usize, core: Arc<ShardCore>, view: Arc<EpochView>) -> Self {
-        ShardSession { id, core, view, track: TrackCore::new() }
+        ShardSession { id, view, track: TrackCore::new(), core: Admitted(core) }
     }
 
     /// The session's service-assigned id (dense, in admission order).
@@ -65,7 +77,7 @@ impl ShardSession {
     /// Localizes one raw frame (sensor coordinates) against the pinned
     /// epoch: cold-start relocalization when the session has no pose
     /// (retrieval over the epoch, verification against shared
-    /// keyframes, structure overlap through the candidate's tile),
+    /// keyframes, structure overlap through the candidate's index),
     /// velocity-prior tracking otherwise (tracking registers against the
     /// session's own previous frame and touches no tile at all). The
     /// frame's front end runs exactly once either way, and a successful
@@ -83,7 +95,7 @@ impl ShardSession {
     /// or after tracking loss) finds no verifiable pose — the session is
     /// cold afterwards.
     pub fn localize(&mut self, frame: &PointCloud) -> Result<SessionStep, ServeError> {
-        self.core.begin_request()?;
+        self.core.0.begin_request()?;
         // The root of the request's trace tree: everything the frame
         // touches — preparation, relocalization gates, tile loads,
         // tracking, map search — nests under this span; the pinned
@@ -96,7 +108,7 @@ impl ShardSession {
         );
         let t0 = Instant::now();
         let before = *self.track.stats();
-        let core = &self.core;
+        let core = &self.core.0;
         let view = &self.view;
         let result = self.track.localize_with(
             frame,
@@ -108,7 +120,7 @@ impl ShardSession {
         );
         let delta = self.track.stats().delta_since(&before);
         let latency = t0.elapsed();
-        self.core.finish_request(latency, delta);
+        self.core.0.finish_request(latency, delta);
         // Tail sampling runs after metering (so the percentile baseline
         // includes this request) and after the root span is closed (so
         // its End record is in the flight ring when the subtree is cut).
@@ -116,7 +128,7 @@ impl ShardSession {
         drop(_span);
         let outcome =
             if result.is_err() { RequestOutcome::Failed } else { RequestOutcome::Completed };
-        self.core.sampler.observe(root, latency, outcome, false);
+        self.core.0.sampler.observe(root, latency, outcome, false);
         result
     }
 
@@ -124,19 +136,13 @@ impl ShardSession {
     /// exactly like `Mapper::query` on the mapper the epoch was
     /// published from.
     pub fn query(&self, point: Vec3, radius: f64) -> Vec<MapNeighbor> {
-        query_view(&self.core, &self.view, point, radius)
+        query_view(&self.core.0, &self.view, point, radius)
     }
 
     /// Batched [`ShardSession::query`], batched per submap through the
     /// shared read path — bit-identical to per-element queries.
     pub fn query_batch(&self, points: &[Vec3], radius: f64) -> Vec<Vec<MapNeighbor>> {
         let batch = self.view.epoch().registration_config().parallel;
-        query_batch_view(&self.core, &self.view, points, radius, &batch)
-    }
-}
-
-impl Drop for ShardSession {
-    fn drop(&mut self) {
-        self.core.release_session(self.view.epoch().version());
+        query_batch_view(&self.core.0, &self.view, points, radius, &batch)
     }
 }

@@ -93,24 +93,27 @@ pub struct ServeStats {
     pub prepare_scratch_reuses: u64,
     /// Latency distribution over every completed localize call.
     pub latency: LatencySummary,
-    /// Tile residency counters.
+    /// Index residency counters (per submap index).
     pub tiles: TileStats,
 }
 
-/// Tile residency counters for the sharded serving layer: how often the
-/// router's covering tiles were already resident, how much load/evict
-/// churn the byte budget caused, and the resident footprint itself.
+/// Index residency counters for the sharded serving layer, counted per
+/// submap index (one per payload; tiles only route): how often a needed
+/// index was already resident, how much load/evict churn the byte
+/// budget caused, and the resident footprint itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileStats {
-    /// Tile lookups answered by an already-resident tile.
+    /// Index lookups answered by an already-resident index.
     pub hits: usize,
-    /// Tile lookups that had to load the tile first.
+    /// Index lookups that had to build the index first.
     pub misses: usize,
-    /// Tiles loaded (indices rebuilt) over the service's lifetime.
+    /// Submap indexes built over the service's lifetime.
     pub loads: usize,
-    /// Tiles evicted by the byte budget over the service's lifetime.
+    /// Submap indexes evicted by the byte budget over the service's
+    /// lifetime (indexes of payloads nothing holds any more are dropped
+    /// without counting here).
     pub evictions: usize,
-    /// Tiles currently resident.
+    /// Submap indexes currently resident.
     pub resident_tiles: usize,
     /// Reclaimable bytes currently resident (the rebuilt per-submap
     /// indices; epoch payload archives are not charged — eviction cannot

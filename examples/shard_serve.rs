@@ -7,12 +7,13 @@
 //! 1. a mapper builds a map and **publishes epoch 1** — an immutable,
 //!    versioned snapshot sharing unchanged submap payloads by `Arc`;
 //! 2. a [`ShardService`] serves it **tiled**: map probes route only to
-//!    the spatial tiles whose bounds can answer, tiles become resident
-//!    on first touch and evict LRU under `tile_budget_bytes`;
+//!    the spatial tiles whose bounds can answer, each submap's index is
+//!    rebuilt on first touch and evicts LRU under `tile_budget_bytes`;
 //! 3. the mapper keeps mapping and publishes **epoch 2**; the service
 //!    hot-swaps it in — sessions already open keep draining on their
-//!    pinned epoch 1, new sessions pin epoch 2, and epoch 1's tiles are
-//!    purged when its last session closes.
+//!    pinned epoch 1, new sessions pin epoch 2, submaps epoch 2 shares
+//!    keep their indexes, and the indexes of epoch 1's superseded
+//!    payloads drop once its last session closes.
 //!
 //! Run with:
 //! ```text
@@ -50,8 +51,8 @@ fn main() {
         epoch1.archive_bytes() / 1024
     );
 
-    // A deliberately tight tile budget: tiles load on demand and evict
-    // LRU, so resident index bytes stay bounded while answers stay
+    // A deliberately tight tile budget: submap indexes load on demand
+    // and evict LRU, so resident index bytes stay bounded while answers stay
     // bit-identical to `Mapper::query` on the published map.
     let config = ShardConfig { tile_budget_bytes: 2 << 20, ..ShardConfig::default() };
     let service = ShardService::with_epoch(Arc::clone(&epoch1), config);
@@ -78,7 +79,8 @@ fn main() {
         publisher.payloads_shared(),
         publisher.payloads_copied()
     );
-    service.install_epoch(Arc::clone(&epoch2));
+    service.install_epoch(epoch2);
+    drop(epoch1); // only session A holds epoch 1 now
 
     // Session A drains on its pinned epoch; a new session pins epoch 2.
     let step = session_a.localize(seq.frame(3)).expect("tracking");
@@ -91,17 +93,18 @@ fn main() {
     session_b.localize(seq.frame(2)).expect("cold start");
     println!("session B: cold-started on epoch {}", session_b.epoch_version());
 
-    // Closing epoch 1's last session purges its tiles.
+    // Closing epoch 1's last session drops the indexes of the payloads
+    // only epoch 1 held; the ones epoch 2 shares stay resident.
     drop(session_a);
     let stats = service.stats();
     println!(
-        "tiles: {} loads, {} hits, {} evictions; resident {} KiB (peak {} KiB) across {} tiles",
+        "indexes: {} loads, {} hits, {} evictions; {} resident in {} KiB (peak {} KiB)",
         stats.tiles.loads,
         stats.tiles.hits,
         stats.tiles.evictions,
+        stats.tiles.resident_tiles,
         stats.tiles.resident_bytes / 1024,
-        stats.tiles.peak_resident_bytes / 1024,
-        stats.tiles.resident_tiles
+        stats.tiles.peak_resident_bytes / 1024
     );
     println!(
         "served {} frames, {} relocalizations, p99 {:?}",

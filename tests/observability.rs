@@ -233,14 +233,14 @@ fn sharded_request_connects_tiles_and_index_builds_under_the_root() {
     let cold_root = roots[0];
 
     // The sharded cold start reaches structure overlap through a lazy
-    // tile load, which rebuilds that tile's KD-trees: the full
+    // `tile.load`, which rebuilds the candidate submap's KD-tree: the full
     // serve → shard → core chain under one root.
     assert_descends(&trace, "serve.reloc", cold_root);
     assert_descends(&trace, "tile.load", cold_root);
     let builds = begin_ids(&trace, "core.index_build");
     assert!(
         builds.iter().any(|&id| trace.has_ancestor(id, cold_root)),
-        "the tile's index rebuild must nest under the request root"
+        "the submap's index rebuild must nest under the request root"
     );
 
     // Answers over a traced publish equal the untraced fixture epoch's —

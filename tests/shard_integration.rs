@@ -26,8 +26,11 @@
 //!   eviction churn visible in the stats and no effect on results;
 //! * an epoch hot-swap mid-stream **drops no session and diverges no
 //!   pose**: in-flight sessions drain on their pinned epoch, new
-//!   sessions pin the new one, and a retired epoch's tiles are purged
-//!   when its last session unpins;
+//!   sessions pin the new one, a payload the new epoch shares keeps its
+//!   rebuilt index, and an index whose payload no live epoch holds is
+//!   dropped when the last session pinning it closes;
+//! * a publish **rebuilds only what it copied**: a whole-map read after
+//!   an install builds no more indexes than the publish archived;
 //! * admission control rejects typed beyond the session/in-flight
 //!   budgets, slots come back on abnormal teardown, and failures are
 //!   typed and recoverable.
@@ -43,7 +46,8 @@ use tigris::geom::{PointCloud, RigidTransform, Vec3};
 use tigris::map::retrieval::structure_overlap_batched;
 use tigris::map::{Mapper, MapperConfig};
 use tigris::serve::shard::{
-    EpochPublisher, EpochView, ShardConfig, ShardService, SnapshotEpoch, TilingConfig,
+    EpochPublisher, EpochView, ShardConfig, ShardService, SnapshotEpoch, SubmapPayload,
+    TilingConfig,
 };
 use tigris::serve::{Relocalization, ServeConfig, ServeError, SessionPhase, SessionStep, StepKind};
 use tigris_bench::shard::whole_map_config;
@@ -127,6 +131,28 @@ fn probes(fx: &Fixture) -> Vec<Vec3> {
     fx.mapper.poses().iter().step_by(5).map(|p| p.translation + Vec3::new(0.0, 0.0, -1.0)).collect()
 }
 
+/// The 3×3 ground grid of probes 1.5 m apart around a pose, just below
+/// the scanner mount: reading it around every map pose reads the whole
+/// map.
+fn probes_around(pose: &RigidTransform) -> Vec<Vec3> {
+    let offsets = [-1.5, 0.0, 1.5];
+    offsets.iter().flat_map(|&dx| offsets.map(|dy| pose.apply(Vec3::new(dx, dy, -1.0)))).collect()
+}
+
+/// The payloads whose own local-bounds gate admits the query sphere:
+/// the indexes a tile-routed read of it fetches.
+fn gated(epoch: &SnapshotEpoch, point: Vec3, radius: f64) -> Vec<*const SubmapPayload> {
+    epoch
+        .payloads()
+        .iter()
+        .filter(|payload| {
+            let local = epoch.anchor_pose(payload.id()).inverse().apply(point);
+            payload.local_bounds().is_some_and(|b| b.intersects_sphere(local, radius))
+        })
+        .map(Arc::as_ptr)
+        .collect()
+}
+
 fn pose_errors(reference: &RigidTransform, est: &RigidTransform) -> (f64, f64) {
     let delta = reference.inverse() * *est;
     (delta.translation_norm(), delta.rotation_angle().to_degrees())
@@ -140,7 +166,7 @@ fn assert_same_pose(a: &SessionStep, b: &SessionStep, what: &str) {
 
 /// Asserts a cold start served from epoch 2 reports exactly the
 /// structure overlap the live mapper's own submap index gives for the
-/// same evidence — the served tile index was rebuilt from an archive,
+/// same evidence — the served submap index was rebuilt from an archive,
 /// the oracle's is the one the mapper built incrementally.
 fn assert_overlap_matches_live_submap(fx: &Fixture, frame: &PointCloud, reloc: &Relocalization) {
     let registration = &fx.mapper.config().registration;
@@ -471,7 +497,7 @@ fn tile_routed_queries_match_the_whole_snapshot_bitwise() {
     }
 
     let tiles = service.stats().tiles;
-    assert!(tiles.loads > 0 && tiles.hits > 0, "repeat probes must hit resident tiles");
+    assert!(tiles.loads > 0 && tiles.hits > 0, "repeat probes must hit resident indexes");
     assert_eq!(tiles.evictions, 0, "unlimited budget must never evict");
 }
 
@@ -530,7 +556,7 @@ fn tile_budget_bounds_resident_bytes_without_changing_answers() {
             let tiles = service.stats().tiles;
             assert!(
                 tiles.resident_bytes <= budget || tiles.resident_tiles == 1,
-                "resident {} bytes exceeds budget {budget} with {} tiles resident",
+                "resident {} bytes exceeds budget {budget} with {} indexes resident (not one)",
                 tiles.resident_bytes,
                 tiles.resident_tiles
             );
@@ -572,9 +598,36 @@ fn epoch_hot_swap_drains_pinned_sessions_and_serves_new_ones() {
     assert_eq!(a.epoch_version(), 1);
     let step0 = a.localize(fx.seq.frame(2)).expect("pre-swap cold start");
 
+    // Read, through epoch 1, a region whose every gated payload epoch 2
+    // shares (the same `Arc`): probes 4 m above the trajectory clear the
+    // local bounds of the submap the last frames grew, not of the others.
+    let shared: Vec<Vec3> = fx
+        .mapper
+        .poses()
+        .iter()
+        .step_by(5)
+        .map(|pose| pose.translation + Vec3::new(0.0, 0.0, 4.0))
+        .filter(|&p| {
+            let needed = gated(&fx.epoch2, p, 2.0);
+            !needed.is_empty() && needed.iter().all(|q| gated(&fx.epoch1, p, 2.0).contains(q))
+        })
+        .collect();
+    assert!(shared.len() >= 4, "the region must reach payloads epoch 2 shares");
+    for &p in &shared {
+        service.query(p, 2.0).unwrap();
+    }
+    let loads_before = service.stats().tiles.loads;
+
     // Hot-swap mid-stream.
     service.install_epoch(Arc::clone(&fx.epoch2));
     assert_eq!(service.current_epoch().unwrap().version(), 2);
+
+    // Re-reading the region through epoch 2 builds no index: a shared
+    // payload keeps its index across the install.
+    for &p in &shared {
+        assert_eq!(service.query(p, 2.0).unwrap(), fx.mapper.query(p, 2.0));
+    }
+    assert_eq!(service.stats().tiles.loads, loads_before, "a shared payload's index was rebuilt");
 
     // A keeps draining on epoch 1 — not dropped, not migrated, and its
     // poses are exactly the never-swapped control's.
@@ -590,17 +643,76 @@ fn epoch_hot_swap_drains_pinned_sessions_and_serves_new_ones() {
     assert_eq!(b.epoch_version(), 2);
     b.localize(fx.seq.frame(2)).expect("cold start on epoch 2");
 
-    // Retiring epoch 1: dropping its last session purges its tiles.
-    let resident_before = service.stats().tiles.resident_tiles;
     drop(a);
-    let resident_after = service.stats().tiles.resident_tiles;
-    assert!(
-        resident_after < resident_before,
-        "purge must drop epoch 1 tiles ({resident_before} -> {resident_after})"
-    );
     assert_eq!(service.active_sessions(), 1);
     drop(b);
     assert_eq!(service.active_sessions(), 0);
+
+    // An index lives while some epoch holds its payload. The fixture
+    // keeps its epochs alive for good, so publish owned ones: a fresh
+    // publisher re-archives every submap, and its epoch alone holds
+    // those payloads.
+    let own = EpochPublisher::new().publish(&fx.mapper).expect("owned publish");
+    let owner = ShardService::with_epoch(Arc::clone(&own), ShardConfig::default());
+    let session = owner.open_session().unwrap();
+    for &p in &probes(fx) {
+        session.query(p, 2.0);
+    }
+    let resident = owner.stats().tiles.resident_bytes;
+    assert!(resident > 0);
+    owner.install_epoch(Arc::clone(&fx.epoch2));
+    drop(own);
+    assert_eq!(owner.stats().tiles.resident_bytes, resident, "the session still pins its epoch");
+    drop(session);
+    assert_eq!(owner.stats().tiles.resident_bytes, 0, "its last session dropped the epoch");
+
+    // Without a session, the install that supersedes an epoch drops it.
+    owner.install_epoch(EpochPublisher::new().publish(&fx.mapper).expect("owned publish"));
+    owner.query(probes(fx)[0], 2.0).unwrap();
+    assert!(owner.stats().tiles.resident_bytes > 0);
+    owner.install_epoch(Arc::clone(&fx.epoch2));
+    assert_eq!(owner.stats().tiles.resident_bytes, 0, "the install dropped the epoch");
+}
+
+#[test]
+fn a_publish_rebuilds_only_the_payloads_it_copied() {
+    let fx = fixture();
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch1), ShardConfig::default());
+    // The whole map: the probes around every map pose.
+    let read = |epoch: &SnapshotEpoch| {
+        let probes: Vec<Vec3> = epoch.poses().iter().flat_map(probes_around).collect();
+        let got = service.query_batch(&probes, 2.0).unwrap();
+        (probes, got)
+    };
+    read(&fx.epoch1);
+    let first = service.stats().tiles.loads;
+
+    // Install the epoch published after mapping more frames and read its
+    // whole map: only the payloads the publish archived anew need an
+    // index (`payloads_copied` counts new submaps too).
+    service.install_epoch(Arc::clone(&fx.epoch2));
+    let (probes, got) = read(&fx.epoch2);
+    for (p, neighbors) in probes.iter().zip(&got).step_by(7) {
+        assert_eq!(neighbors, &fx.mapper.query(*p, 2.0), "probe {p:?}");
+    }
+    let rebuilt = service.stats().tiles.loads - first;
+    assert!(
+        rebuilt <= fx.epoch2_copied,
+        "{rebuilt} indexes rebuilt for {} payloads copied",
+        fx.epoch2_copied
+    );
+
+    // Exactly those: the first read built every servable index once.
+    let servable = fx.epoch1.payloads().iter().filter(|p| !p.is_empty()).count();
+    assert_eq!(first, servable, "the whole-map read must reach every servable submap");
+    let fresh = fx
+        .epoch2
+        .payloads()
+        .iter()
+        .filter(|p| !p.is_empty() && !fx.epoch1.payloads().iter().any(|q| Arc::ptr_eq(p, q)))
+        .count();
+    assert_eq!(rebuilt, fresh);
+    assert!(fresh >= 1 && fx.epoch2_copied < servable, "epoch 2 must copy some, not all");
 }
 
 #[test]
