@@ -13,7 +13,7 @@
 //! Criterion benches under `benches/` measure the real-host software
 //! kernels (KD-tree build/search, the search-backend matrix, and the
 //! simulator itself). [`shard`] and [`obs`] hold the fixtures of the two
-//! release-scale gates under `tests/` (tile-routing selectivity on a 10×
+//! release-scale gates under `tests/` (submap-gate selectivity on a 10×
 //! map, and the observability layer's overhead bound). End-to-end
 //! performance is measured by the repository's benchmark, `ruler/`.
 

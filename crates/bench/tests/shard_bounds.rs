@@ -1,12 +1,12 @@
-//! Release-scale acceptance for sharded serving: on a 10× map, tile
-//! routing must be genuinely selective and answer exactly like
-//! `Mapper::query`, concurrent sessions under a tile budget far below
-//! the whole map must localize bit-identically to an unbounded
-//! whole-map service, every accepted cold start must report the
-//! structure overlap the live mapper's own submap gives, an epoch
-//! hot-swap mid-stream must drop no session and diverge no pose, and
-//! peak resident bytes must stay bounded below the everything-resident
-//! baseline. Run explicitly:
+//! Release-scale acceptance for sharded serving: on a 10× map, each
+//! submap's own bounds gate must make map reads genuinely selective and
+//! answer exactly like `Mapper::query`, concurrent sessions under an
+//! index budget far below the whole map must localize bit-identically
+//! to an unbounded whole-map service, every accepted cold start must
+//! report the structure overlap the live mapper's own submap gives, an
+//! epoch hot-swap mid-stream must drop no session and diverge no pose,
+//! and peak resident bytes must stay bounded below the
+//! everything-resident baseline. Run explicitly:
 //!
 //! ```text
 //! cargo test -p tigris-bench --release --test shard_bounds -- --ignored --nocapture
@@ -14,19 +14,19 @@
 
 use std::sync::{Arc, Barrier};
 
-use tigris_bench::shard::{fixture_config, trajectory_probes, whole_map_config, PROBE_RADIUS};
+use tigris_bench::shard::{fixture_config, trajectory_probes, PROBE_RADIUS};
 use tigris_data::Sequence;
 use tigris_map::retrieval::structure_overlap_batched;
 use tigris_map::{Mapper, MapperConfig};
 use tigris_pipeline::prepare_frame;
-use tigris_serve::shard::{EpochPublisher, EpochView, ShardConfig, ShardService, TilingConfig};
+use tigris_serve::shard::{EpochPublisher, ShardConfig, ShardService};
 use tigris_serve::{ServeConfig, SessionStep, StepKind};
 
 /// The 10× floor the acceptance criteria name: a 600 m circuit vs. the
 /// 60 m serving fixture.
 const SCALE: usize = 10;
 
-/// Concurrent localization sessions served under the tile budget.
+/// Concurrent localization sessions served under the index budget.
 const SESSIONS: usize = 4;
 
 /// Frames held back from the first publish, mapped afterwards to make
@@ -90,8 +90,8 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
     );
     drop(live);
 
-    // The oracle: an identical prefix build, kept live (never served
-    // through tiles) and published on its own for the whole-map service.
+    // The oracle: an identical prefix build, kept live (never served)
+    // and published on its own for the whole-map service.
     let mut oracle = Mapper::new(MapperConfig::serving());
     let oracle_seq = Sequence::generate(&fixture_config(SCALE), 7);
     for i in 0..prefix {
@@ -102,21 +102,32 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
     let oracle_epoch = EpochPublisher::new().publish(&oracle).expect("oracle publish");
     assert_eq!(oracle_epoch.total_points(), epoch1.total_points(), "prefix builds must agree");
 
-    // Selectivity: at this scale the map outgrows the scanner, so
-    // probes must route to strict subsets of the tiles.
-    let view = EpochView::new(Arc::clone(&epoch1), &TilingConfig::default());
-    let tiles = view.router().tiles().len();
+    // Selectivity: at this scale the map outgrows the scanner, so each
+    // probe's read must look up only a strict subset of the submap
+    // indexes (a lookup is a residency hit or miss).
+    let submaps = epoch1.payloads().iter().filter(|p| !p.is_empty()).count();
     let probes = trajectory_probes(&poses, 3);
-    let coverings: Vec<usize> =
-        probes.iter().map(|&p| view.router().covering(p, PROBE_RADIUS).len()).collect();
-    assert!(tiles >= 10, "the 10x map must cut into many tiles, got {tiles}");
+    let counter = ShardService::with_epoch(Arc::clone(&epoch1), ShardConfig::default());
+    let lookups = || {
+        let tiles = counter.stats().tiles;
+        tiles.hits + tiles.misses
+    };
+    let per_probe: Vec<usize> = probes
+        .iter()
+        .map(|&p| {
+            let before = lookups();
+            counter.query(p, PROBE_RADIUS).expect("installed");
+            lookups() - before
+        })
+        .collect();
+    assert!(submaps >= 10, "the 10x map must hold many submaps, got {submaps}");
     assert!(
-        coverings.iter().all(|&c| c < tiles),
-        "every on-trajectory probe must route to a strict subset of {tiles} tiles"
+        per_probe.iter().all(|&n| n < submaps),
+        "every on-trajectory probe must look up fewer than {submaps} submap indexes"
     );
-    let mean_fraction = coverings.iter().sum::<usize>() as f64 / (coverings.len() * tiles) as f64;
-    eprintln!("routing: {tiles} tiles, mean covering fraction {mean_fraction:.3}");
-    assert!(mean_fraction < 0.8, "routing must exclude a real share of the map");
+    let mean_fraction = per_probe.iter().sum::<usize>() as f64 / (per_probe.len() * submaps) as f64;
+    eprintln!("gating: {submaps} submaps, mean lookup fraction {mean_fraction:.3}");
+    assert!(mean_fraction < 0.8, "the submap gates must exclude a real share of the map");
 
     // The budgeted service: a quarter of the everything-resident
     // baseline.
@@ -124,18 +135,17 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
     let config = ShardConfig {
         serve: ServeConfig { max_sessions: SESSIONS + 1, ..ServeConfig::default() },
         tile_budget_bytes: budget,
-        ..ShardConfig::default()
     };
     let service = ShardService::with_epoch(Arc::clone(&epoch1), config);
 
-    // Tile-routed answers under the budget are bit-identical to the
-    // live mapper's own queries.
-    let tiled = service.query_batch(&probes, PROBE_RADIUS).expect("tiled batch");
-    for (i, (&p, got)) in probes.iter().zip(&tiled).enumerate() {
+    // Served answers under the budget are bit-identical to the live
+    // mapper's own queries.
+    let served = service.query_batch(&probes, PROBE_RADIUS).expect("served batch");
+    for (i, (&p, got)) in probes.iter().zip(&served).enumerate() {
         assert_eq!(
             got,
             &oracle.query(p, PROBE_RADIUS),
-            "probe {i}: budgeted tile routing diverged from Mapper::query"
+            "probe {i}: budgeted served read diverged from Mapper::query"
         );
     }
 
@@ -143,7 +153,7 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
     // at a time by the unbounded whole-map service over the oracle's own
     // epoch, which never swaps.
     let scripts = session_scripts();
-    let whole_service = ShardService::with_epoch(oracle_epoch, whole_map_config());
+    let whole_service = ShardService::with_epoch(oracle_epoch, ShardConfig::default());
     let whole = run_scripts_sequentially(&whole_service, &seq, &scripts);
     assert_eq!(whole_service.stats().tiles.evictions, 0, "the whole-map service never evicts");
 

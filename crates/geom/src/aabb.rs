@@ -141,29 +141,6 @@ impl Aabb {
         hi.min[axis] = value;
         (lo, hi)
     }
-
-    /// The axis-aligned box of this box's eight corners under `transform`.
-    ///
-    /// The result is a *superset* of the transformed point set (a rotated
-    /// box rarely stays axis-aligned), which is exactly what conservative
-    /// spatial routing needs: any sphere that intersects the true
-    /// transformed geometry intersects the returned box.
-    pub fn transformed(&self, transform: &crate::RigidTransform) -> Aabb {
-        let corners = (0..8).map(|i| {
-            transform.apply(Vec3::new(
-                if i & 1 == 0 { self.min.x } else { self.max.x },
-                if i & 2 == 0 { self.min.y } else { self.max.y },
-                if i & 4 == 0 { self.min.z } else { self.max.z },
-            ))
-        });
-        Aabb::from_points(corners).expect("eight corners are never empty")
-    }
-
-    /// Grows the box to cover `other` entirely.
-    pub fn union(&mut self, other: &Aabb) {
-        self.extend(other.min);
-        self.extend(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -231,39 +208,6 @@ mod tests {
         assert_eq!(b.longest_axis(), 0);
         assert_eq!(Aabb::new(Vec3::ZERO, Vec3::new(1.0, 3.0, 2.0)).longest_axis(), 1);
         assert_eq!(Aabb::new(Vec3::ZERO, Vec3::new(1.0, 2.0, 3.0)).longest_axis(), 2);
-    }
-
-    #[test]
-    fn transformed_covers_the_rotated_box() {
-        use crate::RigidTransform;
-        let b = Aabb::new(Vec3::new(-1.0, -2.0, 0.0), Vec3::new(3.0, 1.0, 2.0));
-        let t = RigidTransform::from_axis_angle(Vec3::Z, 0.9, Vec3::new(5.0, -1.0, 0.5));
-        let world = b.transformed(&t);
-        // Every point of the box (sampled on a grid) maps inside.
-        for i in 0..=4 {
-            for j in 0..=4 {
-                for k in 0..=4 {
-                    let p = Vec3::new(
-                        b.min.x + (b.max.x - b.min.x) * i as f64 / 4.0,
-                        b.min.y + (b.max.y - b.min.y) * j as f64 / 4.0,
-                        b.min.z + (b.max.z - b.min.z) * k as f64 / 4.0,
-                    );
-                    let q = t.apply(p);
-                    assert!(world.distance_squared_to(q) < 1e-18, "{q} outside transformed box");
-                }
-            }
-        }
-        // Identity transform is exact.
-        assert_eq!(b.transformed(&RigidTransform::IDENTITY), b);
-    }
-
-    #[test]
-    fn union_covers_both() {
-        let mut a = Aabb::new(Vec3::ZERO, Vec3::splat(1.0));
-        let b = Aabb::new(Vec3::new(-2.0, 0.5, 0.0), Vec3::new(0.5, 3.0, 0.5));
-        a.union(&b);
-        assert_eq!(a.min, Vec3::new(-2.0, 0.0, 0.0));
-        assert_eq!(a.max, Vec3::new(1.0, 3.0, 1.0));
     }
 
     #[test]

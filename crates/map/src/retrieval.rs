@@ -225,7 +225,7 @@ pub fn structure_overlap_batched(
 /// [`structure_overlap_batched`] over a bare index and its local bounds
 /// instead of a [`Submap`] — the form consumers that rebuilt the index
 /// from an archived payload use (the sharded serving layer's resident
-/// tiles). [`structure_overlap_batched`] delegates here, so the two entry
+/// indexes). [`structure_overlap_batched`] delegates here, so the two entry
 /// points cannot drift.
 pub fn structure_overlap_indexed(
     points: &[Vec3],

@@ -17,7 +17,7 @@ use tigris_pipeline::PreparedFrame;
 
 /// Sorts map-query results into the canonical order every map consumer
 /// shares: ascending by `(distance, submap, index)`. `Mapper::query`
-/// and the serving layer's tile-routed `query`/`query_batch` all sort
+/// and the serving layer's `query`/`query_batch` all sort
 /// through this one function, so the "served epoch answers exactly like
 /// the mapper it was published from" guarantee is structural, not a
 /// pair of hand-copied comparators kept in sync.
@@ -208,19 +208,10 @@ impl Submap {
         self.bounds.as_ref()
     }
 
-    /// The world-frame bounding box of the submap under its current
-    /// anchor pose: the axis-aligned box of the local box's eight rotated
-    /// corners. A superset of the points' true world AABB, which makes it
-    /// a *conservative* spatial-routing bound — any query sphere that
-    /// could reach a point of this submap intersects this box.
-    pub fn world_bounds(&self) -> Option<Aabb> {
-        Some(self.bounds.as_ref()?.transformed(&self.anchor_pose))
-    }
-
     /// Heap bytes of the submap's *point payload*: the dynamic index plus
     /// the signature and frame list. The stored keyframe is deliberately
     /// excluded — it is `Arc`-shared with the mapper/epoch and not freed
-    /// by tile eviction, so charging it to a tile would make the
+    /// by index eviction, so charging it to an index would make the
     /// residency budget double-count memory eviction cannot reclaim.
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes()
@@ -393,7 +384,6 @@ mod tests {
         assert!(submap.is_empty());
         assert!(submap.query(Vec3::ZERO, 10.0).is_empty());
         assert!(submap.local_bounds().is_none());
-        assert!(submap.world_bounds().is_none());
         assert!(!submap.has_keyframe());
         assert_eq!(submap.revision(), 0);
         assert_eq!(submap.memory_bytes(), 0);
@@ -413,26 +403,6 @@ mod tests {
         // change, no revision bump.
         submap.set_anchor_pose(RigidTransform::from_translation(Vec3::Z));
         assert_eq!(submap.revision(), 2);
-    }
-
-    #[test]
-    fn world_bounds_cover_the_points_under_any_anchor() {
-        let anchor = RigidTransform::from_axis_angle(Vec3::Z, 0.7, Vec3::new(-4.0, 2.5, 1.0));
-        let mut submap = Submap::new(0, 0, anchor, 64);
-        let pts: Vec<Vec3> =
-            (0..40).map(|i| Vec3::new((i % 8) as f64, (i / 8) as f64, 0.3 * i as f64)).collect();
-        submap.insert_frame(0, &pts, &RigidTransform::IDENTITY);
-        let world = submap.world_bounds().unwrap();
-        for p in submap.world_points() {
-            assert!(world.contains(p), "{p} outside world bounds");
-        }
-        // Moving the anchor moves the bounds with the points.
-        submap.set_anchor_pose(RigidTransform::from_translation(Vec3::new(100.0, 0.0, 0.0)));
-        let moved = submap.world_bounds().unwrap();
-        for p in submap.world_points() {
-            assert!(moved.contains(p), "{p} outside moved world bounds");
-        }
-        assert!(moved.min.x > world.max.x);
     }
 
     #[test]

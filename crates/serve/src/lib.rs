@@ -13,13 +13,12 @@
 //!   immutable, versioned [`shard::SnapshotEpoch`], copy-on-write at
 //!   submap granularity. A finished map is simply an epoch that is never
 //!   replaced.
-//! * **Tiles** ([`shard::tile`], [`shard::router`],
-//!   [`shard::residency`]) — an epoch is cut into spatial tiles; map
-//!   queries fan out only to the tiles their sphere touches, and each
-//!   submap payload's search index is rebuilt on demand, kept across
-//!   epochs that share the payload, and evicted under a byte budget.
-//!   Routing is conservative, so answers are bit-identical to
-//!   `Mapper::query` on the published map whatever is resident.
+//! * **Submap indexes** ([`shard::residency`]) — a map query applies
+//!   each submap's own local-bounds gate and searches only the submaps
+//!   its sphere reaches; each submap payload's search index is rebuilt
+//!   on demand, kept across epochs that share the payload, and evicted
+//!   under a byte budget. Answers are bit-identical to `Mapper::query`
+//!   on the published map whatever is resident.
 //! * **Cold-start relocalization** ([`reloc`]) — a client submits one
 //!   raw frame with no history; the service prepares it (the standard
 //!   pipeline front end, run exactly once), retrieves candidate submaps
@@ -37,12 +36,12 @@
 //!   concurrent sessions and a budget of in-flight requests, rejecting
 //!   typed ([`ServeError`]) beyond either, and meters per-session and
 //!   service-wide [`ServeStats`] including p50/p99 request latency and
-//!   tile residency.
+//!   index residency.
 //!
 //! Determinism: with an exact search backend (the default), every
 //! answer an epoch serves — map queries, retrieval, verification — is
 //! bit-identical regardless of how many sessions share it, how requests
-//! interleave, or how the tile budget evicts: all shared state is
+//! interleave, or how the index budget evicts: all shared state is
 //! immutable, and the only locked mutation (keyframe search metering)
 //! never affects results.
 //!

@@ -68,7 +68,7 @@ pub(crate) fn relocalize_prepared(
     frame: &mut PreparedFrame,
     cfg: &RelocConfig,
 ) -> Result<Relocalization, ServeError> {
-    let epoch = target.view.epoch();
+    let epoch = target.epoch;
     let mut candidates_tried = 0usize;
     let Some(signature) = descriptor_mean(frame.descriptors()) else {
         return Err(ServeError::RelocalizationFailed { candidates_tried });

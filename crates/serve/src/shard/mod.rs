@@ -1,19 +1,20 @@
-//! The serving front end: spatially tiled map serving with versioned
-//! epoch hot-swap.
+//! The serving front end: per-submap map reads with lazy index
+//! residency and versioned epoch hot-swap.
 //!
 //! Serving a map well has two costs that grow with the map: every
 //! session would hold the entire map resident, and picking up new
 //! mapping work would mean rebuilding the served map and restarting
 //! every session. This module removes both:
 //!
-//! * **Spatial tiling** ([`tile`], [`router`]) — an epoch's submaps are
-//!   partitioned into grid tiles; a query fans out only to the tiles
-//!   whose conservative world bounds its sphere intersects. Routing is
-//!   provably conservative, so tile-routed answers are bit-identical to
-//!   `Mapper::query` on the published map.
+//! * **Routing by the submap gate** ([`service`]) — a map query visits
+//!   every submap of the epoch and applies that submap's own
+//!   local-bounds gate (`local_bounds().intersects_sphere` in its anchor
+//!   frame); only a submap the sphere can reach has its index fetched
+//!   and searched. The gate is exact for the submap's points, so
+//!   answers are bit-identical to `Mapper::query` on the published map.
 //! * **Lazy residency** ([`residency`]) — each submap payload's search
-//!   index is rebuilt on first demand (only for members whose own bounds
-//!   a query reaches), shared by every epoch holding that payload, and
+//!   index is rebuilt on first demand (only for submaps whose gate a
+//!   query passes), shared by every epoch holding that payload, and
 //!   evicted least-recently-touched under an explicit byte budget;
 //!   correctness never depends on what is resident, only latency does,
 //!   so a budgeted service answers exactly like an unbounded one.
@@ -28,21 +29,17 @@
 //!   of a payload nothing holds any more is dropped. A finished map is
 //!   one epoch that is never replaced.
 //!
-//! Sessions ([`ShardSession`]) drive the serving state machine
+//! Sessions ([`ShardSession`]) run the serving state machine
 //! ([`crate::session`]) and the relocalization gate pipeline
 //! ([`crate::reloc`]) against their pinned epoch, so a session's pose
-//! stream over epoch N is the same whatever the tiling, the tile budget
-//! or the epochs installed after N.
+//! stream over epoch N is the same whatever the index budget or the
+//! epochs installed after N.
 
 pub mod epoch;
 pub mod residency;
-pub mod router;
 pub mod service;
 pub mod session;
-pub mod tile;
 
 pub use epoch::{EpochPublisher, SnapshotEpoch, SubmapPayload};
-pub use router::{EpochView, TileRouter};
 pub use service::{ShardConfig, ShardService};
 pub use session::ShardSession;
-pub use tile::{TileMeta, TilingConfig};

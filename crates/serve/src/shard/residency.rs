@@ -7,7 +7,11 @@
 //! demand and keys it by the payload's identity — its `Arc` allocation —
 //! so every epoch sharing a payload shares its index, and an
 //! `install_epoch` keeps the index of every payload the publish left
-//! unchanged. Tiles only route queries; residency is per payload.
+//! unchanged. Residency is per payload; no tile groups submaps. The
+//! `TileCache` / [`TileStats`] names, the `resident_tiles` field and the
+//! `serve.tiles.*`, `tile.load` and `tile.evict` metric and span names
+//! are kept because the benchmark reads them: each "tile" is one
+//! submap index.
 //!
 //! This module alone decides when an index dies:
 //!

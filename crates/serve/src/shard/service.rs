@@ -1,7 +1,6 @@
-//! The sharded localization service: tile-routed queries, lazy
+//! The sharded localization service: submap-gated queries, lazy
 //! residency and versioned epoch hot-swap over one live map.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -15,35 +14,30 @@ use tigris_pipeline::{PreparedFrame, RegistrationResult};
 
 use super::epoch::{SnapshotEpoch, SubmapPayload};
 use super::residency::TileCache;
-use super::router::EpochView;
 use super::session::ShardSession;
-use super::tile::TilingConfig;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::service::RequestGate;
 use crate::stats::{ServeStats, SessionStats};
 
-/// Configuration of a [`ShardService`]: the serving budgets, the
-/// tiling, and the residency byte budget.
+/// Configuration of a [`ShardService`]: the serving budgets and the
+/// residency byte budget. The default is the unbounded whole-map
+/// service.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Session/in-flight budgets and relocalization gates.
     pub serve: ServeConfig,
-    /// How published epochs are cut into tiles.
-    pub tiling: TilingConfig,
     /// Byte budget for resident rebuilt submap indexes (reclaimable
     /// bytes only; see [`crate::stats::TileStats`]). `usize::MAX` — the
-    /// default — keeps every touched index resident.
+    /// default — keeps every touched index resident. The budget governs
+    /// per-submap indexes; the field keeps its `tile_` name because the
+    /// benchmark configures it by that name.
     pub tile_budget_bytes: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            serve: ServeConfig::default(),
-            tiling: TilingConfig::default(),
-            tile_budget_bytes: usize::MAX,
-        }
+        ShardConfig { serve: ServeConfig::default(), tile_budget_bytes: usize::MAX }
     }
 }
 
@@ -58,16 +52,16 @@ pub(crate) struct ShardCore {
     /// failed requests, judged against this service's own latency
     /// history.
     pub(crate) sampler: Arc<TailSampler>,
-    /// Admission gate + the current epoch view; touched only at request
-    /// and session boundaries.
-    state: Mutex<(RequestGate, Option<Arc<EpochView>>)>,
+    /// Admission gate + the current epoch; touched only at request and
+    /// session boundaries.
+    state: Mutex<(RequestGate, Option<Arc<SnapshotEpoch>>)>,
     /// Index residency; touched per index lookup, never while holding
     /// the state lock.
     cache: Mutex<TileCache>,
 }
 
 impl ShardCore {
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, (RequestGate, Option<Arc<EpochView>>)> {
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, (RequestGate, Option<Arc<SnapshotEpoch>>)> {
         self.state.lock().expect("shard state lock poisoned")
     }
 
@@ -90,7 +84,7 @@ impl ShardCore {
         self.lock_state().0.finish_request(latency, delta);
     }
 
-    /// A session closed (its epoch view already dropped): release its
+    /// A session closed (its epoch pin already dropped): release its
     /// admission slot and sweep the indexes of payloads no epoch holds
     /// any more.
     pub(crate) fn release_session(&self) {
@@ -100,7 +94,7 @@ impl ShardCore {
 }
 
 /// Serves a map to many concurrent localization sessions through
-/// spatial tiles and versioned copy-on-write epochs.
+/// lazily rebuilt submap indexes and versioned copy-on-write epochs.
 ///
 /// A `ShardService` serves whatever epoch was last
 /// [installed](ShardService::install_epoch). A finished map is served
@@ -111,9 +105,9 @@ impl ShardCore {
 ///   drains on N however many newer epochs arrive, so its pose stream
 ///   is exactly what a never-swapped service over epoch N produces; new
 ///   sessions pin the newest epoch;
-/// * **queries route by tile** — the router fans a query sphere out to
-///   only the covering tiles (bit-identical to whole-map fan-out by the
-///   conservative-bounds argument in the [tiling docs](super::tile));
+/// * **queries route by each submap's own gate** — a query sphere
+///   fetches and searches only the indexes of submaps whose local
+///   bounds it reaches (see [`ShardService::query`]);
 /// * **indexes build lazily, one per payload, and evict under a byte
 ///   budget** — an unchanged payload keeps its index across epochs; see
 ///   the [residency docs](super::residency).
@@ -179,14 +173,12 @@ impl ShardService {
     /// of payloads `epoch` shares stay resident; those of payloads that
     /// nothing holds any more are dropped.
     pub fn install_epoch(&self, epoch: Arc<SnapshotEpoch>) {
-        let view = Arc::new(EpochView::new(epoch, &self.core.config.tiling));
         tigris_obs::event!(
             "epoch.install",
-            version = view.epoch().version(),
-            submaps = view.epoch().payloads().len(),
-            tiles = view.router().tiles().len(),
+            version = epoch.version(),
+            submaps = epoch.payloads().len(),
         );
-        let old = self.core.lock_state().1.replace(view);
+        let old = self.core.lock_state().1.replace(epoch);
         // Dropped first, so the sweep sees the payloads only it held die.
         drop(old);
         self.core.lock_cache().sweep();
@@ -194,7 +186,7 @@ impl ShardService {
 
     /// The currently served epoch, or `None` before the first install.
     pub fn current_epoch(&self) -> Option<Arc<SnapshotEpoch>> {
-        self.core.lock_state().1.as_ref().map(|v| Arc::clone(v.epoch()))
+        self.core.lock_state().1.clone()
     }
 
     /// Admits a new localization session pinned to the current epoch.
@@ -205,13 +197,13 @@ impl ShardService {
     /// [`ShardService::install_epoch`];
     /// [`ServeError::SessionsExhausted`] at the session budget.
     pub fn open_session(&self) -> Result<ShardSession, ServeError> {
-        let (id, view) = {
+        let (id, epoch) = {
             let mut state = self.core.lock_state();
-            let view = Arc::clone(state.1.as_ref().ok_or(ServeError::NoEpoch)?);
+            let epoch = Arc::clone(state.1.as_ref().ok_or(ServeError::NoEpoch)?);
             let id = state.0.admit_session(self.core.config.serve.max_sessions)?;
-            (id, view)
+            (id, epoch)
         };
-        Ok(ShardSession::new(id, Arc::clone(&self.core), view))
+        Ok(ShardSession::new(id, Arc::clone(&self.core), epoch))
     }
 
     /// Sessions currently open.
@@ -219,20 +211,19 @@ impl ShardService {
         self.core.lock_state().0.active_sessions()
     }
 
-    /// A tile-routed map query against the *current* epoch; answers
-    /// exactly like `Mapper::query` on the mapper the epoch was
-    /// published from.
+    /// A map query against the *current* epoch; answers exactly like
+    /// `Mapper::query` on the mapper the epoch was published from.
     /// Session-pinned queries live on [`ShardSession::query`].
     ///
     /// # Errors
     ///
     /// [`ServeError::NoEpoch`] before the first epoch install.
     pub fn query(&self, point: Vec3, radius: f64) -> Result<Vec<MapNeighbor>, ServeError> {
-        let view = self.current_view()?;
-        Ok(query_view(&self.core, &view, point, radius))
+        let epoch = self.current_epoch().ok_or(ServeError::NoEpoch)?;
+        Ok(query_view(&self.core, &epoch, point, radius))
     }
 
-    /// Batched tile-routed map queries against the current epoch,
+    /// Batched map queries against the current epoch,
     /// batched per submap through the shared read path — bit-identical
     /// to calling [`ShardService::query`] per element.
     ///
@@ -244,13 +235,9 @@ impl ShardService {
         points: &[Vec3],
         radius: f64,
     ) -> Result<Vec<Vec<MapNeighbor>>, ServeError> {
-        let view = self.current_view()?;
-        let batch = view.epoch().registration_config().parallel;
-        Ok(query_batch_view(&self.core, &view, points, radius, &batch))
-    }
-
-    fn current_view(&self) -> Result<Arc<EpochView>, ServeError> {
-        self.core.lock_state().1.as_ref().map(Arc::clone).ok_or(ServeError::NoEpoch)
+        let epoch = self.current_epoch().ok_or(ServeError::NoEpoch)?;
+        let batch = epoch.registration_config().parallel;
+        Ok(query_batch_view(&self.core, &epoch, points, radius, &batch))
     }
 
     /// A consistent point-in-time copy of the service-wide counters,
@@ -264,12 +251,12 @@ impl ShardService {
     }
 }
 
-/// A pinned epoch view as a relocalization target: retrieval and
-/// keyframe verification read the epoch directly; structure overlap
-/// touches only the candidate submap's index (building it when cold).
+/// A pinned epoch as a relocalization target: retrieval and keyframe
+/// verification read the epoch directly; structure overlap touches only
+/// the candidate submap's index (building it when cold).
 pub(crate) struct EpochTarget<'a> {
     pub(crate) core: &'a ShardCore,
-    pub(crate) view: &'a EpochView,
+    pub(crate) epoch: &'a SnapshotEpoch,
 }
 
 impl EpochTarget<'_> {
@@ -281,10 +268,9 @@ impl EpochTarget<'_> {
         submap: usize,
         frame: &mut PreparedFrame,
     ) -> Option<RegistrationResult> {
-        let epoch = self.view.epoch();
-        let keyframe = epoch.payloads().get(submap)?.keyframe()?;
+        let keyframe = self.epoch.payloads().get(submap)?.keyframe()?;
         let mut keyframe = keyframe.lock().expect("keyframe lock poisoned");
-        retrieval::verify_geometry(frame, &mut keyframe, epoch.registration_config())
+        retrieval::verify_geometry(frame, &mut keyframe, self.epoch.registration_config())
     }
 
     /// Structure-overlap fraction of `points` against `submap` under
@@ -297,7 +283,7 @@ impl EpochTarget<'_> {
         submap: usize,
         cfg: &BatchConfig,
     ) -> f64 {
-        let Some(payload) = self.view.epoch().payloads().get(submap) else {
+        let Some(payload) = self.epoch.payloads().get(submap) else {
             return 0.0;
         };
         let Some(bounds) = payload.local_bounds() else {
@@ -308,17 +294,17 @@ impl EpochTarget<'_> {
     }
 }
 
-/// Tile-routed serial map query over a pinned view: fan out to the
-/// covering tiles, apply each member submap's own local-bounds gate
-/// (fetching its index only when the gate passes), and merge in the
-/// canonical order. Bit-identical to `Mapper::query`
-/// on the published map (conservative routing + the rebuild-identical
-/// index contract + the one shared [`sort_map_neighbors`] comparator),
-/// including its empty answer to a radius that is not `>= 0` or a probe
-/// with a non-finite coordinate.
+/// Serial map query over a pinned epoch: visit every submap, apply its
+/// own local-bounds gate (fetching its index only when the gate
+/// passes), and merge in the canonical order. Bit-identical to
+/// `Mapper::query` on the published map (the same gate + the
+/// rebuild-identical index contract + the one shared
+/// [`sort_map_neighbors`] comparator, a total order), including its
+/// empty answer to a radius that is not `>= 0` or a probe with a
+/// non-finite coordinate.
 pub(crate) fn query_view(
     core: &ShardCore,
-    view: &EpochView,
+    epoch: &SnapshotEpoch,
     point: Vec3,
     radius: f64,
 ) -> Vec<MapNeighbor> {
@@ -326,37 +312,36 @@ pub(crate) fn query_view(
     if radius.is_nan() || radius < 0.0 || !point.is_finite() {
         return out;
     }
-    for tile_idx in view.router().covering(point, radius) {
-        for &id in view.router().tiles()[tile_idx].members() {
-            let payload = &view.epoch().payloads()[id];
-            let Some(bounds) = payload.local_bounds() else {
-                continue;
-            };
-            let anchor = view.epoch().anchor_pose(id);
-            let local_q = anchor.inverse().apply(point);
-            if !bounds.intersects_sphere(local_q, radius) {
-                continue;
-            }
-            let index = core.index(payload);
-            out.extend(index.radius_query(local_q, radius).into_iter().map(|n| MapNeighbor {
-                submap: id,
-                index: n.index,
-                point: anchor.apply(index.all_points()[n.index]),
-                distance_squared: n.distance_squared,
-            }));
+    for payload in epoch.payloads() {
+        let Some(bounds) = payload.local_bounds() else {
+            continue;
+        };
+        let id = payload.id();
+        let anchor = epoch.anchor_pose(id);
+        let local_q = anchor.inverse().apply(point);
+        if !bounds.intersects_sphere(local_q, radius) {
+            continue;
         }
+        let index = core.index(payload);
+        out.extend(index.radius_query(local_q, radius).into_iter().map(|n| MapNeighbor {
+            submap: id,
+            index: n.index,
+            point: anchor.apply(index.all_points()[n.index]),
+            distance_squared: n.distance_squared,
+        }));
     }
     sort_map_neighbors(&mut out);
     out
 }
 
-/// Batched [`query_view`]: queries grouped per covering tile, then
-/// batched per member submap through the shared read path (a member's
-/// index fetched only when some query passes its gate) — bit-identical
-/// to per-element [`query_view`].
+/// Batched [`query_view`]: per submap, the queries that pass its gate
+/// are batched through the shared read path (its index fetched only
+/// when some query passes) — bit-identical to per-element
+/// [`query_view`]. A probe with a non-finite coordinate passes no gate
+/// and answers empty.
 pub(crate) fn query_batch_view(
     core: &ShardCore,
-    view: &EpochView,
+    epoch: &SnapshotEpoch,
     points: &[Vec3],
     radius: f64,
     cfg: &BatchConfig,
@@ -365,46 +350,37 @@ pub(crate) fn query_batch_view(
     if radius.is_nan() || radius < 0.0 {
         return out;
     }
-    // Queries per covering tile (each submap belongs to exactly one
-    // tile, so no query meets a submap twice); a probe with a non-finite
-    // coordinate routes nowhere and answers empty.
-    let mut per_tile: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (qi, &p) in points.iter().enumerate().filter(|(_, p)| p.is_finite()) {
-        for tile_idx in view.router().covering(p, radius) {
-            per_tile.entry(tile_idx).or_default().push(qi);
-        }
-    }
     let mut stats = SearchStats::new();
-    for (tile_idx, query_ids) in per_tile {
-        for &id in view.router().tiles()[tile_idx].members() {
-            let payload = &view.epoch().payloads()[id];
-            let Some(bounds) = payload.local_bounds() else {
-                continue;
-            };
-            let anchor = view.epoch().anchor_pose(id);
-            let inverse = anchor.inverse();
-            let mut hit_ids: Vec<usize> = Vec::new();
-            let mut local_queries: Vec<Vec3> = Vec::new();
-            for &qi in &query_ids {
-                let local = inverse.apply(points[qi]);
-                if bounds.intersects_sphere(local, radius) {
-                    hit_ids.push(qi);
-                    local_queries.push(local);
-                }
+    let mut hit_ids: Vec<usize> = Vec::new();
+    let mut local_queries: Vec<Vec3> = Vec::new();
+    for payload in epoch.payloads() {
+        let Some(bounds) = payload.local_bounds() else {
+            continue;
+        };
+        let id = payload.id();
+        let anchor = epoch.anchor_pose(id);
+        let inverse = anchor.inverse();
+        hit_ids.clear();
+        local_queries.clear();
+        for (qi, &p) in points.iter().enumerate().filter(|(_, p)| p.is_finite()) {
+            let local = inverse.apply(p);
+            if bounds.intersects_sphere(local, radius) {
+                hit_ids.push(qi);
+                local_queries.push(local);
             }
-            if hit_ids.is_empty() {
-                continue;
-            }
-            let index = core.index(payload);
-            let answers = index.radius_batch_shared(&local_queries, radius, cfg, &mut stats);
-            for (&qi, neighbors) in hit_ids.iter().zip(answers) {
-                out[qi].extend(neighbors.into_iter().map(|n| MapNeighbor {
-                    submap: id,
-                    index: n.index,
-                    point: anchor.apply(index.all_points()[n.index]),
-                    distance_squared: n.distance_squared,
-                }));
-            }
+        }
+        if hit_ids.is_empty() {
+            continue;
+        }
+        let index = core.index(payload);
+        let answers = index.radius_batch_shared(&local_queries, radius, cfg, &mut stats);
+        for (&qi, neighbors) in hit_ids.iter().zip(answers) {
+            out[qi].extend(neighbors.into_iter().map(|n| MapNeighbor {
+                submap: id,
+                index: n.index,
+                point: anchor.apply(index.all_points()[n.index]),
+                distance_squared: n.distance_squared,
+            }));
         }
     }
     for neighbors in &mut out {

@@ -98,9 +98,12 @@ pub struct ServeStats {
 }
 
 /// Index residency counters for the sharded serving layer, counted per
-/// submap index (one per payload; tiles only route): how often a needed
-/// index was already resident, how much load/evict churn the byte
-/// budget caused, and the resident footprint itself.
+/// submap index (one per payload): how often a needed index was already
+/// resident, how much load/evict churn the byte budget caused, and the
+/// resident footprint itself. No tile groups submaps any more; this
+/// type, its `resident_tiles` field, [`ServeStats::tiles`] and the
+/// `serve.tiles.*` registry names keep their names because the
+/// benchmark reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileStats {
     /// Index lookups answered by an already-resident index.

@@ -1,5 +1,5 @@
-//! Sharded ≡ resident under generated schedules: whatever the tile
-//! budget (one byte to unbounded) and tiling, and however epoch
+//! Sharded ≡ resident under generated schedules: whatever the index
+//! budget (one byte to unbounded), and however epoch
 //! installs, session opens and drops, and reads interleave, every
 //! answer a budgeted `ShardService` gives equals an unbounded service's
 //! over the same epoch; at rest the resident index bytes fit the budget
@@ -14,9 +14,7 @@ use proptest::prelude::*;
 use tigris_data::{LidarConfig, Sequence, SequenceConfig};
 use tigris_geom::Vec3;
 use tigris_map::{Mapper, MapperConfig};
-use tigris_serve::shard::{
-    EpochPublisher, ShardConfig, ShardService, ShardSession, SnapshotEpoch, TilingConfig,
-};
+use tigris_serve::shard::{EpochPublisher, ShardConfig, ShardService, ShardSession, SnapshotEpoch};
 
 /// Frame counts the three published epochs are cut at.
 const EPOCH_FRAMES: [usize; 3] = [8, 16, 24];
@@ -136,16 +134,11 @@ proptest! {
     #[test]
     fn budgeted_service_answers_like_an_unbounded_one(
         budget in budget(),
-        tile_size in prop_oneof![Just(4.0f64), Just(16.0), Just(1.0e9)],
         first in 0usize..OWNED + 1,
         schedule in prop::collection::vec(op(), 1..24),
     ) {
         let fx = fixture();
-        let config = ShardConfig {
-            tiling: TilingConfig { tile_size },
-            tile_budget_bytes: budget,
-            ..ShardConfig::default()
-        };
+        let config = ShardConfig { tile_budget_bytes: budget, ..ShardConfig::default() };
         let service = ShardService::with_epoch(epoch(fx, first), config);
         let mut current = first;
         // Each open session with the slot of its pinned epoch.

@@ -1,13 +1,13 @@
 //! Serving with epoch hot-swap: a live mapper publishes
-//! copy-on-write map epochs while sessions localize against spatial
-//! tiles that load on demand under a byte budget.
+//! copy-on-write map epochs while sessions localize against submap
+//! indexes that load on demand under a byte budget.
 //!
 //! The flow demonstrated here is the shard layer's whole story:
 //!
 //! 1. a mapper builds a map and **publishes epoch 1** — an immutable,
 //!    versioned snapshot sharing unchanged submap payloads by `Arc`;
-//! 2. a [`ShardService`] serves it **tiled**: map probes route only to
-//!    the spatial tiles whose bounds can answer, each submap's index is
+//! 2. a [`ShardService`] serves it: a map probe searches only the
+//!    submaps whose own bounds it reaches, and each submap's index is
 //!    rebuilt on first touch and evicts LRU under `tile_budget_bytes`;
 //! 3. the mapper keeps mapping and publishes **epoch 2**; the service
 //!    hot-swaps it in — sessions already open keep draining on their
@@ -41,7 +41,7 @@ fn main() {
         mapper.push(seq.frame(i)).expect("mapping frame failed");
     }
 
-    // ---- Publish epoch 1 and serve it tiled ----------------------------
+    // ---- Publish epoch 1 and serve it ---------------------------------
     let mut publisher = EpochPublisher::new();
     let epoch1 = publisher.publish(&mapper).expect("publish failed");
     println!(
@@ -51,7 +51,7 @@ fn main() {
         epoch1.archive_bytes() / 1024
     );
 
-    // A deliberately tight tile budget: submap indexes load on demand
+    // A deliberately tight index budget: submap indexes load on demand
     // and evict LRU, so resident index bytes stay bounded while answers stay
     // bit-identical to `Mapper::query` on the published map.
     let config = ShardConfig { tile_budget_bytes: 2 << 20, ..ShardConfig::default() };

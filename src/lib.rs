@@ -17,9 +17,9 @@
 //!   pose-tagged submaps, descriptor-retrieved loop closure and
 //!   Gauss–Newton pose-graph optimization.
 //! * [`serve`] — the shared-map localization service: versioned
-//!   copy-on-write map epochs served through spatial tiles, cold-start
-//!   relocalization and multi-session serving with admission control
-//!   and latency metering.
+//!   copy-on-write map epochs served through lazily rebuilt submap
+//!   indexes, cold-start relocalization and multi-session serving with
+//!   admission control and latency metering.
 //! * [`accel`] — the cycle-level accelerator model (Sec. 5): recursion-unit
 //!   front-end, search-unit back-end, node cache, energy and area models.
 //! * [`obs`] — the observability layer: hierarchical spans and structured

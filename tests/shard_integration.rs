@@ -1,7 +1,7 @@
 //! Serving acceptance: a map built by the `Mapper` is published as
-//! copy-on-write epochs and served through spatial tiles, lazy tile
-//! residency and versioned epoch hot-swap to several concurrent
-//! localization sessions.
+//! copy-on-write epochs and served through per-submap bounds gates,
+//! lazy index residency and versioned epoch hot-swap to several
+//! concurrent localization sessions.
 //!
 //! What must hold:
 //!
@@ -17,12 +17,13 @@
 //! * epoch publishing is **copy-on-write at submap granularity**: a
 //!   re-publish after more mapping shares every unchanged submap's
 //!   payload by `Arc` and re-archives only changed ones;
-//! * tile-routed map queries (serial and batched) are **bit-identical**
-//!   to `Mapper::query` on the mapper the epoch was published from;
+//! * served map queries (serial and batched) are **bit-identical** to
+//!   `Mapper::query` on the mapper the epoch was published from, and a
+//!   probe no submap's bounds reach looks up no index;
 //! * results are **bit-identical** no matter how many sessions share an
-//!   epoch or how requests interleave, and a session under a tile byte
+//!   epoch or how requests interleave, and a session under an index byte
 //!   budget produces the pose stream of an unbounded whole-map service;
-//! * the tile byte budget **bounds resident rebuilt-index bytes**, with
+//! * the index byte budget **bounds resident rebuilt-index bytes**, with
 //!   eviction churn visible in the stats and no effect on results;
 //! * an epoch hot-swap mid-stream **drops no session and diverges no
 //!   pose**: in-flight sessions drain on their pinned epoch, new
@@ -46,11 +47,9 @@ use tigris::geom::{PointCloud, RigidTransform, Vec3};
 use tigris::map::retrieval::structure_overlap_batched;
 use tigris::map::{Mapper, MapperConfig};
 use tigris::serve::shard::{
-    EpochPublisher, EpochView, ShardConfig, ShardService, SnapshotEpoch, SubmapPayload,
-    TilingConfig,
+    EpochPublisher, ShardConfig, ShardService, SnapshotEpoch, SubmapPayload,
 };
 use tigris::serve::{Relocalization, ServeConfig, ServeError, SessionPhase, SessionStep, StepKind};
-use tigris_bench::shard::whole_map_config;
 
 /// The serving fixture: a ~66-frame, 60 m closed circuit at the
 /// low-resolution scanner (the mapping fixture of
@@ -69,7 +68,7 @@ const EPOCH2_FRAMES: usize = 3;
 struct Fixture {
     seq: Sequence,
     /// The mapper after every frame: the oracle for epoch 2, never
-    /// served through tiles (`Mapper::query`, live submap indices).
+    /// served (`Mapper::query`, live submap indices).
     mapper: Mapper,
     /// Epoch 1: published from the mapper after all but the last
     /// [`EPOCH2_FRAMES`] frames.
@@ -81,7 +80,7 @@ struct Fixture {
     epoch2_shared: usize,
     epoch2_copied: usize,
     /// Rebuilt-index bytes of the whole map — the "everything resident"
-    /// baseline tile budgets are set against.
+    /// baseline index budgets are set against.
     whole_map_bytes: usize,
 }
 
@@ -140,7 +139,7 @@ fn probes_around(pose: &RigidTransform) -> Vec<Vec3> {
 }
 
 /// The payloads whose own local-bounds gate admits the query sphere:
-/// the indexes a tile-routed read of it fetches.
+/// the indexes a served read of it fetches.
 fn gated(epoch: &SnapshotEpoch, point: Vec3, radius: f64) -> Vec<*const SubmapPayload> {
     epoch
         .payloads()
@@ -410,7 +409,7 @@ fn snapshot_queries_match_the_mapper_and_batch_bitwise() {
 
     // The whole-map service answers map queries exactly like the live
     // mapper…
-    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), whole_map_config());
+    let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
     let probes = probes(fx);
     let expected: Vec<_> = probes.iter().map(|&p| fx.mapper.query(p, 2.0)).collect();
     for (&p, want) in probes.iter().zip(&expected) {
@@ -427,9 +426,8 @@ fn radius_without_interior_answers_empty_on_every_read_path() {
     // A negative or NaN radius passes the `d² <= r²` bounds gates for a
     // probe on the map; every read path must answer it empty rather than
     // reach the index's non-negative-radius assertion. A probe with a
-    // NaN or infinite coordinate has no sphere either: answered empty on
-    // every path, it cannot make tile routing and the whole-map fan-out
-    // disagree.
+    // NaN or infinite coordinate has no sphere either: it is answered
+    // empty on every path, the serial and batched submap gates alike.
     let fx = fixture();
     let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
     let session = service.open_session().unwrap();
@@ -467,33 +465,34 @@ fn radius_without_interior_answers_empty_on_every_read_path() {
 fn tile_routed_queries_match_the_whole_snapshot_bitwise() {
     let fx = fixture();
     let service = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
-    let whole = ShardService::with_epoch(Arc::clone(&fx.epoch2), whole_map_config());
     let probes = probes(fx);
 
     // At this fixture's scale the scanner out-ranges the whole circuit,
-    // so every submap's bounds overlap every on-map probe and routing is
-    // conservative-but-total; *selectivity* (probes covering a strict
-    // subset of tiles) is asserted on the 10× map in
-    // `crates/bench/tests/shard_bounds.rs`, where the map finally
-    // outgrows the sensor. Here the routing gate must still partition
-    // and must still exclude what it can.
-    let view = EpochView::new(Arc::clone(&fx.epoch2), &TilingConfig::default());
-    assert!(view.router().tiles().len() >= 3, "fixture must cut into several tiles");
+    // so most submaps' bounds overlap most on-map probes; *selectivity*
+    // (probes looking up a strict subset of the submap indexes) is
+    // asserted on the 10× map in `crates/bench/tests/shard_bounds.rs`,
+    // where the map finally outgrows the sensor. Here each submap's gate
+    // must still exclude what it can: an off-map probe does no index
+    // lookup.
     let far = Vec3::new(1.0e3, 1.0e3, 0.0);
-    assert!(view.router().covering(far, 1.0).is_empty(), "off-map probes route nowhere");
+    let lookups = |s: &ShardService| {
+        let tiles = s.stats().tiles;
+        tiles.hits + tiles.misses
+    };
+    let before = lookups(&service);
     assert!(service.query(far, 1.0).unwrap().is_empty());
+    assert_eq!(lookups(&service), before, "an off-map probe must do no index lookup");
     assert!(fx.mapper.query(far, 1.0).is_empty());
 
     for &p in &probes {
         let expected = fx.mapper.query(p, 2.0);
         assert!(!expected.is_empty() || fx.mapper.query(p, 8.0).is_empty());
         let got = service.query(p, 2.0).unwrap();
-        assert_eq!(got, expected, "tile-routed query diverged from the mapper at {p}");
-        assert_eq!(got, whole.query(p, 2.0).unwrap(), "tile-routed query diverged at {p}");
+        assert_eq!(got, expected, "served query diverged from the mapper at {p}");
     }
     let batched = service.query_batch(&probes, 2.0).unwrap();
     for (&p, got) in probes.iter().zip(&batched) {
-        assert_eq!(got, &fx.mapper.query(p, 2.0), "batched tile-routed query diverged at {p}");
+        assert_eq!(got, &fx.mapper.query(p, 2.0), "batched served query diverged at {p}");
     }
 
     let tiles = service.stats().tiles;
@@ -505,7 +504,7 @@ fn tile_routed_queries_match_the_whole_snapshot_bitwise() {
 fn budgeted_sessions_match_whole_map_sessions_bitwise() {
     let fx = fixture();
     let scripts = session_scripts();
-    let whole = ShardService::with_epoch(Arc::clone(&fx.epoch2), whole_map_config());
+    let whole = ShardService::with_epoch(Arc::clone(&fx.epoch2), ShardConfig::default());
     let reference = run_sessions(&whole, &fx.seq, &scripts, 1);
 
     // A budget around a third of the map forces real eviction churn
@@ -537,7 +536,7 @@ fn budgeted_sessions_match_whole_map_sessions_bitwise() {
     let stats = service.stats();
     assert_eq!(stats.frames, scripts.iter().map(Vec::len).sum::<usize>());
     assert_eq!(stats.relocalizations_succeeded, scripts.len());
-    assert!(stats.tiles.loads > 0, "cold starts must touch tiles");
+    assert!(stats.tiles.loads > 0, "cold starts must load submap indexes");
     assert_eq!(whole.stats().tiles.evictions, 0, "the whole-map service never evicts");
 }
 
@@ -566,8 +565,8 @@ fn tile_budget_bounds_resident_bytes_without_changing_answers() {
     let tiles = service.stats().tiles;
     assert!(tiles.evictions > 0, "a quarter-map budget must evict while roaming");
     assert!(tiles.loads > tiles.evictions, "something must stay resident");
-    // No hit assertion here: with every probe covering every tile (the
-    // sensor out-ranges this fixture) and a budget below the working
+    // No hit assertion here: with most probes passing most submaps'
+    // gates (the sensor out-ranges this fixture) and a budget below the working
     // set, LRU degenerates to the sequential-scan worst case — which is
     // exactly the churn this test wants. Hits are asserted under the
     // unlimited budget above and on the selective 10× map.
@@ -585,7 +584,7 @@ fn epoch_hot_swap_drains_pinned_sessions_and_serves_new_ones() {
     // Control: the same script served by the whole-map service that
     // never swaps.
     let control: Vec<SessionStep> = {
-        let ctrl = ShardService::with_epoch(Arc::clone(&fx.epoch1), whole_map_config());
+        let ctrl = ShardService::with_epoch(Arc::clone(&fx.epoch1), ShardConfig::default());
         let mut session = ctrl.open_session().unwrap();
         [2usize, 3, 4]
             .iter()
