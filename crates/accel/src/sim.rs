@@ -10,7 +10,7 @@
 //! approximation in the SUs. Results are therefore bit-identical to the
 //! software two-stage search in exact mode.
 
-use tigris_core::{ApproxConfig, Neighbor, TopChild, TwoStageKdTree};
+use tigris_core::{Neighbor, TopChild, TwoStageKdTree};
 use tigris_geom::Vec3;
 
 use crate::cache::NodeCache;
@@ -526,12 +526,6 @@ impl Engine<'_> {
     }
 }
 
-/// Convenience: the default approximate configuration the paper evaluates
-/// (thd = 1.2 m NN, 40% radius, 16-entry leader buffer).
-pub fn paper_approx_config() -> ApproxConfig {
-    ApproxConfig::default()
-}
-
 /// Accumulates two sequential batch reports (batches run back-to-back:
 /// cycles/energy/traffic add; utilizations combine cycle-weighted;
 /// per-query result vectors concatenate).
@@ -588,6 +582,7 @@ struct QueryTrace {
 mod tests {
     use super::*;
     use crate::config::BackendPolicy;
+    use tigris_core::ApproxConfig;
 
     fn lcg_cloud(n: usize, seed: u64) -> Vec<Vec3> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);

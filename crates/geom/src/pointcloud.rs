@@ -68,11 +68,6 @@ impl PointCloud {
         self.normals = Some(normals);
     }
 
-    /// Drops any attached normals.
-    pub fn clear_normals(&mut self) {
-        self.normals = None;
-    }
-
     /// Number of points.
     #[inline]
     pub fn len(&self) -> usize {

@@ -47,12 +47,6 @@ impl RigidTransform {
         RigidTransform::new(Mat3::IDENTITY, translation)
     }
 
-    /// A pure rotation.
-    #[inline]
-    pub fn from_rotation(rotation: Mat3) -> Self {
-        RigidTransform::new(rotation, Vec3::ZERO)
-    }
-
     /// Rotation of `angle` radians about `axis`, followed by `translation`.
     ///
     /// # Panics

@@ -119,11 +119,6 @@ impl SignatureIndex {
         self.ids.is_empty()
     }
 
-    /// The indexed submap ids, in index order.
-    pub fn submap_ids(&self) -> &[usize] {
-        &self.ids
-    }
-
     /// Ranks candidate submaps by signature distance to `query`,
     /// dropping candidates farther than `max_distance`: the nearest
     /// signature when `candidates <= 1` and the two nearest at

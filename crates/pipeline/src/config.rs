@@ -200,9 +200,11 @@ impl SearchBackendConfig {
     }
 }
 
-/// A rejected configuration knob, reported at *construction* time by
-/// [`RegistrationConfig::builder`] / [`RegistrationConfig::validate`]
-/// instead of surfacing as a panic or nonsense result deep inside a run.
+/// A rejected configuration knob, found by [`RegistrationConfig::validate`]
+/// (or, for [`ConfigError::UnknownBackend`], by the backend registry when
+/// the index is built) and returned by every pipeline entry point as
+/// `RegistrationError::InvalidConfig` instead of surfacing as a panic or
+/// nonsense result deep inside a run.
 ///
 /// Each variant names the offending knob with a stable dotted path (e.g.
 /// `"convergence.max_iterations"`).
@@ -336,34 +338,6 @@ pub struct RegistrationConfig {
 }
 
 impl RegistrationConfig {
-    /// Starts a validating builder seeded with the default configuration.
-    ///
-    /// Invalid knobs fail at [`RegistrationConfigBuilder::build`] with a
-    /// typed [`ConfigError`] instead of misbehaving deep inside a run.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use tigris_pipeline::config::{RegistrationConfig, SearchBackendConfig};
-    ///
-    /// let cfg = RegistrationConfig::builder()
-    ///     .normal_radius(0.6)
-    ///     .backend(SearchBackendConfig::TwoStage { top_height: 8 })
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.normal_radius, 0.6);
-    ///
-    /// // Negative radii are rejected with a typed error:
-    /// let err = RegistrationConfig::builder().normal_radius(-1.0).build().unwrap_err();
-    /// assert!(matches!(
-    ///     err,
-    ///     tigris_pipeline::config::ConfigError::NonPositive { knob: "normal_radius", .. }
-    /// ));
-    /// ```
-    pub fn builder() -> RegistrationConfigBuilder {
-        RegistrationConfigBuilder { cfg: RegistrationConfig::default() }
-    }
-
     /// `true` when `other` shares every knob that shapes the
     /// frame-preparation layer's *results* — downsampling, normal
     /// estimation, key-point detection, descriptors, the search backend
@@ -389,7 +363,25 @@ impl RegistrationConfig {
     ///
     /// All [`DesignPoint`] presets validate cleanly; this exists to catch
     /// hand-rolled or swept configurations (negative radii, `kpce_ratio`
-    /// above 1, zero iteration budgets, …) at construction time.
+    /// above 1, zero iteration budgets, …). `prepare_frame`,
+    /// `prepare_frame_from_searcher` and `register_prepared` run it before
+    /// any work, so every pipeline entry point rejects such a config with
+    /// `RegistrationError::InvalidConfig`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tigris_pipeline::config::{ConfigError, RegistrationConfig};
+    ///
+    /// let cfg = RegistrationConfig { normal_radius: 0.6, ..Default::default() };
+    /// assert_eq!(cfg.validate(), Ok(()));
+    ///
+    /// let bad = RegistrationConfig { normal_radius: -1.0, ..Default::default() };
+    /// assert_eq!(
+    ///     bad.validate(),
+    ///     Err(ConfigError::NonPositive { knob: "normal_radius", value: -1.0 })
+    /// );
+    /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn positive(knob: &'static str, value: f64) -> Result<(), ConfigError> {
             if !value.is_finite() {
@@ -499,151 +491,6 @@ impl RegistrationConfig {
         }
         non_negative("max_initial_translation", self.max_initial_translation)?;
         Ok(())
-    }
-}
-
-/// Validating builder for [`RegistrationConfig`]; see
-/// [`RegistrationConfig::builder`].
-///
-/// Every setter overrides one knob of the default configuration;
-/// [`RegistrationConfigBuilder::build`] validates the result and returns a
-/// typed [`ConfigError`] on the first invalid knob.
-#[derive(Debug, Clone)]
-pub struct RegistrationConfigBuilder {
-    cfg: RegistrationConfig,
-}
-
-impl RegistrationConfigBuilder {
-    /// Voxel size for pre-downsampling (0 disables).
-    pub fn voxel_size(mut self, meters: f64) -> Self {
-        self.cfg.voxel_size = meters;
-        self
-    }
-
-    /// Normal-estimation algorithm.
-    pub fn normal_algorithm(mut self, algorithm: NormalAlgorithm) -> Self {
-        self.cfg.normal_algorithm = algorithm;
-        self
-    }
-
-    /// Normal-estimation search radius (meters).
-    pub fn normal_radius(mut self, meters: f64) -> Self {
-        self.cfg.normal_radius = meters;
-        self
-    }
-
-    /// Key-point detector.
-    pub fn keypoint(mut self, algorithm: KeypointAlgorithm) -> Self {
-        self.cfg.keypoint = algorithm;
-        self
-    }
-
-    /// Feature descriptor.
-    pub fn descriptor(mut self, algorithm: DescriptorAlgorithm) -> Self {
-        self.cfg.descriptor = algorithm;
-        self
-    }
-
-    /// Reciprocal (mutual) nearest-neighbor requirement for KPCE.
-    pub fn kpce_reciprocal(mut self, reciprocal: bool) -> Self {
-        self.cfg.kpce_reciprocal = reciprocal;
-        self
-    }
-
-    /// Lowe ratio test threshold for KPCE (must end up in `(0, 1]`).
-    pub fn kpce_ratio(mut self, ratio: f64) -> Self {
-        self.cfg.kpce_ratio = Some(ratio);
-        self
-    }
-
-    /// Correspondence rejection.
-    pub fn rejection(mut self, algorithm: RejectionAlgorithm) -> Self {
-        self.cfg.rejection = algorithm;
-        self
-    }
-
-    /// Fine-tuning error metric.
-    pub fn error_metric(mut self, metric: ErrorMetric) -> Self {
-        self.cfg.error_metric = metric;
-        self
-    }
-
-    /// Fine-tuning solver.
-    pub fn solver(mut self, solver: SolverAlgorithm) -> Self {
-        self.cfg.solver = solver;
-        self
-    }
-
-    /// RPCE correspondence-distance cutoff (meters).
-    pub fn max_correspondence_distance(mut self, meters: f64) -> Self {
-        self.cfg.max_correspondence_distance = meters;
-        self
-    }
-
-    /// RPCE reciprocity.
-    pub fn rpce_reciprocal(mut self, reciprocal: bool) -> Self {
-        self.cfg.rpce_reciprocal = reciprocal;
-        self
-    }
-
-    /// ICP convergence criteria.
-    pub fn convergence(mut self, criteria: ConvergenceCriteria) -> Self {
-        self.cfg.convergence = criteria;
-        self
-    }
-
-    /// Dense-search backend.
-    pub fn backend(mut self, backend: SearchBackendConfig) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
-    /// Error injection into Normal Estimation's radius searches.
-    pub fn inject_ne(mut self, injection: Option<Injection>) -> Self {
-        self.cfg.inject_ne = injection;
-        self
-    }
-
-    /// Error injection into RPCE's NN searches.
-    pub fn inject_rpce(mut self, injection: Option<Injection>) -> Self {
-        self.cfg.inject_rpce = injection;
-        self
-    }
-
-    /// KPCE feature-space injection: return the k-th nearest feature.
-    pub fn inject_kpce_kth(mut self, k: Option<usize>) -> Self {
-        self.cfg.inject_kpce_kth = k;
-        self
-    }
-
-    /// Motion-prior gate on the initial estimate's rotation (radians;
-    /// infinity disables).
-    pub fn max_initial_rotation(mut self, radians: f64) -> Self {
-        self.cfg.max_initial_rotation = radians;
-        self
-    }
-
-    /// Motion-prior gate on the initial estimate's translation (meters;
-    /// infinity disables).
-    pub fn max_initial_translation(mut self, meters: f64) -> Self {
-        self.cfg.max_initial_translation = meters;
-        self
-    }
-
-    /// Parallel batched-search execution knobs.
-    pub fn parallel(mut self, parallel: BatchConfig) -> Self {
-        self.cfg.parallel = parallel;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// The first [`ConfigError`] found by [`RegistrationConfig::validate`].
-    pub fn build(self) -> Result<RegistrationConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -885,137 +732,145 @@ mod tests {
 
     #[test]
     fn builder_accepts_valid_knobs() {
-        let cfg = RegistrationConfig::builder()
-            .normal_radius(0.6)
-            .backend(SearchBackendConfig::TwoStage { top_height: 8 })
-            .kpce_ratio(0.85)
-            .max_correspondence_distance(1.5)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.normal_radius, 0.6);
-        assert_eq!(cfg.backend, SearchBackendConfig::TwoStage { top_height: 8 });
-        assert_eq!(cfg.kpce_ratio, Some(0.85));
+        let cfg = RegistrationConfig {
+            normal_radius: 0.6,
+            backend: SearchBackendConfig::TwoStage { top_height: 8 },
+            kpce_ratio: Some(0.85),
+            max_correspondence_distance: 1.5,
+            ..Default::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
     fn builder_rejects_negative_radii() {
         assert_eq!(
-            RegistrationConfig::builder().normal_radius(-0.5).build().unwrap_err(),
-            ConfigError::NonPositive { knob: "normal_radius", value: -0.5 }
+            RegistrationConfig { normal_radius: -0.5, ..Default::default() }.validate(),
+            Err(ConfigError::NonPositive { knob: "normal_radius", value: -0.5 })
         );
         assert_eq!(
-            RegistrationConfig::builder()
-                .descriptor(DescriptorAlgorithm::Fpfh { radius: 0.0 })
-                .build()
-                .unwrap_err(),
-            ConfigError::NonPositive { knob: "descriptor.radius", value: 0.0 }
+            RegistrationConfig {
+                descriptor: DescriptorAlgorithm::Fpfh { radius: 0.0 },
+                ..Default::default()
+            }
+            .validate(),
+            Err(ConfigError::NonPositive { knob: "descriptor.radius", value: 0.0 })
         );
         assert_eq!(
-            RegistrationConfig::builder().voxel_size(-0.1).build().unwrap_err(),
-            ConfigError::Negative { knob: "voxel_size", value: -0.1 }
+            RegistrationConfig { voxel_size: -0.1, ..Default::default() }.validate(),
+            Err(ConfigError::Negative { knob: "voxel_size", value: -0.1 })
         );
         assert_eq!(
-            RegistrationConfig::builder()
-                .keypoint(KeypointAlgorithm::Iss { radius: -1.0 })
-                .build()
-                .unwrap_err(),
-            ConfigError::NonPositive { knob: "keypoint.radius", value: -1.0 }
+            RegistrationConfig {
+                keypoint: KeypointAlgorithm::Iss { radius: -1.0 },
+                ..Default::default()
+            }
+            .validate(),
+            Err(ConfigError::NonPositive { knob: "keypoint.radius", value: -1.0 })
         );
     }
 
     #[test]
     fn builder_rejects_ratio_above_one() {
         assert_eq!(
-            RegistrationConfig::builder().kpce_ratio(1.2).build().unwrap_err(),
-            ConfigError::RatioOutOfRange { knob: "kpce_ratio", value: 1.2 }
+            RegistrationConfig { kpce_ratio: Some(1.2), ..Default::default() }.validate(),
+            Err(ConfigError::RatioOutOfRange { knob: "kpce_ratio", value: 1.2 })
         );
         assert_eq!(
-            RegistrationConfig::builder().kpce_ratio(0.0).build().unwrap_err(),
-            ConfigError::RatioOutOfRange { knob: "kpce_ratio", value: 0.0 }
+            RegistrationConfig { kpce_ratio: Some(0.0), ..Default::default() }.validate(),
+            Err(ConfigError::RatioOutOfRange { knob: "kpce_ratio", value: 0.0 })
         );
-        assert!(RegistrationConfig::builder().kpce_ratio(1.0).build().is_ok());
+        assert_eq!(
+            RegistrationConfig { kpce_ratio: Some(1.0), ..Default::default() }.validate(),
+            Ok(())
+        );
     }
 
     #[test]
     fn builder_rejects_zero_iterations() {
         assert_eq!(
-            RegistrationConfig::builder()
-                .convergence(ConvergenceCriteria { max_iterations: 0, ..Default::default() })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroCount { knob: "convergence.max_iterations" }
+            RegistrationConfig {
+                convergence: ConvergenceCriteria { max_iterations: 0, ..Default::default() },
+                ..Default::default()
+            }
+            .validate(),
+            Err(ConfigError::ZeroCount { knob: "convergence.max_iterations" })
         );
         assert_eq!(
-            RegistrationConfig::builder()
-                .rejection(RejectionAlgorithm::Ransac { iterations: 0, inlier_threshold: 0.5 })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroCount { knob: "rejection.iterations" }
+            RegistrationConfig {
+                rejection: RejectionAlgorithm::Ransac { iterations: 0, inlier_threshold: 0.5 },
+                ..Default::default()
+            }
+            .validate(),
+            Err(ConfigError::ZeroCount { knob: "rejection.iterations" })
         );
     }
 
     #[test]
     fn builder_rejects_degenerate_backends() {
         assert_eq!(
-            RegistrationConfig::builder()
-                .backend(SearchBackendConfig::TwoStage { top_height: 0 })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroCount { knob: "backend.top_height" }
+            RegistrationConfig {
+                backend: SearchBackendConfig::TwoStage { top_height: 0 },
+                ..Default::default()
+            }
+            .validate(),
+            Err(ConfigError::ZeroCount { knob: "backend.top_height" })
         );
         let bad_approx = SearchBackendConfig::TwoStageApprox {
             top_height: 5,
             approx: ApproxConfig { radius_threshold_frac: 1.5, ..Default::default() },
         };
         assert_eq!(
-            RegistrationConfig::builder().backend(bad_approx).build().unwrap_err(),
-            ConfigError::RatioOutOfRange {
+            RegistrationConfig { backend: bad_approx, ..Default::default() }.validate(),
+            Err(ConfigError::RatioOutOfRange {
                 knob: "backend.approx.radius_threshold_frac",
                 value: 1.5
-            }
+            })
         );
-        // Brute force and registered customs carry no knobs to reject.
-        assert!(RegistrationConfig::builder()
-            .backend(SearchBackendConfig::BruteForce)
-            .build()
-            .is_ok());
+        // Brute force carries no knobs to reject.
+        assert_eq!(
+            RegistrationConfig { backend: SearchBackendConfig::BruteForce, ..Default::default() }
+                .validate(),
+            Ok(())
+        );
     }
 
     #[test]
     fn builder_rejects_non_finite_knobs() {
         assert_eq!(
-            RegistrationConfig::builder().normal_radius(f64::NAN).build().unwrap_err(),
-            ConfigError::NotFinite { knob: "normal_radius" }
+            RegistrationConfig { normal_radius: f64::NAN, ..Default::default() }.validate(),
+            Err(ConfigError::NotFinite { knob: "normal_radius" })
         );
         // Infinity *is* valid for the motion-prior gates (disables them)…
-        assert!(RegistrationConfig::builder().max_initial_rotation(f64::INFINITY).build().is_ok());
+        assert_eq!(
+            RegistrationConfig { max_initial_rotation: f64::INFINITY, ..Default::default() }
+                .validate(),
+            Ok(())
+        );
         // …but not for radii.
         assert_eq!(
-            RegistrationConfig::builder()
-                .max_correspondence_distance(f64::INFINITY)
-                .build()
-                .unwrap_err(),
-            ConfigError::NotFinite { knob: "max_correspondence_distance" }
+            RegistrationConfig { max_correspondence_distance: f64::INFINITY, ..Default::default() }
+                .validate(),
+            Err(ConfigError::NotFinite { knob: "max_correspondence_distance" })
         );
     }
 
     #[test]
     fn builder_rejects_zero_injection_ranks() {
         assert_eq!(
-            RegistrationConfig::builder()
-                .inject_rpce(Some(Injection::NnKth(0)))
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroCount { knob: "inject_rpce" }
+            RegistrationConfig { inject_rpce: Some(Injection::NnKth(0)), ..Default::default() }
+                .validate(),
+            Err(ConfigError::ZeroCount { knob: "inject_rpce" })
         );
         assert_eq!(
-            RegistrationConfig::builder().inject_kpce_kth(Some(0)).build().unwrap_err(),
-            ConfigError::ZeroCount { knob: "inject_kpce_kth" }
+            RegistrationConfig { inject_kpce_kth: Some(0), ..Default::default() }.validate(),
+            Err(ConfigError::ZeroCount { knob: "inject_kpce_kth" })
         );
-        assert!(RegistrationConfig::builder()
-            .inject_ne(Some(Injection::RadiusShell { inner_frac: 0.5, outer_frac: 1.25 }))
-            .build()
-            .is_ok());
+        let shell = Injection::RadiusShell { inner_frac: 0.5, outer_frac: 1.25 };
+        assert_eq!(
+            RegistrationConfig { inject_ne: Some(shell), ..Default::default() }.validate(),
+            Ok(())
+        );
     }
 
     #[test]

@@ -25,9 +25,11 @@
 //! `tigris_core::SearchIndex` seam: the classic KD-tree, the two-stage
 //! tree, approximate leader/follower search, the brute-force oracle, and
 //! registry-resolved custom backends (e.g. `tigris-accel`'s online
-//! accelerator model) all serve the identical pipeline. Configurations are
-//! checked up front by [`RegistrationConfig::builder`], which rejects
-//! invalid knobs with a typed [`config::ConfigError`].
+//! accelerator model) all serve the identical pipeline. A configuration is
+//! a plain struct (a literal, `Default`, or a [`DesignPoint`] preset);
+//! every entry point checks it with [`RegistrationConfig::validate`] and
+//! rejects invalid knobs with [`RegistrationError::InvalidConfig`]
+//! carrying a typed [`config::ConfigError`].
 //!
 //! # Example
 //!
@@ -62,8 +64,8 @@ pub mod transform;
 
 pub use config::{
     ConfigError, ConvergenceCriteria, DescriptorAlgorithm, DesignPoint, ErrorMetric,
-    KeypointAlgorithm, NormalAlgorithm, RegistrationConfig, RegistrationConfigBuilder,
-    RejectionAlgorithm, SearchBackendConfig, SolverAlgorithm,
+    KeypointAlgorithm, NormalAlgorithm, RegistrationConfig, RejectionAlgorithm,
+    SearchBackendConfig, SolverAlgorithm,
 };
 pub use correspond::Correspondence;
 pub use icp::IcpResult;

@@ -136,7 +136,8 @@ impl Odometer {
     /// # Errors
     ///
     /// Propagates [`RegistrationError`] from frame preparation or pairwise
-    /// matching, including [`RegistrationError::UnknownBackend`] for an
+    /// matching, including [`RegistrationError::InvalidConfig`] for a
+    /// config that fails [`RegistrationConfig::validate`] or names an
     /// unresolvable `Custom` backend. A frame that fails to prepare is
     /// *not* counted in [`Odometer::frames_processed`]. When a prepared
     /// frame fails to *match* its predecessor, the new frame replaces the

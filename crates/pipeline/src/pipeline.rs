@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use tigris_geom::{PointCloud, RigidTransform, Vec3};
 
-use crate::config::{ConfigError, KeypointAlgorithm, RegistrationConfig, SearchBackendConfig};
+use crate::config::{ConfigError, KeypointAlgorithm, RegistrationConfig};
 use crate::correspond::{kpce_batched, kpce_ratio_batched, NeighborGraph};
 use crate::descriptor::{compute_descriptors_with, Descriptors};
 use crate::icp::{IcpResult, IcpTermination};
@@ -44,7 +44,7 @@ pub const PRIOR_TRANSLATION_SLACK: f64 = 2.0;
 pub const PRIOR_ROTATION_SLACK: f64 = 0.2;
 
 /// Registration failure modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RegistrationError {
     /// A frame was empty (or became empty after downsampling).
     EmptyCloud,
@@ -53,8 +53,12 @@ pub enum RegistrationError {
     NonFinitePoint,
     /// The fine-tuning phase ran out of correspondences entirely.
     IcpStarved,
-    /// The configured `Custom` search backend is not in the registry.
-    UnknownBackend(&'static str),
+    /// The configuration failed [`RegistrationConfig::validate`], or
+    /// names a `Custom` search backend that is not in the registry
+    /// ([`ConfigError::UnknownBackend`]). Every entry point checks its
+    /// config before it changes any state, so a rejected config leaves
+    /// the caller's frames, odometer or map as they were.
+    InvalidConfig(ConfigError),
     /// A [`PreparedFrame`] handed to [`register_prepared`] was prepared
     /// under different front-end knobs than the matching config (see
     /// [`RegistrationConfig::same_front_end`]) — its artifacts would not
@@ -72,9 +76,7 @@ impl std::fmt::Display for RegistrationError {
             RegistrationError::IcpStarved => {
                 write!(f, "fine-tuning found no correspondences; clouds may not overlap")
             }
-            RegistrationError::UnknownBackend(name) => {
-                write!(f, "no search backend registered under {name:?}")
-            }
+            RegistrationError::InvalidConfig(err) => write!(f, "invalid configuration: {err}"),
             RegistrationError::PreparationMismatch => write!(
                 f,
                 "a prepared frame's front-end configuration disagrees with the matching config"
@@ -84,6 +86,12 @@ impl std::fmt::Display for RegistrationError {
 }
 
 impl std::error::Error for RegistrationError {}
+
+impl From<ConfigError> for RegistrationError {
+    fn from(err: ConfigError) -> Self {
+        RegistrationError::InvalidConfig(err)
+    }
+}
 
 /// The output of end-to-end registration.
 #[derive(Debug, Clone)]
@@ -101,19 +109,6 @@ pub struct RegistrationResult {
     pub inlier_correspondences: usize,
     /// ICP iterations run.
     pub icp_iterations: usize,
-}
-
-/// Builds the metered searcher a backend config selects — the single
-/// construction path shared by [`prepare_frame`], the odometer, and DSE.
-pub(crate) fn build_searcher(
-    points: &[Vec3],
-    backend: &SearchBackendConfig,
-) -> Result<Searcher3, RegistrationError> {
-    Searcher3::from_config(points, backend).map_err(|err| match err {
-        ConfigError::UnknownBackend { name } => RegistrationError::UnknownBackend(name),
-        // `from_config` can only fail on registry lookup.
-        _ => unreachable!("Searcher3::from_config fails only on unknown backends"),
-    })
 }
 
 /// One frame's pair-independent registration artifacts: the outputs of
@@ -378,8 +373,9 @@ fn run_front_end(
 ///
 /// [`RegistrationError::EmptyCloud`] when the cloud is empty (or becomes
 /// empty after downsampling); [`RegistrationError::NonFinitePoint`] when
-/// any coordinate is NaN or infinite; [`RegistrationError::UnknownBackend`]
-/// when a `Custom` backend name is not registered.
+/// any coordinate is NaN or infinite; [`RegistrationError::InvalidConfig`]
+/// when `cfg` fails [`RegistrationConfig::validate`] or names an
+/// unregistered `Custom` backend.
 pub fn prepare_frame(
     cloud: &PointCloud,
     cfg: &RegistrationConfig,
@@ -404,6 +400,7 @@ pub fn prepare_frame_with(
 ) -> Result<PreparedFrame, RegistrationError> {
     let _span = tigris_obs::span!("pipeline.prepare", points = cloud.len());
     let t0 = Instant::now();
+    cfg.validate()?;
     if !cloud.points().iter().all(|p| p.is_finite()) {
         return Err(RegistrationError::NonFinitePoint);
     }
@@ -418,13 +415,13 @@ pub fn prepare_frame_with(
             return Err(RegistrationError::EmptyCloud);
         }
         let _s = tigris_obs::span!("prepare.index_build", points = down.points().len());
-        build_searcher(down.points(), &cfg.backend)?
+        Searcher3::from_config(down.points(), &cfg.backend)?
     } else {
         if cloud.points().is_empty() {
             return Err(RegistrationError::EmptyCloud);
         }
         let _s = tigris_obs::span!("prepare.index_build", points = cloud.points().len());
-        build_searcher(cloud.points(), &cfg.backend)?
+        Searcher3::from_config(cloud.points(), &cfg.backend)?
     };
     finish_preparation(searcher, cfg, t0, std::time::Duration::ZERO, scratch)
 }
@@ -436,11 +433,14 @@ pub fn prepare_frame_with(
 ///
 /// # Errors
 ///
-/// [`RegistrationError::EmptyCloud`] when the searcher indexes no points.
+/// [`RegistrationError::InvalidConfig`] when `cfg` fails
+/// [`RegistrationConfig::validate`]; [`RegistrationError::EmptyCloud`]
+/// when the searcher indexes no points.
 pub fn prepare_frame_from_searcher(
     searcher: Searcher3,
     cfg: &RegistrationConfig,
 ) -> Result<PreparedFrame, RegistrationError> {
+    cfg.validate()?;
     if searcher.is_empty() {
         return Err(RegistrationError::EmptyCloud);
     }
@@ -613,8 +613,9 @@ fn assemble_result(summary: MatchSummary, profile: StageProfile) -> Registration
 ///
 /// [`RegistrationError::EmptyCloud`] when either frame is empty;
 /// [`RegistrationError::IcpStarved`] when fine-tuning cannot find any
-/// overlap; [`RegistrationError::UnknownBackend`] when the config
-/// selects an unregistered `Custom` search backend.
+/// overlap; [`RegistrationError::InvalidConfig`] when the config fails
+/// [`RegistrationConfig::validate`] or selects an unregistered `Custom`
+/// search backend.
 ///
 /// # Example
 ///
@@ -653,6 +654,8 @@ pub fn register(
 ///
 /// # Errors
 ///
+/// [`RegistrationError::InvalidConfig`] when `cfg` fails
+/// [`RegistrationConfig::validate`] (checked first);
 /// [`RegistrationError::IcpStarved`] when fine-tuning cannot find any
 /// overlap; [`RegistrationError::PreparationMismatch`] when either
 /// frame was prepared under different front-end knobs than `cfg`;
@@ -682,6 +685,7 @@ pub fn register_prepared_with_prior(
     cfg: &RegistrationConfig,
     prior: Option<&RigidTransform>,
 ) -> Result<RegistrationResult, RegistrationError> {
+    cfg.validate()?;
     if source.is_empty() || target.is_empty() {
         return Err(RegistrationError::EmptyCloud);
     }
@@ -718,7 +722,7 @@ pub fn register_prepared_with_prior(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KeypointAlgorithm, RegistrationConfig};
+    use crate::config::SearchBackendConfig;
 
     /// A structured synthetic "urban corner" scene, denser than the ICP
     /// unit-test cloud, with distinctive geometry for the front-end.
@@ -911,7 +915,7 @@ mod tests {
         cfg.backend = SearchBackendConfig::Custom { name: "not-a-backend" };
         assert_eq!(
             register(&target, &target, &cfg).unwrap_err(),
-            RegistrationError::UnknownBackend("not-a-backend")
+            RegistrationError::InvalidConfig(ConfigError::UnknownBackend { name: "not-a-backend" })
         );
     }
 
@@ -919,7 +923,8 @@ mod tests {
     fn error_display() {
         assert!(!RegistrationError::EmptyCloud.to_string().is_empty());
         assert!(!RegistrationError::IcpStarved.to_string().is_empty());
-        assert!(RegistrationError::UnknownBackend("x").to_string().contains('x'));
+        let invalid = ConfigError::UnknownBackend { name: "x" };
+        assert!(RegistrationError::InvalidConfig(invalid).to_string().contains('x'));
         assert!(!RegistrationError::PreparationMismatch.to_string().is_empty());
     }
 

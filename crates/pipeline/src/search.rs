@@ -26,6 +26,7 @@
 //! [`Searcher3::stats`]), which is why `tigris_core::SearchStats`
 //! implements `Sub`.
 
+use std::convert::Infallible;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -153,6 +154,21 @@ impl Searcher3 {
         }
     }
 
+    /// Runs `build` under the build clock and wraps the index it returns —
+    /// the one timed construction path behind [`Searcher3::from_config`]
+    /// and its shorthands.
+    fn timed_build<E>(build: impl FnOnce() -> Result<Box<dyn SearchIndex>, E>) -> Result<Self, E> {
+        let t0 = Instant::now();
+        let index = build()?;
+        Ok(Searcher3::from_index(index, t0.elapsed()))
+    }
+
+    /// [`Searcher3::timed_build`] for a built-in backend, which cannot fail.
+    fn timed_built_in(build: impl FnOnce() -> Box<dyn SearchIndex>) -> Self {
+        let Ok(searcher) = Searcher3::timed_build(|| Ok::<_, Infallible>(build()));
+        searcher
+    }
+
     /// Builds the backend a [`SearchBackendConfig`] selects, metering the
     /// build.
     ///
@@ -164,55 +180,47 @@ impl Searcher3 {
         points: &[Vec3],
         backend: &SearchBackendConfig,
     ) -> Result<Self, ConfigError> {
-        let t0 = Instant::now();
-        let index: Box<dyn SearchIndex> = match *backend {
-            SearchBackendConfig::Classic => Box::new(KdTree::build(points)),
-            SearchBackendConfig::TwoStage { top_height } => {
-                Box::new(TwoStageKdTree::build(points, top_height))
-            }
-            SearchBackendConfig::TwoStageApprox { top_height, approx } => {
-                Box::new(ApproxIndex::build(points, top_height, approx))
-            }
-            SearchBackendConfig::BruteForce => Box::new(BruteForceIndex::new(points.to_vec())),
-            SearchBackendConfig::Custom { name } => {
-                build_backend(name, points).ok_or(ConfigError::UnknownBackend { name })?
-            }
-        };
-        Ok(Searcher3::from_index(index, t0.elapsed()))
+        Searcher3::timed_build(|| {
+            Ok(match *backend {
+                SearchBackendConfig::Classic => Box::new(KdTree::build(points)),
+                SearchBackendConfig::TwoStage { top_height } => {
+                    Box::new(TwoStageKdTree::build(points, top_height))
+                }
+                SearchBackendConfig::TwoStageApprox { top_height, approx } => {
+                    Box::new(ApproxIndex::build(points, top_height, approx))
+                }
+                SearchBackendConfig::BruteForce => Box::new(BruteForceIndex::new(points.to_vec())),
+                SearchBackendConfig::Custom { name } => {
+                    build_backend(name, points).ok_or(ConfigError::UnknownBackend { name })?
+                }
+            })
+        })
     }
 
     /// Builds a canonical KD-tree backend (shorthand for
     /// [`Searcher3::from_config`] with [`SearchBackendConfig::Classic`]).
     pub fn classic(points: &[Vec3]) -> Self {
-        let t0 = Instant::now();
-        let index = Box::new(KdTree::build(points));
-        Searcher3::from_index(index, t0.elapsed())
+        Searcher3::timed_built_in(|| Box::new(KdTree::build(points)))
     }
 
     /// Builds a two-stage KD-tree backend with the given top-tree height
     /// (shorthand for [`Searcher3::from_config`] with
     /// [`SearchBackendConfig::TwoStage`]).
     pub fn two_stage(points: &[Vec3], top_height: usize) -> Self {
-        let t0 = Instant::now();
-        let index = Box::new(TwoStageKdTree::build(points, top_height));
-        Searcher3::from_index(index, t0.elapsed())
+        Searcher3::timed_built_in(|| Box::new(TwoStageKdTree::build(points, top_height)))
     }
 
     /// Builds a two-stage KD-tree with approximate (Algorithm 1) search
     /// (shorthand for [`Searcher3::from_config`] with
     /// [`SearchBackendConfig::TwoStageApprox`]).
     pub fn two_stage_approx(points: &[Vec3], top_height: usize, cfg: ApproxConfig) -> Self {
-        let t0 = Instant::now();
-        let index = Box::new(ApproxIndex::build(points, top_height, cfg));
-        Searcher3::from_index(index, t0.elapsed())
+        Searcher3::timed_built_in(|| Box::new(ApproxIndex::build(points, top_height, cfg)))
     }
 
     /// Builds the exhaustive brute-force oracle backend (shorthand for
     /// [`Searcher3::from_config`] with [`SearchBackendConfig::BruteForce`]).
     pub fn brute_force(points: &[Vec3]) -> Self {
-        let t0 = Instant::now();
-        let index = Box::new(BruteForceIndex::new(points.to_vec()));
-        Searcher3::from_index(index, t0.elapsed())
+        Searcher3::timed_built_in(|| Box::new(BruteForceIndex::new(points.to_vec())))
     }
 
     /// The backend's stable name (`"classic"`, `"two-stage"`, …), straight

@@ -9,7 +9,7 @@ use tigris_pipeline::RegistrationError;
 /// [`ServeError::Saturated`]) are *backpressure*, not bugs: a loaded
 /// service rejects typed and fast instead of queueing unboundedly, and
 /// callers retry or shed load. The others are per-request outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServeError {
     /// The session budget (`ServeConfig::max_sessions`) is fully
     /// allocated; no new session can be admitted until one closes.
@@ -32,7 +32,7 @@ pub enum ServeError {
         candidates_tried: usize,
     },
     /// The query frame failed in the registration pipeline (empty cloud,
-    /// unknown backend, mismatched preparation…).
+    /// invalid configuration, mismatched preparation…).
     Registration(RegistrationError),
     /// The map offered for publishing holds no points.
     EmptyMap,

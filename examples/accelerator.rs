@@ -106,19 +106,16 @@ fn main() {
     use tigris::pipeline::{register, RegistrationConfig};
 
     tigris::accel::register_accelerator_backend();
-    let reg_cfg = RegistrationConfig::builder()
-        .backend(SearchBackendConfig::Custom { name: "accelerator" })
-        .build()
-        .expect("valid config");
+    let reg_cfg = RegistrationConfig {
+        backend: SearchBackendConfig::Custom { name: "accelerator" },
+        ..Default::default()
+    };
     println!("\nend-to-end registration on the accelerator backend...");
-    match register(seq.frame(1), seq.frame(0), &reg_cfg) {
-        Ok(result) => {
-            let gt = seq.ground_truth_relative(0);
-            println!(
-                "  estimated {} vs ground truth {} ({} ICP iterations)",
-                result.transform.translation, gt.translation, result.icp_iterations
-            );
-        }
-        Err(e) => println!("  registration failed: {e}"),
-    }
+    // An invalid config fails here with RegistrationError::InvalidConfig.
+    let result = register(seq.frame(1), seq.frame(0), &reg_cfg).expect("registration failed");
+    let gt = seq.ground_truth_relative(0);
+    println!(
+        "  estimated {} vs ground truth {} ({} ICP iterations)",
+        result.transform.translation, gt.translation, result.icp_iterations
+    );
 }

@@ -9,14 +9,17 @@ use tigris::core::{ApproxConfig, ApproxIndex, KdTree, SearchStats, TwoStageKdTre
 use tigris::data::{LidarConfig, Sequence, SequenceConfig};
 use tigris::geom::{PointCloud, RigidTransform, Vec3};
 use tigris::map::{Mapper, MapperConfig};
-use tigris::pipeline::{register, Odometer, RegistrationConfig, RegistrationError};
+use tigris::pipeline::{
+    prepare_frame, register, register_prepared, ConfigError, ConvergenceCriteria,
+    KeypointAlgorithm, Odometer, RegistrationConfig, RegistrationError, SearchBackendConfig,
+};
 use tigris::serve::shard::{EpochPublisher, ShardConfig, ShardService};
 use tigris::serve::{ServeError, StepKind};
 
 fn fast_config() -> RegistrationConfig {
     RegistrationConfig {
         voxel_size: 0.0,
-        keypoint: tigris::pipeline::KeypointAlgorithm::Uniform { voxel: 1.0 },
+        keypoint: KeypointAlgorithm::Uniform { voxel: 1.0 },
         ..RegistrationConfig::default()
     }
 }
@@ -68,14 +71,14 @@ fn single_point_and_two_point_clouds() {
             Ok(r) => assert!(r.transform.translation.is_finite()),
             Err(RegistrationError::EmptyCloud | RegistrationError::IcpStarved) => {}
             Err(
-                e @ (RegistrationError::UnknownBackend(_)
+                e @ (RegistrationError::InvalidConfig(_)
                 | RegistrationError::PreparationMismatch
                 | RegistrationError::NonFinitePoint),
             ) => {
                 // register() prepares both finite frames under the one
-                // config with a built-in backend; none of these errors is
-                // reachable.
-                panic!("impossible for register() with a built-in backend: {e}")
+                // valid config with a built-in backend; none of these
+                // errors is reachable.
+                panic!("impossible for register() with a valid config: {e}")
             }
         }
     }
@@ -347,4 +350,90 @@ fn empty_and_far_offset_frames_fail_typed_in_serving_sessions() {
         let step = session.localize(seq.frame(4)).unwrap();
         assert!(matches!(step.kind, StepKind::Tracked { .. }), "{d}: tracking resumes");
     }
+}
+
+/// One invalid config per `ConfigError` variant, plus the two key-point
+/// knobs that reach a deep panic, each with the error it must get: the
+/// first knob `validate` rejects, or the registry's verdict on an
+/// unregistered `Custom` backend (which `validate` leaves to the index
+/// build).
+fn invalid_configs(valid: &RegistrationConfig) -> Vec<(RegistrationConfig, ConfigError)> {
+    let with = |f: fn(&mut RegistrationConfig)| {
+        let mut cfg = valid.clone();
+        f(&mut cfg);
+        cfg
+    };
+    vec![
+        (
+            with(|c| c.normal_radius = -1.0),
+            ConfigError::NonPositive { knob: "normal_radius", value: -1.0 },
+        ),
+        (with(|c| c.voxel_size = -1.0), ConfigError::Negative { knob: "voxel_size", value: -1.0 }),
+        (
+            with(|c| c.kpce_ratio = Some(2.0)),
+            ConfigError::RatioOutOfRange { knob: "kpce_ratio", value: 2.0 },
+        ),
+        (
+            with(|c| c.convergence = ConvergenceCriteria { max_iterations: 0, ..c.convergence }),
+            ConfigError::ZeroCount { knob: "convergence.max_iterations" },
+        ),
+        (with(|c| c.normal_radius = f64::NAN), ConfigError::NotFinite { knob: "normal_radius" }),
+        (
+            with(|c| c.backend = SearchBackendConfig::Custom { name: "no-such-backend" }),
+            ConfigError::UnknownBackend { name: "no-such-backend" },
+        ),
+        (
+            with(|c| c.keypoint = KeypointAlgorithm::Iss { radius: -1.0 }),
+            ConfigError::NonPositive { knob: "keypoint.radius", value: -1.0 },
+        ),
+        (
+            with(|c| c.keypoint = KeypointAlgorithm::Uniform { voxel: 0.0 }),
+            ConfigError::NonPositive { knob: "keypoint.voxel", value: 0.0 },
+        ),
+    ]
+}
+
+#[test]
+fn invalid_configs_fail_typed_at_every_entry_point() {
+    let seq = circuit();
+    let (f0, f1) = (seq.frame(0), seq.frame(1));
+    let valid = MapperConfig::serving().registration;
+    let mut source = prepare_frame(f1, &valid).unwrap();
+    let mut target = prepare_frame(f0, &valid).unwrap();
+    for (cfg, want) in invalid_configs(&valid) {
+        let what = want.to_string();
+        if let ConfigError::UnknownBackend { .. } = want {
+            assert_eq!(cfg.validate(), Ok(()), "{what}: the registry is not a knob rule");
+        } else {
+            assert_eq!(cfg.validate(), Err(want), "{what}: validate");
+        }
+        let err = Some(RegistrationError::InvalidConfig(want));
+        assert_eq!(prepare_frame(f0, &cfg).err(), err, "{what}: prepare_frame");
+        assert_eq!(register(f1, f0, &cfg).err(), err, "{what}: register");
+
+        // A bad matching config over frames prepared under a valid one.
+        // A backend is a front-end knob the frames were not built with,
+        // so an unregistered one is a preparation mismatch here.
+        let matched = register_prepared(&mut source, &mut target, &cfg).err();
+        if let ConfigError::UnknownBackend { .. } = want {
+            assert_eq!(matched, Some(RegistrationError::PreparationMismatch), "{what}");
+        } else {
+            assert_eq!(matched, err, "{what}: register_prepared");
+        }
+
+        let mut odo = Odometer::new(cfg.clone());
+        assert_eq!(odo.push(f0).err(), err, "{what}: odometer, first frame");
+        assert_eq!(odo.push(f1).err(), err, "{what}: odometer, second frame");
+        assert_eq!(odo.frames_processed(), 0, "{what}: a rejected frame is not processed");
+
+        let mut mapper = Mapper::new(MapperConfig { registration: cfg, ..MapperConfig::serving() });
+        let stats = mapper.stats();
+        assert_eq!(mapper.push(f0).err(), err, "{what}: mapper");
+        assert_eq!(mapper.stats(), stats, "{what}: a rejected frame counts nothing");
+        assert!(mapper.poses().is_empty(), "{what}: a rejected frame adds no node");
+    }
+    // The rejected matches billed nothing: the first valid one bills both
+    // preparations.
+    let result = register_prepared(&mut source, &mut target, &valid).unwrap();
+    assert_eq!(result.profile.frames_prepared, 2);
 }
