@@ -214,7 +214,6 @@ fn sharded_serving_is_selective_bounded_and_swap_safe_at_scale() {
                 prepared.points(),
                 &reloc.relative,
                 &oracle.submaps()[reloc.submap],
-                &registration.parallel,
             );
             assert_eq!(
                 live.to_bits(),

@@ -5,7 +5,7 @@
 //! The registration pipeline issues neighbor queries in large, independent
 //! fan-outs: one radius query per point during normal estimation, one per
 //! key-point during descriptor calculation, one NN query per source point
-//! per ICP iteration. This module is the engine that executes such
+//! per ICP iteration. This module is the engine that can execute such
 //! batches across OS threads while keeping every observable output —
 //! results *and* [`SearchStats`] counters — bit-identical to the serial
 //! execution. Backends reach it through
@@ -58,9 +58,8 @@ use tigris_geom::Vec3;
 /// Parallelism knobs for batched query execution.
 ///
 /// The defaults are deliberately serial (`threads == 1`): callers opt in
-/// to parallelism explicitly, and every higher layer
-/// (`tigris-pipeline`'s `RegistrationConfig`) threads this through as a
-/// sweepable design knob.
+/// to parallelism explicitly. The registration pipeline and the map
+/// layers above it run every batch serially.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Worker threads for batched queries. `0` means one per available
@@ -128,9 +127,8 @@ fn spans(n: usize, t: usize) -> Vec<(usize, usize)> {
 /// indistinguishable from the serial loop.
 ///
 /// This is the engine behind the stateless backends'
-/// [`SharedIndex`](crate::index::SharedIndex) batches; it is public so
-/// other crates can parallelize their own `Sync` search closures (e.g.
-/// feature-space KPCE over a `KdTreeN`).
+/// [`SharedIndex`](crate::index::SharedIndex) batches; it is public so a
+/// caller can fan out its own `Sync` search closure the same way.
 pub fn parallel_queries<R, F>(
     queries: &[Vec3],
     cfg: &BatchConfig,
@@ -163,67 +161,6 @@ where
     for (chunk, local) in parts {
         out.extend(chunk);
         *stats += local;
-    }
-    out
-}
-
-/// Order-preserving parallel map over arbitrary `Sync` items — the
-/// stats-free sibling of [`parallel_queries`], for the pure computation
-/// that surrounds searches (normal fitting, descriptor histograms, point
-/// transforms).
-pub fn parallel_map<T, R, F>(items: &[T], cfg: &BatchConfig, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let t = cfg.resolve_threads(items.len());
-    if t <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let parts: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans(items.len(), t)
-            .into_iter()
-            .map(|(lo, hi)| {
-                let f = &f;
-                scope.spawn(move || items[lo..hi].iter().map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("map worker panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in parts {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// Order-preserving parallel map over the index range `0..n` — for the
-/// common case of combining several parallel arrays by position, where
-/// materializing an index `Vec` just to feed [`parallel_map`] would be a
-/// wasted allocation.
-pub fn parallel_map_indexed<R, F>(n: usize, cfg: &BatchConfig, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let t = cfg.resolve_threads(n);
-    if t <= 1 {
-        return (0..n).map(&f).collect();
-    }
-    let parts: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = spans(n, t)
-            .into_iter()
-            .map(|(lo, hi)| {
-                let f = &f;
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("map worker panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for chunk in parts {
-        out.extend(chunk);
     }
     out
 }
@@ -265,14 +202,6 @@ mod tests {
         assert_eq!(cfg.resolve_threads(99), 1);
         assert_eq!(cfg.resolve_threads(250), 3);
         assert_eq!(cfg.resolve_threads(10_000), 8);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        let cfg = BatchConfig { threads: 4, min_chunk: 1 };
-        let doubled = parallel_map(&items, &cfg, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -557,12 +557,7 @@ impl Mapper {
         let Some(prep) = self.odometer.reference_frame() else {
             return 0.0;
         };
-        retrieval::structure_overlap_batched(
-            prep.points(),
-            relative,
-            &self.submaps[submap_id],
-            &self.config.registration.parallel,
-        )
+        retrieval::structure_overlap_batched(prep.points(), relative, &self.submaps[submap_id])
     }
 
     /// Runs Gauss–Newton over the whole trajectory and rebases every

@@ -202,19 +202,16 @@ pub fn verify_geometry(
 /// geometry and never consults pose estimates.
 ///
 /// The per-point NN lookups run through the submap index's shared
-/// read-only batch path under `cfg`; the index is exact and per-query
-/// answers are independent, so the fraction is bit-identical at any
-/// thread count.
+/// read-only batch path.
 pub fn structure_overlap_batched(
     points: &[Vec3],
     relative: &RigidTransform,
     submap: &Submap,
-    cfg: &BatchConfig,
 ) -> f64 {
     let Some(bounds) = submap.local_bounds() else {
         return 0.0;
     };
-    structure_overlap_indexed(points, relative, submap.index(), bounds, cfg)
+    structure_overlap_indexed(points, relative, submap.index(), bounds)
 }
 
 /// [`structure_overlap_batched`] over a bare index and its local bounds
@@ -227,7 +224,6 @@ pub fn structure_overlap_indexed(
     relative: &RigidTransform,
     index: &tigris_core::DynamicMapIndex,
     bounds: &tigris_geom::Aabb,
-    cfg: &BatchConfig,
 ) -> f64 {
     let structure_floor = bounds.min.z + OVERLAP_MIN_HEIGHT;
     let transformed: Vec<Vec3> = points
@@ -239,7 +235,7 @@ pub fn structure_overlap_indexed(
         return 0.0;
     }
     let mut stats = SearchStats::new();
-    let answers = index.nn_batch_shared(&transformed, cfg, &mut stats);
+    let answers = index.nn_batch_shared(&transformed, &BatchConfig::serial(), &mut stats);
     let hits = answers
         .iter()
         .filter(|n| matches!(n, Some(n) if n.distance_squared <= OVERLAP_RADIUS * OVERLAP_RADIUS))
@@ -421,7 +417,7 @@ mod tests {
         ];
         for t in &transforms {
             let expected = inline_overlap_oracle(&frame, t, &submap);
-            let batched = structure_overlap_batched(&frame, t, &submap, &BatchConfig::serial());
+            let batched = structure_overlap_batched(&frame, t, &submap);
             assert!(batched.to_bits() == expected.to_bits(), "batched {batched} != {expected}");
         }
     }
@@ -430,9 +426,7 @@ mod tests {
     fn structure_overlap_separates_genuine_from_false_matches() {
         let submap = populated_submap();
         let frame = frame_points();
-        let overlap = |points: &[Vec3], t: &RigidTransform, submap: &Submap| {
-            structure_overlap_batched(points, t, submap, &BatchConfig::serial())
-        };
+        let overlap = structure_overlap_batched;
         // The genuine revisit: same geometry, same place.
         let genuine = overlap(&frame, &RigidTransform::IDENTITY, &submap);
         assert!(genuine > 0.95, "genuine overlap {genuine}");

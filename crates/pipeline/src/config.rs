@@ -2,7 +2,7 @@
 //! paper's Tbl. 1, plus the Pareto design points DP1–DP8 used throughout
 //! the evaluation.
 
-use tigris_core::{ApproxConfig, BatchConfig};
+use tigris_core::ApproxConfig;
 
 use crate::search::Injection;
 
@@ -201,8 +201,7 @@ impl SearchBackendConfig {
 }
 
 /// A rejected configuration knob, found by [`RegistrationConfig::validate`]
-/// (or, for [`ConfigError::UnknownBackend`], by the backend registry when
-/// the index is built) and returned by every pipeline entry point as
+/// and returned by every pipeline entry point as
 /// `RegistrationError::InvalidConfig` instead of surfacing as a panic or
 /// nonsense result deep inside a run.
 ///
@@ -329,12 +328,6 @@ pub struct RegistrationConfig {
     /// Motion-prior gate on the initial estimate's translation (meters);
     /// see [`RegistrationConfig::max_initial_rotation`].
     pub max_initial_translation: f64,
-    /// Parallel batched-search execution: worker-thread count and minimum
-    /// chunk size for the query fan-outs (normal estimation, descriptors,
-    /// KPCE, RPCE). The default is serial; `BatchConfig::auto()` uses every
-    /// core. Results are identical at any setting — this knob trades
-    /// wall-clock for CPU, which is why [`crate::dse`] can sweep it.
-    pub parallel: BatchConfig,
 }
 
 impl RegistrationConfig {
@@ -345,10 +338,6 @@ impl RegistrationConfig {
     /// interchangeable [`crate::PreparedFrame`]s, so a sweep over the
     /// remaining (matching/ICP) knobs can prepare each frame once and
     /// reuse it across design points ([`crate::dse::sweep_matching`]).
-    ///
-    /// The `parallel` knob is deliberately excluded: batched search is
-    /// bit-identical to serial at any thread count, so parallelism never
-    /// affects what a preparation computes — only how fast.
     pub fn same_front_end(&self, other: &Self) -> bool {
         self.voxel_size == other.voxel_size
             && self.normal_algorithm == other.normal_algorithm
@@ -363,7 +352,8 @@ impl RegistrationConfig {
     ///
     /// All [`DesignPoint`] presets validate cleanly; this exists to catch
     /// hand-rolled or swept configurations (negative radii, `kpce_ratio`
-    /// above 1, zero iteration budgets, …). `prepare_frame`,
+    /// above 1, zero iteration budgets, a `Custom` backend name the
+    /// registry does not hold, …). `prepare_frame`,
     /// `prepare_frame_from_searcher` and `register_prepared` run it before
     /// any work, so every pipeline entry point rejects such a config with
     /// `RegistrationError::InvalidConfig`.
@@ -437,9 +427,12 @@ impl RegistrationConfig {
         non_negative("convergence.rotation_epsilon", self.convergence.rotation_epsilon)?;
         non_negative("convergence.mse_relative_epsilon", self.convergence.mse_relative_epsilon)?;
         match self.backend {
-            SearchBackendConfig::Classic
-            | SearchBackendConfig::BruteForce
-            | SearchBackendConfig::Custom { .. } => {}
+            SearchBackendConfig::Classic | SearchBackendConfig::BruteForce => {}
+            SearchBackendConfig::Custom { name } => {
+                if !tigris_core::backend_names().iter().any(|n| n == name) {
+                    return Err(ConfigError::UnknownBackend { name });
+                }
+            }
             SearchBackendConfig::TwoStage { top_height } => {
                 if top_height == 0 {
                     return Err(ConfigError::ZeroCount { knob: "backend.top_height" });
@@ -518,7 +511,6 @@ impl Default for RegistrationConfig {
             inject_kpce_kth: None,
             max_initial_rotation: 60.0_f64.to_radians(),
             max_initial_translation: 10.0,
-            parallel: BatchConfig::serial(),
         }
     }
 }
@@ -890,9 +882,6 @@ mod tests {
         matching.max_correspondence_distance = 1.0;
         matching.convergence.max_iterations = 5;
         matching.rejection = RejectionAlgorithm::Threshold { factor: 1.1 };
-        // Parallelism is a pure performance knob: batched ≡ serial
-        // bit-for-bit, so it never invalidates a preparation.
-        matching.parallel = tigris_core::BatchConfig { threads: 4, min_chunk: 32 };
         assert!(base.same_front_end(&matching));
         // Any preparation knob breaks it.
         let mut prep = base.clone();

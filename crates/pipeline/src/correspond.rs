@@ -2,9 +2,9 @@
 //! 4) and RPCE in 3D space (fine-tuning stage 1).
 //!
 //! Both stages are per-item-independent query fan-outs (one feature NN per
-//! source descriptor; the 3D nearest target point of every source point),
-//! so both run batched: RPCE through [`Searcher3`]'s batched entry points,
-//! KPCE through [`tigris_core::batch::parallel_map`] over the feature tree.
+//! source descriptor; the 3D nearest target point of every source point):
+//! RPCE runs through [`Searcher3`]'s batched entry points, KPCE loops over
+//! the source descriptors against a feature-space `KdTreeN`.
 //!
 //! [`rpce`] answers every source point with a fresh NN query. Inside ICP,
 //! where the same source points move a little each iteration, the
@@ -15,8 +15,7 @@
 //! frame's `NeighborGraph`), and returns exactly what [`rpce`] would,
 //! bit for bit.
 
-use tigris_core::batch::parallel_map_indexed;
-use tigris_core::{BatchConfig, KdTreeN, Neighbor};
+use tigris_core::{KdTreeN, Neighbor};
 use tigris_geom::Vec3;
 
 use crate::descriptor::Descriptors;
@@ -50,23 +49,6 @@ pub fn kpce(
     reciprocal: bool,
     kth: Option<usize>,
 ) -> Vec<Correspondence> {
-    kpce_batched(source, target, reciprocal, kth, &BatchConfig::serial())
-}
-
-/// [`kpce`] with the feature-space queries fanned out across worker
-/// threads per `parallel`. Matches come back in source order — identical
-/// to the serial result at any thread count.
-///
-/// # Panics
-///
-/// Panics when the descriptor dimensions disagree.
-pub fn kpce_batched(
-    source: &Descriptors,
-    target: &Descriptors,
-    reciprocal: bool,
-    kth: Option<usize>,
-    parallel: &BatchConfig,
-) -> Vec<Correspondence> {
     assert_eq!(source.dim, target.dim, "descriptor dimensions disagree");
     if source.is_empty() || target.is_empty() {
         return Vec::new();
@@ -75,26 +57,29 @@ pub fn kpce_batched(
     let source_tree =
         if reciprocal { Some(KdTreeN::build(&source.data, source.dim)) } else { None };
 
-    parallel_map_indexed(source.len(), parallel, |s| {
-        let q = source.row(s);
-        let found = match kth {
-            Some(k) if k > 1 => kth_feature_nn(&target.data, target.dim, q, k),
-            _ => target_tree.nn(q),
-        };
-        let n = found?;
-        if let Some(src_tree) = &source_tree {
-            // Reciprocity check is performed with exact NN regardless of
-            // injection (the paper injects errors into the forward search).
-            let back = src_tree.nn(target.row(n.index));
-            if back.map(|b| b.index) != Some(s) {
-                return None;
+    (0..source.len())
+        .filter_map(|s| {
+            let q = source.row(s);
+            let found = match kth {
+                Some(k) if k > 1 => kth_feature_nn(&target.data, target.dim, q, k),
+                _ => target_tree.nn(q),
+            };
+            let n = found?;
+            if let Some(src_tree) = &source_tree {
+                // Reciprocity check is performed with exact NN regardless of
+                // injection (the paper injects errors into the forward search).
+                let back = src_tree.nn(target.row(n.index));
+                if back.map(|b| b.index) != Some(s) {
+                    return None;
+                }
             }
-        }
-        Some(Correspondence { source: s, target: n.index, distance_squared: n.distance_squared })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+            Some(Correspondence {
+                source: s,
+                target: n.index,
+                distance_squared: n.distance_squared,
+            })
+        })
+        .collect()
 }
 
 /// KPCE with Lowe's ratio test: a source descriptor's match is kept only
@@ -112,51 +97,34 @@ pub fn kpce_ratio(
     target: &Descriptors,
     max_ratio: f64,
 ) -> Vec<Correspondence> {
-    kpce_ratio_batched(source, target, max_ratio, &BatchConfig::serial())
-}
-
-/// [`kpce_ratio`] with the feature-space queries fanned out across worker
-/// threads per `parallel`; see [`kpce_batched`].
-///
-/// # Panics
-///
-/// Panics when descriptor dimensions disagree or `max_ratio` is not in
-/// `(0, 1]`.
-pub fn kpce_ratio_batched(
-    source: &Descriptors,
-    target: &Descriptors,
-    max_ratio: f64,
-    parallel: &BatchConfig,
-) -> Vec<Correspondence> {
     assert_eq!(source.dim, target.dim, "descriptor dimensions disagree");
     assert!(max_ratio > 0.0 && max_ratio <= 1.0, "ratio must be in (0, 1], got {max_ratio}");
     if source.is_empty() || target.is_empty() {
         return Vec::new();
     }
     let target_tree = KdTreeN::build(&target.data, target.dim);
-    parallel_map_indexed(source.len(), parallel, |s| {
-        let two = target_tree.nn2(source.row(s));
-        match two.as_slice() {
-            [best, second] => {
-                let d1 = best.distance_squared.sqrt();
-                let d2 = second.distance_squared.sqrt();
-                (d2 <= 0.0 || d1 / d2 <= max_ratio).then_some(Correspondence {
+    (0..source.len())
+        .filter_map(|s| {
+            let two = target_tree.nn2(source.row(s));
+            match two.as_slice() {
+                [best, second] => {
+                    let d1 = best.distance_squared.sqrt();
+                    let d2 = second.distance_squared.sqrt();
+                    (d2 <= 0.0 || d1 / d2 <= max_ratio).then_some(Correspondence {
+                        source: s,
+                        target: best.index,
+                        distance_squared: best.distance_squared,
+                    })
+                }
+                [only] => Some(Correspondence {
                     source: s,
-                    target: best.index,
-                    distance_squared: best.distance_squared,
-                })
+                    target: only.index,
+                    distance_squared: only.distance_squared,
+                }),
+                _ => None,
             }
-            [only] => Some(Correspondence {
-                source: s,
-                target: only.index,
-                distance_squared: only.distance_squared,
-            }),
-            _ => None,
-        }
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        })
+        .collect()
 }
 
 /// Exhaustive k-th nearest feature (1-based), used only under injection.
@@ -887,7 +855,6 @@ mod tests {
             max_quarters in 1i32..5,
             graph_quarters in 0i32..5,
             backend in 0usize..3,
-            parallel in any::<bool>(),
         ) {
             let max_distance = max_quarters as f64 * 0.25;
             // Quarter 0: no graph, the anchor tests alone.
@@ -895,9 +862,6 @@ mod tests {
                 (graph_quarters > 0).then(|| brute_force_graph(&target, graph_quarters as f64 * 0.25));
             let mut plain = build_searcher(backend, &target);
             let mut cached = build_searcher(backend, &target);
-            if parallel {
-                cached.set_parallel(BatchConfig { threads: 3, min_chunk: 4 });
-            }
             let mut cache = RpceCache::default();
             let mut out = Vec::new();
             let mut pose = RigidTransform::IDENTITY;

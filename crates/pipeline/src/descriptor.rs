@@ -17,7 +17,7 @@
 //! The FPFH path runs on dense index-space scratch instead of hash maps:
 //! epoch-stamped `seen` vectors and a compact remap give every SPFH
 //! source a dense row id, neighborhoods live in flat
-//! [`crate::NeighborTable`]s, and the serial path evaluates each
+//! [`crate::NeighborTable`]s, and the SPFH pass evaluates each
 //! symmetric point pair **once**, scattering the Darboux angles into both
 //! endpoint histograms through the blocked `tigris_core::simd::bin11`
 //! kernel. All of it is bit-identical to the straightforward per-point
@@ -132,61 +132,6 @@ fn darboux(n1: Vec3, n2: Vec3, du: Vec3) -> Option<(f64, f64, f64)> {
     let phi = u.dot(du); // ∈ [-1, 1]
     let theta = w.dot(n2).atan2(u.dot(n2)); // ∈ [-π, π]
     Some((alpha, phi, theta))
-}
-
-/// The three Darboux-frame angles (α, φ, θ) between a source point/normal
-/// and a target point/normal (Rusu et al., Eq. 1–3).
-fn pair_features(ps: Vec3, ns: Vec3, pt: Vec3, nt: Vec3) -> Option<(f64, f64, f64)> {
-    let d = pt - ps;
-    let dist = d.norm();
-    if dist < 1e-9 {
-        return None;
-    }
-    let du = d / dist;
-    // Choose source/target so the angle between the source normal and the
-    // line is not larger than for the target (the canonical ordering).
-    if ns.dot(du).abs() >= nt.dot(-du).abs() {
-        darboux(ns, nt, du)
-    } else {
-        darboux(nt, ns, -du)
-    }
-}
-
-fn bin_index(value: f64, lo: f64, hi: f64) -> usize {
-    let t = ((value - lo) / (hi - lo)).clamp(0.0, 1.0);
-    ((t * FPFH_BINS as f64) as usize).min(FPFH_BINS - 1)
-}
-
-/// Simplified Point Feature Histogram of one point over a neighbor row —
-/// the row-independent evaluation the parallel fallback uses.
-fn spfh_row(
-    points: &[Vec3],
-    normals: &[Vec3],
-    center: usize,
-    neighbors: &[Neighbor],
-) -> [f64; FPFH_DIM] {
-    let mut hist = [0.0f64; FPFH_DIM];
-    let mut count = 0.0;
-    for nb in neighbors {
-        let j = nb.index;
-        if j == center {
-            continue;
-        }
-        if let Some((alpha, phi, theta)) =
-            pair_features(points[center], normals[center], points[j], normals[j])
-        {
-            hist[bin_index(alpha, -1.0, 1.0)] += 1.0;
-            hist[FPFH_BINS + bin_index(phi, -1.0, 1.0)] += 1.0;
-            hist[2 * FPFH_BINS + bin_index(theta, -PI, PI)] += 1.0;
-            count += 1.0;
-        }
-    }
-    if count > 0.0 {
-        for h in &mut hist {
-            *h *= 100.0 / count; // percentage normalization, as in PCL
-        }
-    }
-    hist
 }
 
 /// `needed_src` tag: the neighborhood lives in `missing_table` (row in the
@@ -384,14 +329,14 @@ impl PairQueue {
     }
 }
 
-/// Serial SPFH evaluation over the dense rows, visiting each symmetric
-/// pair of SPFH sources once.
+/// SPFH evaluation over the dense rows, visiting each symmetric pair of
+/// SPFH sources once.
 ///
 /// For a pair whose endpoints both need an SPFH, the canonical ordering
-/// inside [`pair_features`] is the same seen from either endpoint except
-/// on an exact tie of the two angle magnitudes — so one Darboux
-/// evaluation serves both histograms, and the tie falls back to the two
-/// per-side evaluations. Histogram increments are exact `+= 1.0` adds,
+/// inside [`simd::pair_features_batch`] is the same seen from either
+/// endpoint except on an exact tie of the two angle magnitudes — so one
+/// Darboux evaluation serves both histograms, and the tie falls back to
+/// the two per-side evaluations. Histogram increments are exact `+= 1.0` adds,
 /// so the changed accumulation order leaves the bits untouched.
 fn spfh_shared_pairs(points: &[Vec3], normals: &[Vec3], scratch: &mut PrepareScratch, epoch: u32) {
     let needed = &scratch.needed;
@@ -500,7 +445,6 @@ fn fpfh(
     radius: f64,
     scratch: &mut PrepareScratch,
 ) -> Descriptors {
-    let parallel = searcher.parallel();
     let n = searcher.len();
 
     // Phase 1 — neighborhoods of the key-points, one batched fan-out over
@@ -606,24 +550,7 @@ fn fpfh(
     scratch.spfh_rows.resize(needed_len * FPFH_DIM, 0.0);
     scratch.counts.clear();
     scratch.counts.resize(needed_len, 0.0);
-    let points = searcher.points();
-    if parallel.resolve_threads(needed_len) <= 1 {
-        spfh_shared_pairs(points, normals, scratch, epoch);
-    } else {
-        // Parallel fallback: rows are independent, so evaluate each from
-        // its own side (same bits, each pair computed twice).
-        let needed = &scratch.needed;
-        let needed_src = &scratch.needed_src;
-        let kp_table = &scratch.kp_table;
-        let missing_table = &scratch.missing_table;
-        let rows = tigris_core::batch::parallel_map_indexed(needed_len, &parallel, |di| {
-            let row = source_row(kp_table, missing_table, needed_src[di]);
-            spfh_row(points, normals, needed[di] as usize, row)
-        });
-        for (di, row) in rows.iter().enumerate() {
-            scratch.spfh_rows[di * FPFH_DIM..][..FPFH_DIM].copy_from_slice(row);
-        }
-    }
+    spfh_shared_pairs(searcher.points(), normals, scratch, epoch);
 
     // Phase 4 — distance-weighted combination per key-point. The
     // neighbor distance is recovered from the stored squared distance
@@ -631,19 +558,8 @@ fn fpfh(
     let mut data = Vec::with_capacity(keypoints.len() * FPFH_DIM);
     let (kp_rows, kp_table) = (&scratch.kp_rows, &scratch.kp_table);
     let (spfh_rows, remap) = (&scratch.spfh_rows, &scratch.remap);
-    let combine = |ki: usize| {
-        let k = keypoints[ki];
-        fpfh_combine(k, kp_table.row(kp_rows[ki] as usize), spfh_rows, remap)
-    };
-    if parallel.resolve_threads(keypoints.len()) <= 1 {
-        for ki in 0..keypoints.len() {
-            data.extend_from_slice(&combine(ki));
-        }
-    } else {
-        let rows = tigris_core::batch::parallel_map_indexed(keypoints.len(), &parallel, combine);
-        for row in rows {
-            data.extend_from_slice(&row);
-        }
+    for (&k, &krow) in keypoints.iter().zip(kp_rows) {
+        data.extend_from_slice(&fpfh_combine(k, kp_table.row(krow as usize), spfh_rows, remap));
     }
     Descriptors { dim: FPFH_DIM, data }
 }
@@ -702,7 +618,6 @@ fn shot(
     keypoints: &[usize],
     radius: f64,
 ) -> Descriptors {
-    let parallel = searcher.parallel();
     // One batched radius fan-out, then pure per-key-point histogram math
     // reading the cloud in place (only the key-points are copied out,
     // since the searcher is mutably borrowed during the batch).
@@ -712,47 +627,42 @@ fn shot(
     };
     let neighborhoods = searcher.radius_batch(&kp_pts, radius);
     let points = searcher.points();
-    let rows = tigris_core::batch::parallel_map_indexed(keypoints.len(), &parallel, |ki| {
-        let k = keypoints[ki];
-        let neighbors: Vec<usize> =
-            neighborhoods[ki].iter().map(|n| n.index).filter(|&j| j != k).collect();
-        let mut hist = vec![0.0f64; SHOT_DIM];
-        if neighbors.len() >= 5 {
-            let lrf = local_reference_frame(points, points[k], &neighbors, radius);
-            let zn = lrf.col(2);
-            for &j in &neighbors {
-                let d = points[j] - points[k];
-                let local = lrf.transpose() * d;
-                let r = local.norm();
-                if r < 1e-9 {
-                    continue;
-                }
-                let radial = usize::from(r > radius * 0.5).min(SHOT_RADIAL - 1);
-                let elevation = usize::from(local.z > 0.0).min(SHOT_ELEVATION - 1);
-                let azimuth_angle = local.y.atan2(local.x) + std::f64::consts::PI;
-                let azimuth = ((azimuth_angle / std::f64::consts::TAU * SHOT_AZIMUTH as f64)
-                    as usize)
-                    .min(SHOT_AZIMUTH - 1);
-                let cosine = normals[j].dot(zn).clamp(-1.0, 1.0);
-                let cos_bin =
-                    (((cosine + 1.0) / 2.0 * SHOT_COS_BINS as f64) as usize).min(SHOT_COS_BINS - 1);
-                let sector = ((radial * SHOT_ELEVATION + elevation) * SHOT_AZIMUTH + azimuth)
-                    * SHOT_COS_BINS;
-                hist[sector + cos_bin] += 1.0;
+    let mut data = vec![0.0f64; keypoints.len() * SHOT_DIM];
+    for ((&k, row), hist) in
+        keypoints.iter().zip(&neighborhoods).zip(data.chunks_exact_mut(SHOT_DIM))
+    {
+        let neighbors: Vec<usize> = row.iter().map(|n| n.index).filter(|&j| j != k).collect();
+        if neighbors.len() < 5 {
+            continue;
+        }
+        let lrf = local_reference_frame(points, points[k], &neighbors, radius);
+        let zn = lrf.col(2);
+        for &j in &neighbors {
+            let d = points[j] - points[k];
+            let local = lrf.transpose() * d;
+            let r = local.norm();
+            if r < 1e-9 {
+                continue;
             }
-            // L2 normalization (SHOT's signature normalization).
-            let norm = hist.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                for h in &mut hist {
-                    *h /= norm;
-                }
+            let radial = usize::from(r > radius * 0.5).min(SHOT_RADIAL - 1);
+            let elevation = usize::from(local.z > 0.0).min(SHOT_ELEVATION - 1);
+            let azimuth_angle = local.y.atan2(local.x) + std::f64::consts::PI;
+            let azimuth = ((azimuth_angle / std::f64::consts::TAU * SHOT_AZIMUTH as f64) as usize)
+                .min(SHOT_AZIMUTH - 1);
+            let cosine = normals[j].dot(zn).clamp(-1.0, 1.0);
+            let cos_bin =
+                (((cosine + 1.0) / 2.0 * SHOT_COS_BINS as f64) as usize).min(SHOT_COS_BINS - 1);
+            let sector =
+                ((radial * SHOT_ELEVATION + elevation) * SHOT_AZIMUTH + azimuth) * SHOT_COS_BINS;
+            hist[sector + cos_bin] += 1.0;
+        }
+        // L2 normalization (SHOT's signature normalization).
+        let norm = hist.iter().map(|v| v * v).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            for h in hist.iter_mut() {
+                *h /= norm;
             }
         }
-        hist
-    });
-    let mut data = Vec::with_capacity(keypoints.len() * SHOT_DIM);
-    for row in rows {
-        data.extend_from_slice(&row);
     }
     Descriptors { dim: SHOT_DIM, data }
 }
@@ -775,58 +685,53 @@ fn sc3d(
 ) -> Descriptors {
     let r_min: f64 = (radius * 0.05).max(1e-3);
     let log_span = (radius / r_min).ln();
-    let parallel = searcher.parallel();
     let kp_pts: Vec<Vec3> = {
         let pts = searcher.points();
         keypoints.iter().map(|&k| pts[k]).collect()
     };
     let neighborhoods = searcher.radius_batch(&kp_pts, radius);
     let points = searcher.points();
-    let rows = tigris_core::batch::parallel_map_indexed(keypoints.len(), &parallel, |ki| {
-        let k = keypoints[ki];
-        let neighbors: Vec<usize> =
-            neighborhoods[ki].iter().map(|n| n.index).filter(|&j| j != k).collect();
-        let mut hist = vec![0.0f64; SC3D_DIM];
-        if neighbors.len() >= 5 {
-            // North pole = the point's normal; azimuth fixed by the LRF.
-            let north = normals[k];
-            let lrf = local_reference_frame(points, points[k], &neighbors, radius);
-            let mut east = lrf.col(0) - north * lrf.col(0).dot(north);
-            east = east.normalized().unwrap_or_else(|| {
-                // Degenerate LRF: pick any perpendicular.
-                let h = if north.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
-                north.cross(h).normalized().unwrap_or(Vec3::X)
-            });
-            let south_east = north.cross(east);
+    let mut data = vec![0.0f64; keypoints.len() * SC3D_DIM];
+    for ((&k, row), hist) in
+        keypoints.iter().zip(&neighborhoods).zip(data.chunks_exact_mut(SC3D_DIM))
+    {
+        let neighbors: Vec<usize> = row.iter().map(|n| n.index).filter(|&j| j != k).collect();
+        if neighbors.len() < 5 {
+            continue;
+        }
+        // North pole = the point's normal; azimuth fixed by the LRF.
+        let north = normals[k];
+        let lrf = local_reference_frame(points, points[k], &neighbors, radius);
+        let mut east = lrf.col(0) - north * lrf.col(0).dot(north);
+        east = east.normalized().unwrap_or_else(|| {
+            // Degenerate LRF: pick any perpendicular.
+            let h = if north.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
+            north.cross(h).normalized().unwrap_or(Vec3::X)
+        });
+        let south_east = north.cross(east);
 
-            for &j in &neighbors {
-                let d = points[j] - points[k];
-                let r = d.norm();
-                if r < r_min {
-                    continue;
-                }
-                let radial =
-                    (((r / r_min).ln() / log_span * SC_RADIAL as f64) as usize).min(SC_RADIAL - 1);
-                let cos_elev = (d.dot(north) / r).clamp(-1.0, 1.0);
-                let elevation =
-                    (((cos_elev + 1.0) / 2.0 * SC_ELEVATION as f64) as usize).min(SC_ELEVATION - 1);
-                let az = d.dot(south_east).atan2(d.dot(east)) + std::f64::consts::PI;
-                let azimuth =
-                    ((az / std::f64::consts::TAU * SC_AZIMUTH as f64) as usize).min(SC_AZIMUTH - 1);
-                hist[(radial * SC_ELEVATION + elevation) * SC_AZIMUTH + azimuth] += 1.0;
+        for &j in &neighbors {
+            let d = points[j] - points[k];
+            let r = d.norm();
+            if r < r_min {
+                continue;
             }
-            let total: f64 = hist.iter().sum();
-            if total > 0.0 {
-                for h in &mut hist {
-                    *h /= total;
-                }
+            let radial =
+                (((r / r_min).ln() / log_span * SC_RADIAL as f64) as usize).min(SC_RADIAL - 1);
+            let cos_elev = (d.dot(north) / r).clamp(-1.0, 1.0);
+            let elevation =
+                (((cos_elev + 1.0) / 2.0 * SC_ELEVATION as f64) as usize).min(SC_ELEVATION - 1);
+            let az = d.dot(south_east).atan2(d.dot(east)) + std::f64::consts::PI;
+            let azimuth =
+                ((az / std::f64::consts::TAU * SC_AZIMUTH as f64) as usize).min(SC_AZIMUTH - 1);
+            hist[(radial * SC_ELEVATION + elevation) * SC_AZIMUTH + azimuth] += 1.0;
+        }
+        let total: f64 = hist.iter().sum();
+        if total > 0.0 {
+            for h in hist.iter_mut() {
+                *h /= total;
             }
         }
-        hist
-    });
-    let mut data = Vec::with_capacity(keypoints.len() * SC3D_DIM);
-    for row in rows {
-        data.extend_from_slice(&row);
     }
     Descriptors { dim: SC3D_DIM, data }
 }
@@ -836,7 +741,6 @@ mod tests {
     use super::*;
     use crate::config::NormalAlgorithm;
     use crate::normal::estimate_normals;
-    use tigris_core::BatchConfig;
 
     /// Corner + plane scene with distinctive local geometry.
     fn scene() -> Vec<Vec3> {
@@ -899,20 +803,6 @@ mod tests {
         let same = dist(d.row(0), d.row(1));
         let diff = dist(d.row(0), d.row(2));
         assert!(same < diff, "same-geometry distance {same} should be < {diff}");
-    }
-
-    #[test]
-    fn fpfh_parallel_matches_serial_bitwise() {
-        let pts = scene();
-        let (mut s, normals) = with_normals(&pts);
-        let kps = vec![0, 100, 300, 412, 700];
-        let serial =
-            compute_descriptors(&mut s, &normals, &kps, DescriptorAlgorithm::Fpfh { radius: 0.5 });
-        let mut sp = Searcher3::classic(&pts);
-        sp.set_parallel(BatchConfig { threads: 4, min_chunk: 2 });
-        let parallel =
-            compute_descriptors(&mut sp, &normals, &kps, DescriptorAlgorithm::Fpfh { radius: 0.5 });
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -1022,13 +912,24 @@ mod tests {
 
     #[test]
     fn pair_features_are_antisymmetric_safe() {
+        let (mut a, mut p, mut t, mut flags) = ([0.0; 2], [0.0; 2], [0.0; 2], [0u8; 2]);
+        simd::pair_features_batch(
+            &[Vec3::ZERO; 2],
+            &[Vec3::Z; 2],
+            &[Vec3::ZERO, Vec3::X],
+            &[Vec3::Z, Vec3::Y],
+            &mut a,
+            &mut p,
+            &mut t,
+            &mut flags,
+        );
         // Coincident points are rejected.
-        assert!(pair_features(Vec3::ZERO, Vec3::Z, Vec3::ZERO, Vec3::Z).is_none());
+        assert_eq!(flags[0] & simd::PAIR_DIST_OK, 0);
         // Regular pair produces angles in range.
-        let (a, p, t) = pair_features(Vec3::ZERO, Vec3::Z, Vec3::X, Vec3::Y).unwrap();
-        assert!((-1.0..=1.0).contains(&a));
-        assert!((-1.0..=1.0).contains(&p));
-        assert!((-std::f64::consts::PI..=std::f64::consts::PI).contains(&t));
+        assert_eq!(flags[1] & (simd::PAIR_DIST_OK | simd::PAIR_FRAME_OK), 3);
+        assert!((-1.0..=1.0).contains(&a[1]));
+        assert!((-1.0..=1.0).contains(&p[1]));
+        assert!((-std::f64::consts::PI..=std::f64::consts::PI).contains(&t[1]));
     }
 
     #[test]

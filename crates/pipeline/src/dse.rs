@@ -84,34 +84,6 @@ pub fn evaluate_design_points(
         .collect()
 }
 
-/// Sweeps the parallel-execution knobs of `base` — worker-thread count ×
-/// batch chunk size — over the same frame pairs, labeling each point
-/// `"{label}/t{threads}/c{chunk}"`.
-///
-/// Accuracy is invariant across the sweep (batched search is
-/// bit-identical to serial); what moves is `time_per_pair`, making this
-/// the software scaling curve to put next to the accelerator's (paper
-/// Fig. 11's CPU baseline, extended with thread scaling).
-pub fn sweep_parallel(
-    label: &str,
-    base: &RegistrationConfig,
-    frames: &[PointCloud],
-    ground_truth_relative: &[RigidTransform],
-    thread_counts: &[usize],
-    chunk_sizes: &[usize],
-) -> Vec<DsePoint> {
-    let mut out = Vec::with_capacity(thread_counts.len() * chunk_sizes.len());
-    for &threads in thread_counts {
-        for &min_chunk in chunk_sizes {
-            let mut cfg = base.clone();
-            cfg.parallel = tigris_core::BatchConfig { threads, min_chunk };
-            let point_label = format!("{label}/t{threads}/c{min_chunk}");
-            out.push(evaluate_config(&point_label, &cfg, frames, ground_truth_relative));
-        }
-    }
-    out
-}
-
 /// Sweeps the *search backend* of `base` over the given configurations on
 /// the same frame pairs, labeling each point `"{label}/{backend_name}"`.
 ///
@@ -514,38 +486,5 @@ mod tests {
         let mut bad = base.clone();
         bad.normal_radius += 0.2;
         sweep_matching("bad", &base, &[("bad", bad)], &[], &[]);
-    }
-
-    #[test]
-    fn parallel_sweep_labels_points_and_preserves_accuracy() {
-        let target = PointCloud::from_points(
-            (0..900)
-                .map(|i| {
-                    Vec3::new(
-                        (i % 30) as f64 * 0.2,
-                        (i / 30) as f64 * 0.2,
-                        ((i % 7) as f64 * 0.1).sin() * 0.3,
-                    )
-                })
-                .collect(),
-        );
-        let gt = RigidTransform::from_translation(Vec3::new(0.1, 0.05, 0.0));
-        let source = target.transformed(&gt.inverse());
-        let frames = vec![target, source];
-        let gts = vec![gt];
-
-        let cfg = RegistrationConfig {
-            voxel_size: 0.0,
-            keypoint: crate::config::KeypointAlgorithm::Uniform { voxel: 0.8 },
-            ..RegistrationConfig::default()
-        };
-        let points = sweep_parallel("sweep", &cfg, &frames, &gts, &[1, 2], &[64]);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].label, "sweep/t1/c64");
-        assert_eq!(points[1].label, "sweep/t2/c64");
-        // Parallelism must not change what is computed, only how fast.
-        assert_eq!(points[0].pairs, points[1].pairs);
-        assert_eq!(points[0].translational_percent, points[1].translational_percent);
-        assert_eq!(points[0].rotational_deg_per_m, points[1].rotational_deg_per_m);
     }
 }

@@ -168,16 +168,10 @@ pub(crate) fn icp_with_graph(
 
         // --- RPCE: transform source by the current estimate, find dense NNs.
         let t0 = Instant::now();
-        let parallel = target_searcher.parallel();
-        if parallel.resolve_threads(source.len()) > 1 {
-            moved = tigris_core::batch::parallel_map(source, &parallel, |&p| transform.apply(p));
-        } else {
-            moved.clear();
-            moved.extend(source.iter().map(|&p| transform.apply(p)));
-        }
+        moved.clear();
+        moved.extend(source.iter().map(|&p| transform.apply(p)));
         let counts = if reciprocal {
             let mut moved_searcher = crate::search::Searcher3::classic(&moved);
-            moved_searcher.set_parallel(target_searcher.parallel());
             profile.kd_build_time += moved_searcher.build_time();
             let out = crate::correspond::rpce_reciprocal(
                 &moved,

@@ -18,11 +18,11 @@
 //! radius so key-points are well spread.
 //!
 //! ISS runs on the front end's fast path: one grouped radius pass per
-//! chunk of the cloud (`Searcher3::self_radius_range_into`, honouring the
-//! searcher's parallelism), each row gathered once into coordinate lanes
-//! and fitted with the blocked `simd::lane_sums` / `cov_upper` kernels,
-//! which keep the scalar loop's association — the saliencies are
-//! bit-identical to the per-point `Vec3` / `Mat3` formulation. When the
+//! chunk of the cloud (`Searcher3::self_radius_range_into`), each row
+//! gathered once into coordinate lanes and fitted with the blocked
+//! `simd::lane_sums` / `cov_upper` kernels, which keep the scalar loop's
+//! association — the saliencies are bit-identical to the per-point
+//! `Vec3` / `Mat3` formulation. When the
 //! ISS radius is at least the normal radius, no error is injected into
 //! normal estimation and the searcher's queries are skippable (exact,
 //! stateless, unlogged), the pipeline shares that pass with normal
@@ -36,14 +36,13 @@
 
 use std::time::{Duration, Instant};
 
-use tigris_core::batch::parallel_map_indexed;
 use tigris_core::soa::SoaView;
 use tigris_core::{simd, Neighbor};
 use tigris_geom::{symmetric_eigen3, Mat3, Vec3};
 
 use crate::config::{KeypointAlgorithm, NormalAlgorithm};
 use crate::correspond::NeighborGraph;
-use crate::normal::{normal_at, normal_from_gathered, with_gathered, CHUNK};
+use crate::normal::{normal_from_gathered, CHUNK};
 use crate::scratch::PrepareScratch;
 use crate::search::Searcher3;
 
@@ -185,7 +184,7 @@ const GAMMA_32: f64 = 0.975;
 const MIN_SALIENCY: f64 = 3e-3;
 /// Fewest neighbors (the point itself included) an ISS fit needs.
 const ISS_MIN_NEIGHBORS: usize = 8;
-/// Rows per gather block of the serial ISS pass: the block's lanes stay
+/// Rows per gather block of the ISS pass: the block's lanes stay
 /// cache-resident between the normal fits and the ISS fits that read
 /// them, and the stage clocks are read once per block, not per point.
 const BLOCK: usize = 32;
@@ -254,7 +253,6 @@ fn iss(
     scratch: &mut PrepareScratch,
 ) -> IssPass {
     let n = searcher.len();
-    let parallel = searcher.parallel();
     let mut normals = Vec::with_capacity(if share.is_some() { n } else { 0 });
     let mut graph = NeighborGraph::for_points(if share.is_some() { n } else { 0 });
     let mut keypoints = Vec::new();
@@ -280,49 +278,31 @@ fn iss(
         // The `normal_radius` neighborhood: the kernels' own `d² ≤ r · r`.
         let prefix =
             |nbs: &[Neighbor], r: f64| nbs.partition_point(|nb| nb.distance_squared <= r * r);
-        if parallel.resolve_threads(end - start) <= 1 {
-            let block = &mut scratch.block;
-            for b in (start..end).step_by(BLOCK) {
-                let e = (b + BLOCK).min(end);
-                block.clear();
-                for i in b..e {
-                    block.push(points, row(i));
-                }
-                if let Some((normal_radius, algorithm)) = share {
-                    for i in b..e {
-                        let nbs = row(i);
-                        let k = prefix(nbs, normal_radius);
-                        let gathered = block.row(i - b, k);
-                        normals.push(normal_from_gathered(
-                            points,
-                            &nbs[..k],
-                            points[i],
-                            algorithm,
-                            gathered,
-                        ));
-                    }
-                }
-                let t = Instant::now();
-                for i in b..e {
-                    scratch.saliency[i] = iss_saliency(block.row(i - b, row(i).len()));
-                }
-                keypoint_time += t.elapsed();
+        let block = &mut scratch.block;
+        for b in (start..end).step_by(BLOCK) {
+            let e = (b + BLOCK).min(end);
+            block.clear();
+            for i in b..e {
+                block.push(points, row(i));
             }
-        } else {
-            // Parallel: per-fit stack gathers (workers cannot share the
-            // scratch lanes), same kernels, same bits.
             if let Some((normal_radius, algorithm)) = share {
-                normals.extend(parallel_map_indexed(end - start, &parallel, |j| {
-                    let nbs = row(start + j);
+                for i in b..e {
+                    let nbs = row(i);
                     let k = prefix(nbs, normal_radius);
-                    normal_at(points, &nbs[..k], points[start + j], algorithm)
-                }));
+                    let gathered = block.row(i - b, k);
+                    normals.push(normal_from_gathered(
+                        points,
+                        &nbs[..k],
+                        points[i],
+                        algorithm,
+                        gathered,
+                    ));
+                }
             }
             let t = Instant::now();
-            let fits = parallel_map_indexed(end - start, &parallel, |j| {
-                with_gathered(points, row(start + j), iss_saliency)
-            });
-            scratch.saliency[start..end].copy_from_slice(&fits);
+            for i in b..e {
+                scratch.saliency[i] = iss_saliency(block.row(i - b, row(i).len()));
+            }
             keypoint_time += t.elapsed();
         }
         if share.is_some() {
@@ -442,7 +422,6 @@ mod tests {
     use super::*;
     use crate::config::NormalAlgorithm;
     use crate::normal::estimate_normals;
-    use tigris_core::BatchConfig;
 
     /// An L-shaped wall corner on a ground patch: the corner edge should
     /// attract geometric detectors.
@@ -558,26 +537,20 @@ mod tests {
     fn shared_pass_matches_separate_passes_at_every_chunking() {
         // Small chunks push most salient points' neighbors into later
         // chunks, so suppression must defer them; the result may not
-        // depend on where the chunks fall, nor on the thread count.
+        // depend on where the chunks fall.
         let pts = corner_scene();
         let mut s = Searcher3::classic(&pts);
         let normals = estimate_normals(&mut s, 0.3, NormalAlgorithm::PlaneSvd);
         let keypoints = detect_keypoints(&mut s, &[], KeypointAlgorithm::Iss { radius: 0.4 });
         assert!(!keypoints.is_empty());
-        for threads in [1, 2] {
-            for chunk in [1, 7, 100, 1000, CHUNK] {
-                let mut s = Searcher3::classic(&pts);
-                s.set_parallel(BatchConfig { threads, min_chunk: 2 });
-                let share = Some((0.3, NormalAlgorithm::PlaneSvd));
-                let pass = iss(&mut s, 0.4, share, chunk, &mut PrepareScratch::new());
-                assert_eq!(pass.normals, normals, "normals, chunk {chunk}, threads {threads}");
-                assert_eq!(
-                    pass.keypoints, keypoints,
-                    "key-points, chunk {chunk}, threads {threads}"
-                );
-                // One query per point: no normal pass, no suppression pass.
-                assert_eq!(s.stats().queries as usize, pts.len());
-            }
+        for chunk in [1, 7, 100, 1000, CHUNK] {
+            let mut s = Searcher3::classic(&pts);
+            let share = Some((0.3, NormalAlgorithm::PlaneSvd));
+            let pass = iss(&mut s, 0.4, share, chunk, &mut PrepareScratch::new());
+            assert_eq!(pass.normals, normals, "normals, chunk {chunk}");
+            assert_eq!(pass.keypoints, keypoints, "key-points, chunk {chunk}");
+            // One query per point: no normal pass, no suppression pass.
+            assert_eq!(s.stats().queries as usize, pts.len());
         }
     }
 

@@ -77,7 +77,6 @@ pub(crate) fn estimate_normals_keeping(
 ) -> Vec<Vec3> {
     assert!(radius > 0.0, "normal-estimation radius must be positive");
     let n = searcher.len();
-    let parallel = searcher.parallel();
     // One radius query per point — the front-end's dominant KD-tree
     // fan-out — batched per `CHUNK` points. The queries are the
     // searcher's own points, read in place through the shared-read entry
@@ -98,28 +97,20 @@ pub(crate) fn estimate_normals_keeping(
         // point finds its own through the recorded mapping.
         let table = &scratch.ne_table;
         let rows = &scratch.groups;
-        if parallel.resolve_threads(end - start) <= 1 {
-            // Serial: fits reuse the scratch's gather lanes.
-            let block = &mut scratch.block;
-            for i in 0..end - start {
-                let neighbors = table.row(rows.table_row(i));
-                block.clear();
-                block.push(points, neighbors);
-                let gathered = block.row(0, neighbors.len());
-                normals.push(normal_from_gathered(
-                    points,
-                    neighbors,
-                    points[start + i],
-                    algorithm,
-                    gathered,
-                ));
-            }
-        } else {
-            // Parallel: per-fit stack gathers (workers cannot share the
-            // scratch lanes), same kernels, same bits.
-            normals.extend(tigris_core::batch::parallel_map_indexed(end - start, &parallel, |i| {
-                normal_at(points, table.row(rows.table_row(i)), points[start + i], algorithm)
-            }));
+        // Fits reuse the scratch's gather lanes.
+        let block = &mut scratch.block;
+        for i in 0..end - start {
+            let neighbors = table.row(rows.table_row(i));
+            block.clear();
+            block.push(points, neighbors);
+            let gathered = block.row(0, neighbors.len());
+            normals.push(normal_from_gathered(
+                points,
+                neighbors,
+                points[start + i],
+                algorithm,
+                gathered,
+            ));
         }
         if let Some(graph) = graph.as_deref_mut() {
             for i in 0..end - start {
@@ -134,24 +125,13 @@ pub(crate) fn estimate_normals_keeping(
 /// Points per batched radius search of the front end's own-point passes.
 /// Dense scenes have hundreds of neighbors per point, and holding every
 /// neighborhood of a 100k-point frame at once would cost O(total
-/// neighbors) peak memory for no extra parallelism.
+/// neighbors) peak memory for nothing.
 pub(crate) const CHUNK: usize = 16 * 1024;
 
-/// The oriented normal at `p` from its neighborhood, gathering on the
-/// stack (the parallel paths' per-fit form).
-pub(crate) fn normal_at(
-    points: &[Vec3],
-    neighbors: &[Neighbor],
-    p: Vec3,
-    algorithm: NormalAlgorithm,
-) -> Vec3 {
-    with_gathered(points, neighbors, |v| normal_from_gathered(points, neighbors, p, algorithm, v))
-}
-
-/// [`normal_at`] over a neighborhood whose coordinates `gathered`
-/// already holds in row order (the serial paths gather through the
-/// scratch's lanes; the fused ISS pass gathers each row once and hands
-/// normal estimation the row's first entries).
+/// The oriented normal at `p` from its neighborhood, whose coordinates
+/// `gathered` already holds in row order (normal estimation gathers
+/// through the scratch's lanes; the fused ISS pass gathers each row once
+/// and hands normal estimation the row's first entries).
 pub(crate) fn normal_from_gathered(
     points: &[Vec3],
     neighbors: &[Neighbor],
@@ -195,16 +175,15 @@ fn fit_plane_normal(xs: &[f64], ys: &[f64], zs: &[f64]) -> Vec3 {
     eig.smallest_vector().normalized().unwrap_or(Vec3::Z)
 }
 
-/// Neighborhoods at most this large gather into stack lanes on the
-/// parallel path; larger ones (rare at front-end radii) fall back to a
-/// heap gather.
+/// Neighborhoods at most this large gather into stack lanes; larger ones
+/// (rare at front-end radii) fall back to a heap gather.
 const GATHER_STACK: usize = 256;
 
 /// Runs `fit` over the coordinates of `neighbors`, gathered in row order
 /// into stack lanes (or, for rows longer than [`GATHER_STACK`], heap
-/// lanes) — the per-fit gather parallel workers use, since they cannot
-/// share the scratch's lanes.
-pub(crate) fn with_gathered<R>(
+/// lanes) — AreaWeighted's rough PlaneSVD estimate, which has no
+/// scratch lanes to hand.
+fn with_gathered<R>(
     points: &[Vec3],
     neighbors: &[Neighbor],
     fit: impl FnOnce(SoaView<'_>) -> R,
@@ -283,7 +262,6 @@ fn pick_perpendicular(n: Vec3) -> Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tigris_core::BatchConfig;
 
     /// A flat grid on z = 5 (away from origin so viewpoint orientation is
     /// meaningful).
@@ -389,21 +367,6 @@ mod tests {
         estimate_normals(&mut s, 0.35, NormalAlgorithm::PlaneSvd);
         assert!(s.search_time() > std::time::Duration::ZERO);
         assert_eq!(s.stats().queries as usize, pts.len());
-    }
-
-    #[test]
-    fn serial_and_parallel_paths_are_bit_identical() {
-        // The serial path fits through the scratch lanes, the parallel
-        // path through stack gathers — same kernels, same bits.
-        let pts = plane_cloud();
-        for algorithm in [NormalAlgorithm::PlaneSvd, NormalAlgorithm::AreaWeighted] {
-            let mut serial = Searcher3::classic(&pts);
-            let a = estimate_normals(&mut serial, 0.35, algorithm);
-            let mut parallel = Searcher3::classic(&pts);
-            parallel.set_parallel(BatchConfig { threads: 4, min_chunk: 16 });
-            let b = estimate_normals(&mut parallel, 0.35, algorithm);
-            assert_eq!(a, b, "{algorithm:?}");
-        }
     }
 
     #[test]

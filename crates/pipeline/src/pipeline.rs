@@ -23,7 +23,7 @@ use std::time::Instant;
 use tigris_geom::{PointCloud, RigidTransform, Vec3};
 
 use crate::config::{ConfigError, KeypointAlgorithm, RegistrationConfig};
-use crate::correspond::{kpce_batched, kpce_ratio_batched, NeighborGraph};
+use crate::correspond::{kpce, kpce_ratio, NeighborGraph};
 use crate::descriptor::{compute_descriptors_with, Descriptors};
 use crate::icp::{IcpResult, IcpTermination};
 use crate::keypoint::{detect_keypoints_with, iss_sharing_normals};
@@ -283,8 +283,6 @@ fn run_front_end(
     profile: &mut StageProfile,
     scratch: &mut PrepareScratch,
 ) -> FrontEndArtifacts {
-    // The config's parallelism knob governs every batched fan-out below.
-    searcher.set_parallel(cfg.parallel);
     let search_time0 = searcher.search_time();
     let stats0 = *searcher.stats();
     let bytes_grown0 = scratch.bytes_grown();
@@ -492,8 +490,6 @@ fn run_match(
         src_keypoints = src.keypoints.len(),
         tgt_keypoints = tgt.keypoints.len(),
     );
-    src_searcher.set_parallel(cfg.parallel);
-    tgt_searcher.set_parallel(cfg.parallel);
     let src_search_time0 = src_searcher.search_time();
     let src_stats0 = *src_searcher.stats();
     let tgt_search_time0 = tgt_searcher.search_time();
@@ -506,15 +502,9 @@ fn run_match(
         // The ratio test replaces plain NN matching (injection is an
         // NN-path experiment and does not combine with it).
         Some(ratio) if cfg.inject_kpce_kth.is_none() => {
-            kpce_ratio_batched(&src.descriptors, &tgt.descriptors, ratio, &cfg.parallel)
+            kpce_ratio(&src.descriptors, &tgt.descriptors, ratio)
         }
-        _ => kpce_batched(
-            &src.descriptors,
-            &tgt.descriptors,
-            cfg.kpce_reciprocal,
-            cfg.inject_kpce_kth,
-            &cfg.parallel,
-        ),
+        _ => kpce(&src.descriptors, &tgt.descriptors, cfg.kpce_reciprocal, cfg.inject_kpce_kth),
     };
     drop(kpce_span);
     profile.add(Stage::Kpce, t0.elapsed());
@@ -956,7 +946,7 @@ mod tests {
     #[test]
     fn prepared_graph_is_the_head_of_each_canonical_row() {
         use crate::correspond::GRAPH_K;
-        use tigris_core::{BatchConfig, Neighbor};
+        use tigris_core::Neighbor;
         // An integer lattice (spacing 0.25, exact in binary) with every
         // fifth point duplicated: equidistant neighbours tie at the
         // graph's cut, and duplicates tie at distance zero.
@@ -981,31 +971,29 @@ mod tests {
             (KeypointAlgorithm::Uniform { voxel: 1.0 }, 0.5),
             (KeypointAlgorithm::Iss { radius: 0.3 }, 0.5),
         ] {
-            for parallel in [BatchConfig::serial(), BatchConfig { threads: 2, min_chunk: 16 }] {
-                let cfg = RegistrationConfig { keypoint, parallel, ..base.clone() };
-                let frame = prepare_frame(&cloud, &cfg).unwrap();
-                let graph = frame.artifacts.graph.as_ref().expect("an exact front end keeps one");
-                let points = frame.points();
-                assert_eq!(graph.len(), points.len());
-                for (p, &at) in points.iter().enumerate() {
-                    let mut row: Vec<Neighbor> = points
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &x)| Neighbor::new(j, at.distance_squared(x)))
-                        .filter(|n| n.distance_squared <= radius * radius)
-                        .collect();
-                    row.sort();
-                    let head = row.iter().take(GRAPH_K).map(|n| n.index).collect();
-                    let bound = if row.len() > GRAPH_K { row[GRAPH_K].distance() } else { radius };
-                    assert_eq!(graph.row(p), (head, bound.to_bits()), "{keypoint:?}: point {p}");
-                    if row.len() > GRAPH_K
-                        && row[GRAPH_K - 1].distance_squared == row[GRAPH_K].distance_squared
-                    {
-                        cut_ties += 1;
-                    }
-                    if row.len() > 1 && row[1].distance_squared == 0.0 {
-                        zero_ties += 1;
-                    }
+            let cfg = RegistrationConfig { keypoint, ..base.clone() };
+            let frame = prepare_frame(&cloud, &cfg).unwrap();
+            let graph = frame.artifacts.graph.as_ref().expect("an exact front end keeps one");
+            let points = frame.points();
+            assert_eq!(graph.len(), points.len());
+            for (p, &at) in points.iter().enumerate() {
+                let mut row: Vec<Neighbor> = points
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &x)| Neighbor::new(j, at.distance_squared(x)))
+                    .filter(|n| n.distance_squared <= radius * radius)
+                    .collect();
+                row.sort();
+                let head = row.iter().take(GRAPH_K).map(|n| n.index).collect();
+                let bound = if row.len() > GRAPH_K { row[GRAPH_K].distance() } else { radius };
+                assert_eq!(graph.row(p), (head, bound.to_bits()), "{keypoint:?}: point {p}");
+                if row.len() > GRAPH_K
+                    && row[GRAPH_K - 1].distance_squared == row[GRAPH_K].distance_squared
+                {
+                    cut_ties += 1;
+                }
+                if row.len() > 1 && row[1].distance_squared == 0.0 {
+                    zero_ties += 1;
                 }
             }
         }

@@ -30,7 +30,6 @@ use std::convert::Infallible;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use tigris_core::batch::parallel_queries;
 use tigris_core::index::build_backend;
 use tigris_core::{
     ApproxConfig, ApproxIndex, BatchConfig, BruteForceIndex, KdTree, Neighbor, QueryRecord,
@@ -92,8 +91,6 @@ pub struct Searcher3 {
     injection: Option<Injection>,
     build_time: Duration,
     meters: Meters,
-    /// Parallelism for the `*_batch` entry points (serial by default).
-    parallel: BatchConfig,
 }
 
 /// What a searcher's queries cost, and — when logging — what they were.
@@ -145,13 +142,7 @@ impl Searcher3 {
     /// construction. This is the open end of the seam: anything
     /// implementing `SearchIndex` becomes a pipeline-ready searcher.
     pub fn from_index(index: Box<dyn SearchIndex>, build_time: Duration) -> Self {
-        Searcher3 {
-            index,
-            injection: None,
-            build_time,
-            meters: Meters::default(),
-            parallel: BatchConfig::serial(),
-        }
+        Searcher3 { index, injection: None, build_time, meters: Meters::default() }
     }
 
     /// Runs `build` under the build clock and wraps the index it returns —
@@ -338,21 +329,10 @@ impl Searcher3 {
     // ---- Batched entry points -------------------------------------------
     //
     // Same results and stats as issuing the queries one by one through the
-    // serial methods above (bit-identical, including the approximate
-    // searcher's leader books — see `tigris_core::batch`), executed across
-    // the configured worker threads. `search_time` accounts the batch's
-    // wall-clock, so speedups from parallelism show up directly in the
-    // profile.
-
-    /// Sets the parallelism for subsequent `*_batch` calls.
-    pub fn set_parallel(&mut self, parallel: BatchConfig) {
-        self.parallel = parallel;
-    }
-
-    /// The parallelism configuration in effect.
-    pub fn parallel(&self) -> BatchConfig {
-        self.parallel
-    }
+    // methods above (bit-identical, including the approximate searcher's
+    // leader books — see `tigris_core::batch`), run on the calling thread
+    // through the backend's batch methods. `search_time` accounts the
+    // batch's wall-clock.
 
     /// Nearest neighbor of every query (respecting any configured
     /// injection; injected batches fall back to the serial path, whose
@@ -361,8 +341,9 @@ impl Searcher3 {
         if self.injection.is_some() {
             return queries.iter().map(|&q| self.nn(q)).collect();
         }
-        let (index, cfg) = (&mut self.index, &self.parallel);
-        self.meters.batch(queries, QueryRecord::nn, |s| index.nn_batch(queries, cfg, s))
+        let index = &mut self.index;
+        self.meters
+            .batch(queries, QueryRecord::nn, |s| index.nn_batch(queries, &BatchConfig::serial(), s))
     }
 
     /// `true` when a caller may skip a query whose answer it can prove:
@@ -376,7 +357,7 @@ impl Searcher3 {
     }
 
     /// The two nearest neighbors of every query (`SharedIndex::nn2_shared`,
-    /// fanned out like [`Searcher3::nn_batch`] and metered the same way).
+    /// metered like [`Searcher3::nn_batch`]).
     ///
     /// # Panics
     ///
@@ -384,12 +365,11 @@ impl Searcher3 {
     pub(crate) fn nn2_batch(&mut self, queries: &[Vec3]) -> Vec<[Option<Neighbor>; 2]> {
         assert!(self.queries_skippable(), "nn2_batch needs an exact, unobserved searcher");
         let shared = self.index.as_shared().expect("checked above");
-        let cfg = &self.parallel;
         // The record is never made: a skippable searcher logs nothing.
         self.meters.batch(
             queries,
             |q| QueryRecord::knn(q, 2),
-            |s| parallel_queries(queries, cfg, s, |q, st| shared.nn2_shared(q, st)),
+            |s| queries.iter().map(|&q| shared.nn2_shared(q, s)).collect(),
         )
     }
 
@@ -400,11 +380,11 @@ impl Searcher3 {
         if self.injection.is_some() {
             return queries.iter().map(|&q| self.radius(q, radius)).collect();
         }
-        let (index, cfg) = (&mut self.index, &self.parallel);
+        let index = &mut self.index;
         self.meters.batch(
             queries,
             |q| QueryRecord::radius(q, radius),
-            |s| index.radius_batch(queries, radius, cfg, s),
+            |s| index.radius_batch(queries, radius, &BatchConfig::serial(), s),
         )
     }
 
@@ -416,7 +396,7 @@ impl Searcher3 {
     // to what `radius_batch` would have returned for it, and the
     // per-query metering (queries counted, log entries, batch
     // wall-clock in `search_time`) is the same. On a backend with a
-    // shared-read view the serial path orders the batch along a Morton
+    // shared-read view the batch is ordered along a Morton
     // curve and dispatches runs of co-located queries as one shared
     // tree traversal (`SharedIndex::radius_group_into_shared`), writing
     // through warm buffers of the caller's `GroupScratch` — a
@@ -481,11 +461,10 @@ impl Searcher3 {
             return;
         }
         let shared = self.index.as_shared().expect("checked above");
-        let cfg = &self.parallel;
         self.meters.batch(
             queries,
             |q| QueryRecord::radius(q, radius),
-            |s| radius_rows_into(shared, queries, radius, cfg, s, table, groups, order),
+            |s| radius_rows_into(shared, queries, radius, s, table, groups, order),
         );
     }
 
@@ -522,11 +501,11 @@ impl Searcher3 {
         }
         let queries = &self.index.points()[range];
         let shared = self.index.as_shared().expect("checked above");
-        let (cfg, order) = (&self.parallel, RowOrder::Canonical);
+        let order = RowOrder::Canonical;
         self.meters.batch(
             queries,
             |q| QueryRecord::radius(q, radius),
-            |s| radius_rows_into(shared, queries, radius, cfg, s, table, groups, order),
+            |s| radius_rows_into(shared, queries, radius, s, table, groups, order),
         );
     }
 }
@@ -572,11 +551,11 @@ fn morton_key(q: Vec3, inv_cell: f64) -> u64 {
     spread21(ix) << 2 | spread21(iy) << 1 | spread21(iz)
 }
 
-/// Serial-or-parallel radius fan-out over a shared-read index, appending
-/// one table row per query and recording each query's table row in
-/// `groups` (readable through `GroupScratch::table_row`).
+/// Radius fan-out over a shared-read index, appending one table row per
+/// query and recording each query's table row in `groups` (readable
+/// through `GroupScratch::table_row`).
 ///
-/// The serial path orders the whole batch along a Morton curve and
+/// The whole batch is ordered along a Morton curve and
 /// dispatches runs of co-located queries (capped in population and in
 /// spatial extent — a loose group would drag every member through
 /// subtrees only its farthest peer can reach) as single shared
@@ -586,15 +565,11 @@ fn morton_key(q: Vec3, inv_cell: f64) -> u64 {
 /// dispatched once per group and leaf points stream through the SIMD
 /// filter cache-hot. With [`RowOrder::Unsorted`] the within-row
 /// canonical sort is skipped too: same hit set per row, unspecified
-/// element order. The parallel path collects per-query rows on the
-/// workers and copies them in in query order (always canonically
-/// sorted — a valid instance of either ordering).
-#[allow(clippy::too_many_arguments)]
+/// element order.
 fn radius_rows_into(
     shared: &dyn SharedIndex,
     queries: &[Vec3],
     radius: f64,
-    cfg: &BatchConfig,
     stats: &mut SearchStats,
     table: &mut NeighborTable,
     groups: &mut GroupScratch,
@@ -602,15 +577,6 @@ fn radius_rows_into(
 ) {
     let base = table.rows() as u32;
     groups.inv.clear();
-    if cfg.resolve_threads(queries.len()) > 1 {
-        let rows =
-            parallel_queries(queries, cfg, stats, |q, st| shared.radius_shared(q, radius, st));
-        for row in &rows {
-            table.push_row_from(row);
-        }
-        groups.inv.extend(base..base + queries.len() as u32);
-        return;
-    }
     let max_extent = radius.max(f64::MIN_POSITIVE);
     let inv_cell = 2.0 / max_extent;
     groups.keys.clear();
@@ -839,52 +805,36 @@ mod tests {
     fn table_entry_points_match_radius_batch() {
         let pts = cloud();
         let queries: Vec<Vec3> = pts.iter().step_by(7).copied().collect();
-        for cfg in [BatchConfig::serial(), BatchConfig { threads: 4, min_chunk: 4 }] {
-            let mut a = Searcher3::classic(&pts);
-            let mut b = Searcher3::classic(&pts);
-            a.set_parallel(cfg);
-            b.set_parallel(cfg);
-            let expected = a.radius_batch(&queries, 1.5);
-            let mut table = NeighborTable::new();
-            let mut groups = GroupScratch::default();
-            b.radius_batch_into(&queries, 1.5, &mut table, &mut groups);
-            assert_eq!(table.rows(), expected.len());
-            for (i, row) in expected.iter().enumerate() {
-                assert_eq!(
-                    table.row(groups.table_row(i)),
-                    row.as_slice(),
-                    "row of query {i} under {cfg:?}"
-                );
-            }
-            // Visit counters reflect the grouped traversal; the
-            // per-query metering contract is on `queries`.
-            assert_eq!(a.stats().queries, b.stats().queries, "metering under {cfg:?}");
+        let mut a = Searcher3::classic(&pts);
+        let mut b = Searcher3::classic(&pts);
+        let expected = a.radius_batch(&queries, 1.5);
+        let mut table = NeighborTable::new();
+        let mut groups = GroupScratch::default();
+        b.radius_batch_into(&queries, 1.5, &mut table, &mut groups);
+        assert_eq!(table.rows(), expected.len());
+        for (i, row) in expected.iter().enumerate() {
+            assert_eq!(table.row(groups.table_row(i)), row.as_slice(), "row of query {i}");
         }
+        // Visit counters reflect the grouped traversal; the per-query
+        // metering contract is on `queries`.
+        assert_eq!(a.stats().queries, b.stats().queries);
     }
 
     #[test]
     fn self_range_rows_match_batched_point_copies() {
         let pts = cloud();
-        for cfg in [BatchConfig::serial(), BatchConfig { threads: 3, min_chunk: 8 }] {
-            let mut a = Searcher3::two_stage(&pts, 4);
-            let mut b = Searcher3::two_stage(&pts, 4);
-            a.set_parallel(cfg);
-            b.set_parallel(cfg);
-            let copied: Vec<Vec3> = pts[100..400].to_vec();
-            let expected = a.radius_batch(&copied, 1.2);
-            let mut table = NeighborTable::new();
-            let mut groups = GroupScratch::default();
-            b.self_radius_range_into(100..400, 1.2, &mut table, &mut groups);
-            assert_eq!(table.rows(), 300);
-            for (i, row) in expected.iter().enumerate() {
-                assert_eq!(
-                    table.row(groups.table_row(i)),
-                    row.as_slice(),
-                    "row of query {i} under {cfg:?}"
-                );
-            }
-            assert_eq!(a.stats().queries, b.stats().queries, "metering under {cfg:?}");
+        let mut a = Searcher3::two_stage(&pts, 4);
+        let mut b = Searcher3::two_stage(&pts, 4);
+        let copied: Vec<Vec3> = pts[100..400].to_vec();
+        let expected = a.radius_batch(&copied, 1.2);
+        let mut table = NeighborTable::new();
+        let mut groups = GroupScratch::default();
+        b.self_radius_range_into(100..400, 1.2, &mut table, &mut groups);
+        assert_eq!(table.rows(), 300);
+        for (i, row) in expected.iter().enumerate() {
+            assert_eq!(table.row(groups.table_row(i)), row.as_slice(), "row of query {i}");
         }
+        assert_eq!(a.stats().queries, b.stats().queries);
     }
 
     #[test]

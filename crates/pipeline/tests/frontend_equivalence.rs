@@ -19,7 +19,6 @@
 //! too small to fit a plane, exactly coincident points, duplicated
 //! key-points, and cloud/neighborhood sizes straddling the SIMD width.
 
-use tigris_core::batch::BatchConfig;
 use tigris_geom::PointCloud;
 use tigris_geom::{symmetric_eigen3, Mat3, Vec3};
 use tigris_pipeline::descriptor::{compute_descriptors, Descriptors, FPFH_DIM, SHOT_DIM};
@@ -45,7 +44,6 @@ mod frozen {
     ) -> Vec<Vec3> {
         assert!(radius > 0.0, "normal-estimation radius must be positive");
         let n = searcher.len();
-        let parallel = searcher.parallel();
         const CHUNK: usize = 16 * 1024;
         let mut normals = Vec::with_capacity(n);
         let mut start = 0;
@@ -54,7 +52,7 @@ mod frozen {
             let chunk: Vec<Vec3> = searcher.points()[start..end].to_vec();
             let neighborhoods = searcher.radius_batch(&chunk, radius);
             let points = searcher.points();
-            normals.extend(tigris_core::batch::parallel_map_indexed(chunk.len(), &parallel, |i| {
+            normals.extend((0..chunk.len()).map(|i| {
                 let p = chunk[i];
                 let neighbors = &neighborhoods[i];
                 let normal = match algorithm {
@@ -199,7 +197,6 @@ mod frozen {
         radius: f64,
     ) -> Descriptors {
         use std::collections::{HashMap, HashSet};
-        let parallel = searcher.parallel();
 
         let kp_pts: Vec<Vec3> = {
             let pts = searcher.points();
@@ -239,13 +236,12 @@ mod frozen {
         }
 
         let points = searcher.points();
-        let spfh_rows = tigris_core::batch::parallel_map(&needed, &parallel, |&i| {
-            spfh(points, normals, i, &neigh_of[&i])
-        });
+        let spfh_rows: Vec<[f64; FPFH_DIM]> =
+            needed.iter().map(|&i| spfh(points, normals, i, &neigh_of[&i])).collect();
         let spfh_of: HashMap<usize, &[f64; FPFH_DIM]> =
             needed.iter().zip(spfh_rows.iter()).map(|(&i, h)| (i, h)).collect();
 
-        let rows = tigris_core::batch::parallel_map_indexed(keypoints.len(), &parallel, |ki| {
+        let rows = (0..keypoints.len()).map(|ki| {
             let k = keypoints[ki];
             let neighbors = &kp_neigh[ki];
             let mut out = *spfh_of[&k];
@@ -329,14 +325,13 @@ mod frozen {
         keypoints: &[usize],
         radius: f64,
     ) -> Descriptors {
-        let parallel = searcher.parallel();
         let kp_pts: Vec<Vec3> = {
             let pts = searcher.points();
             keypoints.iter().map(|&k| pts[k]).collect()
         };
         let neighborhoods = searcher.radius_batch(&kp_pts, radius);
         let points = searcher.points();
-        let rows = tigris_core::batch::parallel_map_indexed(keypoints.len(), &parallel, |ki| {
+        let rows = (0..keypoints.len()).map(|ki| {
             let k = keypoints[ki];
             let neighbors: Vec<usize> =
                 neighborhoods[ki].iter().map(|n| n.index).filter(|&j| j != k).collect();
@@ -523,12 +518,6 @@ fn serial(pts: &[Vec3]) -> Searcher3 {
     Searcher3::classic(pts)
 }
 
-fn parallel(pts: &[Vec3]) -> Searcher3 {
-    let mut s = Searcher3::classic(pts);
-    s.set_parallel(BatchConfig { threads: 4, min_chunk: 2 });
-    s
-}
-
 fn assert_rows_identical(new: &Descriptors, old: &Descriptors, what: &str) {
     assert_eq!(new.dim, old.dim, "{what}: dim");
     assert_eq!(new.data.len(), old.data.len(), "{what}: len");
@@ -557,11 +546,9 @@ fn assert_normals_identical(new: &[Vec3], old: &[Vec3], what: &str) {
 fn normals_bit_identical_on_scene_both_algorithms_and_paths() {
     let pts = scene();
     for algorithm in [NormalAlgorithm::PlaneSvd, NormalAlgorithm::AreaWeighted] {
-        for build in [serial as fn(&[Vec3]) -> Searcher3, parallel] {
-            let new = estimate_normals(&mut build(&pts), 0.35, algorithm);
-            let old = frozen::estimate_normals(&mut build(&pts), 0.35, algorithm);
-            assert_normals_identical(&new, &old, &format!("{algorithm:?}"));
-        }
+        let new = estimate_normals(&mut serial(&pts), 0.35, algorithm);
+        let old = frozen::estimate_normals(&mut serial(&pts), 0.35, algorithm);
+        assert_normals_identical(&new, &old, &format!("{algorithm:?}"));
     }
 }
 
@@ -597,20 +584,18 @@ fn frozen_normals(pts: &[Vec3]) -> Vec<Vec3> {
 }
 
 #[test]
-fn fpfh_bit_identical_on_scene_serial_and_parallel() {
+fn fpfh_bit_identical_on_scene() {
     let pts = scene();
     let normals = frozen_normals(&pts);
     let kps: Vec<usize> = (0..pts.len()).step_by(17).collect();
-    for build in [serial as fn(&[Vec3]) -> Searcher3, parallel] {
-        let new = compute_descriptors(
-            &mut build(&pts),
-            &normals,
-            &kps,
-            DescriptorAlgorithm::Fpfh { radius: 0.5 },
-        );
-        let old = frozen::fpfh(&mut build(&pts), &normals, &kps, 0.5);
-        assert_rows_identical(&new, &old, "fpfh scene");
-    }
+    let new = compute_descriptors(
+        &mut serial(&pts),
+        &normals,
+        &kps,
+        DescriptorAlgorithm::Fpfh { radius: 0.5 },
+    );
+    let old = frozen::fpfh(&mut serial(&pts), &normals, &kps, 0.5);
+    assert_rows_identical(&new, &old, "fpfh scene");
 }
 
 #[test]
@@ -742,17 +727,12 @@ fn lattice_corner() -> Vec<Vec3> {
 
 /// A front-end config over the un-downsampled cloud with a cheap
 /// descriptor (the descriptor stage is not under test here).
-fn keypoint_config(
-    normal_radius: f64,
-    keypoint: KeypointAlgorithm,
-    threads: usize,
-) -> RegistrationConfig {
+fn keypoint_config(normal_radius: f64, keypoint: KeypointAlgorithm) -> RegistrationConfig {
     RegistrationConfig {
         voxel_size: 0.0,
         normal_radius,
         keypoint,
         descriptor: DescriptorAlgorithm::Fpfh { radius: normal_radius },
-        parallel: BatchConfig { threads, min_chunk: 2 },
         ..RegistrationConfig::default()
     }
 }
@@ -760,7 +740,6 @@ fn keypoint_config(
 /// Frozen normal estimation then the frozen detector, on a searcher
 /// configured like `prepare_frame`'s.
 fn frozen_front_end(searcher: &mut Searcher3, cfg: &RegistrationConfig) -> (Vec<Vec3>, Vec<usize>) {
-    searcher.set_parallel(cfg.parallel);
     searcher.set_injection(cfg.inject_ne);
     let normals = frozen::estimate_normals(searcher, cfg.normal_radius, cfg.normal_algorithm);
     searcher.set_injection(None);
@@ -796,20 +775,14 @@ fn iss_keypoints_and_normals_bit_identical_to_frozen() {
     ];
     for (what, pts, normal_radius, iss_radius) in fixtures {
         for algorithm in [NormalAlgorithm::PlaneSvd, NormalAlgorithm::AreaWeighted] {
-            for threads in [1, 2] {
-                let cfg = RegistrationConfig {
-                    normal_algorithm: algorithm,
-                    ..keypoint_config(
-                        normal_radius,
-                        KeypointAlgorithm::Iss { radius: iss_radius },
-                        threads,
-                    )
-                };
-                let what = format!("{what} {algorithm:?} threads={threads}");
-                let found = assert_front_end_matches_frozen(&pts, &cfg, &what);
-                if !what.starts_with("adversarial") {
-                    assert!(found > 0, "{what}: the fixture must produce ISS key-points");
-                }
+            let cfg = RegistrationConfig {
+                normal_algorithm: algorithm,
+                ..keypoint_config(normal_radius, KeypointAlgorithm::Iss { radius: iss_radius })
+            };
+            let what = format!("{what} {algorithm:?}");
+            let found = assert_front_end_matches_frozen(&pts, &cfg, &what);
+            if !what.starts_with("adversarial") {
+                assert!(found > 0, "{what}: the fixture must produce ISS key-points");
             }
         }
     }
@@ -821,24 +794,16 @@ fn iss_bit_identical_across_simd_width_straddling_counts() {
     // kernels' blocks above that floor, with every point in every row.
     for n in 1..=21usize {
         let pts = scatter(n, 0x1555 ^ n as u64);
-        for threads in [1, 2] {
-            let cfg = keypoint_config(6.0, KeypointAlgorithm::Iss { radius: 9.0 }, threads);
-            assert_front_end_matches_frozen(&pts, &cfg, &format!("n = {n} threads={threads}"));
-        }
+        let cfg = keypoint_config(6.0, KeypointAlgorithm::Iss { radius: 9.0 });
+        assert_front_end_matches_frozen(&pts, &cfg, &format!("n = {n}"));
     }
 }
 
 #[test]
 fn harris_keypoints_bit_identical_to_frozen() {
     for (what, pts) in [("scene", scene()), ("adversarial", adversarial())] {
-        for threads in [1, 2] {
-            let cfg = keypoint_config(0.3, KeypointAlgorithm::Harris { radius: 0.4 }, threads);
-            assert_front_end_matches_frozen(
-                &pts,
-                &cfg,
-                &format!("harris {what} threads={threads}"),
-            );
-        }
+        let cfg = keypoint_config(0.3, KeypointAlgorithm::Harris { radius: 0.4 });
+        assert_front_end_matches_frozen(&pts, &cfg, &format!("harris {what}"));
     }
 }
 
@@ -848,7 +813,7 @@ fn iss_with_injected_normals_matches_frozen() {
     // shell, ISS and suppression search on their own.
     let cfg = RegistrationConfig {
         inject_ne: Some(Injection::RadiusShell { inner_frac: 0.3, outer_frac: 1.1 }),
-        ..keypoint_config(0.35, KeypointAlgorithm::Iss { radius: 0.5 }, 1)
+        ..keypoint_config(0.35, KeypointAlgorithm::Iss { radius: 0.5 })
     };
     assert_front_end_matches_frozen(&scene(), &cfg, "injected normals");
 }
@@ -858,22 +823,20 @@ fn logged_searcher_sees_the_frozen_query_stream() {
     // A logged searcher falls back to separate passes: its log must hold
     // exactly the stream the frozen front end issues, in order —
     // normals, ISS, suppression, then the descriptor stage.
-    for threads in [1, 2] {
-        let cfg = keypoint_config(0.35, KeypointAlgorithm::Iss { radius: 0.5 }, threads);
-        let pts = scene_with_duplicates();
-        let mut logged = serial(&pts);
-        logged.enable_query_logging();
-        let mut frame = prepare_frame_from_searcher(logged, &cfg).unwrap();
-        let log = frame.searcher_mut().take_query_log().unwrap();
+    let cfg = keypoint_config(0.35, KeypointAlgorithm::Iss { radius: 0.5 });
+    let pts = scene_with_duplicates();
+    let mut logged = serial(&pts);
+    logged.enable_query_logging();
+    let mut frame = prepare_frame_from_searcher(logged, &cfg).unwrap();
+    let log = frame.searcher_mut().take_query_log().unwrap();
 
-        let mut frozen_searcher = serial(&pts);
-        frozen_searcher.enable_query_logging();
-        let (normals, keypoints) = frozen_front_end(&mut frozen_searcher, &cfg);
-        assert!(!keypoints.is_empty());
-        compute_descriptors(&mut frozen_searcher, &normals, &keypoints, cfg.descriptor);
-        let frozen_log = frozen_searcher.take_query_log().unwrap();
-        assert_eq!(frame.keypoints(), &keypoints[..], "threads={threads}");
-        assert_eq!(log.len(), frozen_log.len(), "threads={threads}: stream length");
-        assert!(log == frozen_log, "threads={threads}: the logged stream must match in order");
-    }
+    let mut frozen_searcher = serial(&pts);
+    frozen_searcher.enable_query_logging();
+    let (normals, keypoints) = frozen_front_end(&mut frozen_searcher, &cfg);
+    assert!(!keypoints.is_empty());
+    compute_descriptors(&mut frozen_searcher, &normals, &keypoints, cfg.descriptor);
+    let frozen_log = frozen_searcher.take_query_log().unwrap();
+    assert_eq!(frame.keypoints(), &keypoints[..]);
+    assert_eq!(log.len(), frozen_log.len(), "stream length");
+    assert!(log == frozen_log, "the logged stream must match in order");
 }

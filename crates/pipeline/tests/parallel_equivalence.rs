@@ -1,66 +1,9 @@
-//! End-to-end determinism of the parallel batched pipeline: running the
-//! full registration with any worker-thread count must produce the *same
-//! bits* as the serial run — same transform, same iteration count, same
-//! query count. Node-visit accounting is *not* compared: the serial path
-//! amortizes radius fan-outs over grouped traversals, so its visit
-//! counters meter less (shared) tree work than the per-query parallel
-//! walks, by design.
+//! Batched searcher entry points keep the per-query contracts of the
+//! one-by-one methods: every query of a batch lands in the query log, in
+//! query order, exactly as if it had been issued alone.
 
-use tigris_core::BatchConfig;
-use tigris_data::{Sequence, SequenceConfig};
 use tigris_geom::Vec3;
-use tigris_pipeline::normal::estimate_normals;
-use tigris_pipeline::{register, NormalAlgorithm, RegistrationConfig, Searcher3};
-
-fn fast_config() -> RegistrationConfig {
-    RegistrationConfig {
-        keypoint: tigris_pipeline::config::KeypointAlgorithm::Uniform { voxel: 0.8 },
-        ..RegistrationConfig::default()
-    }
-}
-
-#[test]
-fn register_is_bit_identical_across_thread_counts() {
-    let seq = Sequence::generate(&SequenceConfig::tiny(), 11);
-    let serial = register(seq.frame(1), seq.frame(0), &fast_config()).unwrap();
-
-    for threads in [0usize, 2, 4] {
-        let cfg = RegistrationConfig {
-            parallel: BatchConfig { threads, min_chunk: 16 },
-            ..fast_config()
-        };
-        let parallel = register(seq.frame(1), seq.frame(0), &cfg).unwrap();
-        assert_eq!(
-            serial.transform.translation, parallel.transform.translation,
-            "translation diverged at {threads} threads"
-        );
-        assert_eq!(serial.transform.rotation, parallel.transform.rotation);
-        assert_eq!(serial.initial_transform.rotation, parallel.initial_transform.rotation);
-        assert_eq!(serial.keypoints, parallel.keypoints);
-        assert_eq!(serial.inlier_correspondences, parallel.inlier_correspondences);
-        assert_eq!(serial.icp_iterations, parallel.icp_iterations);
-        assert_eq!(
-            serial.profile.search_stats.queries, parallel.profile.search_stats.queries,
-            "query accounting diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn normal_estimation_is_identical_serial_vs_parallel() {
-    let seq = Sequence::generate(&SequenceConfig::tiny(), 3);
-    let pts = seq.frame(0).points().to_vec();
-
-    let mut serial = Searcher3::classic(&pts);
-    let a = estimate_normals(&mut serial, 0.6, NormalAlgorithm::PlaneSvd);
-
-    let mut parallel = Searcher3::classic(&pts);
-    parallel.set_parallel(BatchConfig { threads: 4, min_chunk: 8 });
-    let b = estimate_normals(&mut parallel, 0.6, NormalAlgorithm::PlaneSvd);
-
-    assert_eq!(a, b);
-    assert_eq!(serial.stats().queries, parallel.stats().queries);
-}
+use tigris_pipeline::Searcher3;
 
 #[test]
 fn batched_searcher_respects_query_log_order() {
@@ -69,7 +12,6 @@ fn batched_searcher_respects_query_log_order() {
     let queries: Vec<Vec3> = (0..64).map(|i| Vec3::new(i as f64 * 0.3, 2.0, 0.0)).collect();
 
     let mut s = Searcher3::two_stage(&pts, 4);
-    s.set_parallel(BatchConfig { threads: 4, min_chunk: 4 });
     s.enable_query_logging();
     s.nn_batch(&queries);
     let log = s.take_query_log().unwrap();

@@ -81,7 +81,6 @@ pub(crate) fn relocalize_prepared(
     // event per candidate carrying the gate values (inliers, keyframe
     // offset, structure overlap). Enable with TIGRIS_TRACE=chrome.
     let _span = tigris_obs::span!("serve.reloc", candidates = cfg.candidates);
-    let batch = frame.config().parallel;
     let hits = epoch.retrieval().retrieve(&signature, cfg.candidates, cfg.max_descriptor_distance);
     for hit in hits {
         // Every retrieved candidate reaches geometric verification
@@ -104,7 +103,7 @@ pub(crate) fn relocalize_prepared(
         let scalars_pass = result.inlier_correspondences >= cfg.min_inliers
             && result.transform.translation_norm() <= cfg.max_keyframe_offset;
         let overlap = if scalars_pass {
-            target.structure_overlap(frame.points(), &result.transform, hit.submap, &batch)
+            target.structure_overlap(frame.points(), &result.transform, hit.submap)
         } else {
             0.0
         };

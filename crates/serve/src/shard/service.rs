@@ -236,8 +236,7 @@ impl ShardService {
         radius: f64,
     ) -> Result<Vec<Vec<MapNeighbor>>, ServeError> {
         let epoch = self.current_epoch().ok_or(ServeError::NoEpoch)?;
-        let batch = epoch.registration_config().parallel;
-        Ok(query_batch_view(&self.core, &epoch, points, radius, &batch))
+        Ok(query_batch_view(&self.core, &epoch, points, radius))
     }
 
     /// A consistent point-in-time copy of the service-wide counters,
@@ -281,7 +280,6 @@ impl EpochTarget<'_> {
         points: &[Vec3],
         relative: &RigidTransform,
         submap: usize,
-        cfg: &BatchConfig,
     ) -> f64 {
         let Some(payload) = self.epoch.payloads().get(submap) else {
             return 0.0;
@@ -290,7 +288,7 @@ impl EpochTarget<'_> {
             return 0.0; // empty submap: nothing to overlap with
         };
         let index = self.core.index(payload);
-        retrieval::structure_overlap_indexed(points, relative, &index, bounds, cfg)
+        retrieval::structure_overlap_indexed(points, relative, &index, bounds)
     }
 }
 
@@ -344,7 +342,6 @@ pub(crate) fn query_batch_view(
     epoch: &SnapshotEpoch,
     points: &[Vec3],
     radius: f64,
-    cfg: &BatchConfig,
 ) -> Vec<Vec<MapNeighbor>> {
     let mut out: Vec<Vec<MapNeighbor>> = vec![Vec::new(); points.len()];
     if radius.is_nan() || radius < 0.0 {
@@ -373,7 +370,8 @@ pub(crate) fn query_batch_view(
             continue;
         }
         let index = core.index(payload);
-        let answers = index.radius_batch_shared(&local_queries, radius, cfg, &mut stats);
+        let answers =
+            index.radius_batch_shared(&local_queries, radius, &BatchConfig::serial(), &mut stats);
         for (&qi, neighbors) in hit_ids.iter().zip(answers) {
             out[qi].extend(neighbors.into_iter().map(|n| MapNeighbor {
                 submap: id,

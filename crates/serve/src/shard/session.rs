@@ -268,7 +268,6 @@ impl ShardSession {
     /// Batched [`ShardSession::query`], batched per submap through the
     /// shared read path — bit-identical to per-element queries.
     pub fn query_batch(&self, points: &[Vec3], radius: f64) -> Vec<Vec<MapNeighbor>> {
-        let batch = self.epoch.registration_config().parallel;
-        query_batch_view(&self.core.0, &self.epoch, points, radius, &batch)
+        query_batch_view(&self.core.0, &self.epoch, points, radius)
     }
 }

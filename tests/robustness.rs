@@ -353,10 +353,8 @@ fn empty_and_far_offset_frames_fail_typed_in_serving_sessions() {
 }
 
 /// One invalid config per `ConfigError` variant, plus the two key-point
-/// knobs that reach a deep panic, each with the error it must get: the
-/// first knob `validate` rejects, or the registry's verdict on an
-/// unregistered `Custom` backend (which `validate` leaves to the index
-/// build).
+/// knobs that reach a deep panic, each with the error `validate` returns
+/// for it.
 fn invalid_configs(valid: &RegistrationConfig) -> Vec<(RegistrationConfig, ConfigError)> {
     let with = |f: fn(&mut RegistrationConfig)| {
         let mut cfg = valid.clone();
@@ -402,24 +400,14 @@ fn invalid_configs_fail_typed_at_every_entry_point() {
     let mut target = prepare_frame(f0, &valid).unwrap();
     for (cfg, want) in invalid_configs(&valid) {
         let what = want.to_string();
-        if let ConfigError::UnknownBackend { .. } = want {
-            assert_eq!(cfg.validate(), Ok(()), "{what}: the registry is not a knob rule");
-        } else {
-            assert_eq!(cfg.validate(), Err(want), "{what}: validate");
-        }
+        assert_eq!(cfg.validate(), Err(want), "{what}: validate");
         let err = Some(RegistrationError::InvalidConfig(want));
         assert_eq!(prepare_frame(f0, &cfg).err(), err, "{what}: prepare_frame");
         assert_eq!(register(f1, f0, &cfg).err(), err, "{what}: register");
 
         // A bad matching config over frames prepared under a valid one.
-        // A backend is a front-end knob the frames were not built with,
-        // so an unregistered one is a preparation mismatch here.
         let matched = register_prepared(&mut source, &mut target, &cfg).err();
-        if let ConfigError::UnknownBackend { .. } = want {
-            assert_eq!(matched, Some(RegistrationError::PreparationMismatch), "{what}");
-        } else {
-            assert_eq!(matched, err, "{what}: register_prepared");
-        }
+        assert_eq!(matched, err, "{what}: register_prepared");
 
         let mut odo = Odometer::new(cfg.clone());
         assert_eq!(odo.push(f0).err(), err, "{what}: odometer, first frame");

@@ -174,7 +174,6 @@ fn assert_overlap_matches_live_submap(fx: &Fixture, frame: &PointCloud, reloc: &
         prepared.points(),
         &reloc.relative,
         &fx.mapper.submaps()[reloc.submap],
-        &registration.parallel,
     );
     assert_eq!(
         live.to_bits(),
