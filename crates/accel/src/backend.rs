@@ -32,9 +32,7 @@
 //! ```
 
 use tigris_core::twostage::default_top_height;
-use tigris_core::{
-    register_backend, BatchConfig, Neighbor, SearchIndex, SearchStats, TwoStageKdTree,
-};
+use tigris_core::{register_backend, Neighbor, SearchIndex, SearchStats, TwoStageKdTree};
 use tigris_geom::Vec3;
 
 use crate::config::AcceleratorConfig;
@@ -238,16 +236,11 @@ impl SearchIndex for AccelBackend {
     }
 
     /// The whole batch executes as one hardware run — query-level
-    /// parallelism is the machine's own (RUs × SUs), so the software
-    /// [`BatchConfig`] is ignored. Results are identical to the serial
-    /// loop: the engine traces queries in order and the leader buffers
-    /// evolve identically.
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        _cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
+    /// parallelism is the machine's own (RUs × SUs), the paper's model
+    /// (Sec. 5), and the only batch body other than the trait's serial
+    /// loop. Results are identical to that loop: the engine traces
+    /// queries in order and the leader buffers evolve identically.
+    fn nn_batch(&mut self, queries: &[Vec3], stats: &mut SearchStats) -> Vec<Option<Neighbor>> {
         let report = self.run(queries, SearchKind::Nn, false);
         Self::absorb_stats(stats, &report, queries.len() as u64);
         report.nn_results
@@ -258,7 +251,6 @@ impl SearchIndex for AccelBackend {
         &mut self,
         queries: &[Vec3],
         radius: f64,
-        _cfg: &BatchConfig,
         stats: &mut SearchStats,
     ) -> Vec<Vec<Neighbor>> {
         assert!(radius >= 0.0, "radius must be non-negative");
@@ -337,8 +329,8 @@ mod tests {
         let mut backend = AccelBackend::build(&pts, 5, AcceleratorConfig::default());
         let tree = TwoStageKdTree::build(&pts, 5);
         let mut stats = SearchStats::new();
-        let nn = backend.nn_batch(&queries, &BatchConfig::serial(), &mut stats);
-        let balls = backend.radius_batch(&queries, 4.0, &BatchConfig::serial(), &mut stats);
+        let nn = backend.nn_batch(&queries, &mut stats);
+        let balls = backend.radius_batch(&queries, 4.0, &mut stats);
         for (i, &q) in queries.iter().enumerate() {
             assert_eq!(nn[i], tree.nn(q));
             assert_eq!(balls[i], tree.radius(q, 4.0));
@@ -361,7 +353,7 @@ mod tests {
         let mut s_stats = SearchStats::new();
         let mut b_stats = SearchStats::new();
         let s_out: Vec<_> = queries.iter().map(|&q| serial.nn(q, &mut s_stats)).collect();
-        let b_out = batched.nn_batch(&queries, &BatchConfig::serial(), &mut b_stats);
+        let b_out = batched.nn_batch(&queries, &mut b_stats);
         assert_eq!(s_out, b_out);
         assert_eq!(s_stats, b_stats);
         assert!(b_stats.follower_hits > 0, "workload should produce followers");
@@ -372,7 +364,7 @@ mod tests {
         let pts = lcg_cloud(2000, 4);
         let mut backend = AccelBackend::build(&pts, 4, AcceleratorConfig::default());
         let mut stats = SearchStats::new();
-        backend.nn_batch(&lcg_cloud(100, 5), &BatchConfig::serial(), &mut stats);
+        backend.nn_batch(&lcg_cloud(100, 5), &mut stats);
         let meter = *backend.meter();
         assert_eq!(meter.queries, 100);
         assert_eq!(meter.batches, 1);
@@ -395,7 +387,7 @@ mod tests {
         let mut backend = AccelBackend::build(&pts, 3, cfg);
         let mut stats = SearchStats::new();
         let q = vec![Vec3::new(0.1, 0.1, 0.1); 10];
-        backend.nn_batch(&q, &BatchConfig::serial(), &mut stats);
+        backend.nn_batch(&q, &mut stats);
         assert!(stats.follower_hits > 0);
         backend.reset();
         let mut post = SearchStats::new();
@@ -421,7 +413,7 @@ mod tests {
         let mut stats = SearchStats::new();
         assert!(backend.nn(Vec3::ZERO, &mut stats).is_none());
         assert!(backend.radius(Vec3::ZERO, 1.0, &mut stats).is_empty());
-        let out = backend.nn_batch(&[Vec3::ZERO], &BatchConfig::serial(), &mut stats);
+        let out = backend.nn_batch(&[Vec3::ZERO], &mut stats);
         assert_eq!(out, vec![None]);
     }
 }

@@ -16,7 +16,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tigris_bench::workload::huge_frame_pair;
-use tigris_core::{backend_names, build_backend, BatchConfig, SearchStats};
+use tigris_core::{backend_names, build_backend, SearchStats};
 
 const SCENE_POINTS: usize = 20_000;
 const NN_QUERIES: usize = 2_000;
@@ -29,7 +29,6 @@ fn bench_backend_matrix(c: &mut Criterion) {
     let (points, queries) = huge_frame_pair(SCENE_POINTS, 42);
     let nn_queries: Vec<_> = queries.iter().copied().take(NN_QUERIES).collect();
     let radius_queries: Vec<_> = queries.into_iter().take(RADIUS_QUERIES).collect();
-    let cfg = BatchConfig { threads: 4, min_chunk: 64 };
 
     let mut group = c.benchmark_group("backend_matrix");
     group.sample_size(10);
@@ -43,7 +42,7 @@ fn bench_backend_matrix(c: &mut Criterion) {
             b.iter(|| {
                 index.reset();
                 let mut stats = SearchStats::new();
-                black_box(index.nn_batch(&nn_queries, &cfg, &mut stats).len())
+                black_box(index.nn_batch(&nn_queries, &mut stats).len())
             });
         });
 
@@ -51,7 +50,7 @@ fn bench_backend_matrix(c: &mut Criterion) {
             b.iter(|| {
                 index.reset();
                 let mut stats = SearchStats::new();
-                black_box(index.radius_batch(&radius_queries, 0.8, &cfg, &mut stats).len())
+                black_box(index.radius_batch(&radius_queries, 0.8, &mut stats).len())
             });
         });
     }

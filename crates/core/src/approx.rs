@@ -24,7 +24,6 @@
 //! handful of leader-result points (`L + R ≪ N`), far below the width
 //! where banked kernels pay off.
 
-use crate::batch::BatchConfig;
 use crate::index::SearchIndex;
 use crate::twostage::default_top_height;
 use crate::{Neighbor, SearchStats, TwoStageKdTree};
@@ -72,10 +71,8 @@ fn closest_leader(leaders: &[Leader], q: Vec3, stats: &mut SearchStats) -> Optio
 
 /// The NN kernel of Algorithm 1 against a *single leaf's* leader book.
 ///
-/// All approximate-search state is per-leaf, so this kernel — shared by
-/// the serial [`ApproxIndex`] entry points and the leaf-grouped
-/// [`approx_batch`] — is the unit whose sequencing must be preserved for
-/// batched results to be bit-identical to serial ones.
+/// All approximate-search state is per-leaf: a query reads and extends
+/// only the book of its primary leaf, in arrival order.
 fn nn_in_book(
     tree: &TwoStageKdTree,
     cfg: &ApproxConfig,
@@ -153,115 +150,6 @@ fn radius_in_book(
     result
 }
 
-/// Leaf-grouped batched execution of one Algorithm-1 kernel over the
-/// leader `books` (one per top-tree leaf) of `tree`.
-///
-/// Queries are bucketed by primary leaf; workers own contiguous,
-/// disjoint leaf ranges (hence disjoint slices of the books), and within
-/// a leaf queries run in arrival order. Per-leaf state is all the state
-/// Algorithm 1 has, so this reproduces the serial search's results and
-/// stats exactly while scaling across cores. Queries whose descent
-/// dead-ends (including every query to an empty tree) touch no book and
-/// take the exact `fallback`.
-fn approx_batch<R: Send>(
-    tree: &TwoStageKdTree,
-    books: &mut [Vec<Leader>],
-    queries: &[Vec3],
-    cfg: &BatchConfig,
-    stats: &mut SearchStats,
-    kernel: impl Fn(&mut Vec<Leader>, Vec3, &mut SearchStats) -> R + Sync,
-    fallback: impl Fn(Vec3, &mut SearchStats) -> R + Sync,
-) -> Vec<R> {
-    let t = cfg.resolve_threads(queries.len());
-    if t <= 1 {
-        return queries
-            .iter()
-            .map(|&q| match tree.primary_leaf(q) {
-                Some(leaf) => kernel(&mut books[leaf], q, stats),
-                None => fallback(q, stats),
-            })
-            .collect();
-    }
-
-    // Bucket query indices by primary leaf, preserving arrival order.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); books.len()];
-    let mut unrouted: Vec<u32> = Vec::new();
-    for (i, &q) in queries.iter().enumerate() {
-        match tree.primary_leaf(q) {
-            Some(leaf) => buckets[leaf].push(i as u32),
-            None => unrouted.push(i as u32),
-        }
-    }
-
-    // Partition the leaf space into `t` contiguous ranges with roughly
-    // equal query counts, so the book slices handed to workers are
-    // disjoint `split_at_mut` products.
-    let total_routed: usize = queries.len() - unrouted.len();
-    let target = total_routed.div_ceil(t).max(1);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(t);
-    let mut lo = 0;
-    let mut acc = 0;
-    for (leaf, bucket) in buckets.iter().enumerate() {
-        acc += bucket.len();
-        if acc >= target && ranges.len() + 1 < t {
-            ranges.push((lo, leaf + 1));
-            lo = leaf + 1;
-            acc = 0;
-        }
-    }
-    ranges.push((lo, buckets.len()));
-
-    let mut slots: Vec<Option<R>> = queries.iter().map(|_| None).collect();
-    let mut merged = SearchStats::new();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [Vec<Leader>] = books;
-        let mut offset = 0;
-        for &(rlo, rhi) in &ranges {
-            let (_skip, tail) = rest.split_at_mut(rlo - offset);
-            let (slice, tail) = tail.split_at_mut(rhi - rlo);
-            rest = tail;
-            offset = rhi;
-            let buckets = &buckets;
-            let kernel = &kernel;
-            handles.push(scope.spawn(move || {
-                let mut local = SearchStats::new();
-                let mut out: Vec<(u32, R)> = Vec::new();
-                for (book, bucket) in slice.iter_mut().zip(&buckets[rlo..rhi]) {
-                    for &qi in bucket {
-                        out.push((qi, kernel(book, queries[qi as usize], &mut local)));
-                    }
-                }
-                (out, local)
-            }));
-        }
-
-        // Queries whose descent dead-ends touch no book; serve them here
-        // while the workers run.
-        let mut unrouted_stats = SearchStats::new();
-        let unrouted_results: Vec<(u32, R)> = unrouted
-            .iter()
-            .map(|&qi| (qi, fallback(queries[qi as usize], &mut unrouted_stats)))
-            .collect();
-
-        for h in handles {
-            let (pairs, local) = h.join().expect("approx batch worker panicked");
-            merged += local;
-            for (qi, r) in pairs {
-                slots[qi as usize] = Some(r);
-            }
-        }
-        merged += unrouted_stats;
-        for (qi, r) in unrouted_results {
-            slots[qi as usize] = Some(r);
-        }
-    });
-
-    *stats += merged;
-    slots.into_iter().map(|s| s.expect("every query routed to exactly one worker")).collect()
-}
-
 /// Stateful approximate-search backend: a [`TwoStageKdTree`] and the
 /// per-leaf leader books of Algorithm 1, owned together as one unit.
 ///
@@ -275,7 +163,8 @@ fn approx_batch<R: Send>(
 /// sit behind the [`SearchIndex`] trait object the pipeline's searcher
 /// holds; the kernels take the tree and the books as disjoint fields.
 /// This is the type behind the `"two-stage-approx"` entry of the backend
-/// registry. Its batches are leaf-grouped (see [`crate::batch`]).
+/// registry. Its batches are the trait's serial loop, so leader books
+/// evolve exactly as under one-by-one queries.
 ///
 /// # Example
 ///
@@ -409,43 +298,6 @@ impl SearchIndex for ApproxIndex {
 
     fn radius(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
         self.radius_with_stats(query, radius, stats)
-    }
-
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        let (tree, acfg) = (&self.tree, &self.cfg);
-        approx_batch(
-            tree,
-            &mut self.nn_books,
-            queries,
-            cfg,
-            stats,
-            |book, q, s| nn_in_book(tree, acfg, book, q, s),
-            |q, s| tree.nn_with_stats(q, s),
-        )
-    }
-
-    fn radius_batch(
-        &mut self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let (tree, acfg) = (&self.tree, &self.cfg);
-        approx_batch(
-            tree,
-            &mut self.radius_books,
-            queries,
-            cfg,
-            stats,
-            |book, q, s| radius_in_book(tree, acfg, book, q, radius, s),
-            |q, s| tree.radius_with_stats(q, radius, s),
-        )
     }
 
     fn reset(&mut self) {

@@ -37,7 +37,6 @@
 //!            (rebuilt.index, rebuilt.distance_squared));
 //! ```
 
-use crate::batch::{parallel_queries, BatchConfig};
 use crate::index::{SearchIndex, SharedIndex};
 use crate::soa::PointSoA;
 use crate::{simd, KdTree, Neighbor, SearchStats};
@@ -300,10 +299,23 @@ impl DynamicMapIndex {
         merged.sort();
         merged
     }
+
+    /// [`DynamicMapIndex::radius_query_with_stats`] for every query, in
+    /// query order, inside a `core.radius_batch` span: map fan-outs (the
+    /// serving layer's per-submap reads) are the radius batches worth
+    /// attributing.
+    pub fn radius_batch_query_with_stats(
+        &self,
+        queries: &[Vec3],
+        radius: f64,
+        stats: &mut SearchStats,
+    ) -> Vec<Vec<Neighbor>> {
+        let _span = tigris_obs::span!("core.radius_batch", queries = queries.len());
+        queries.iter().map(|&q| self.radius_query_with_stats(q, radius, stats)).collect()
+    }
 }
 
-/// Queries borrow the index shared (the buffer only grows on insert), so
-/// batches parallelize exactly like the static trees'.
+/// Queries borrow the index shared (the buffer only grows on insert).
 impl SharedIndex for DynamicMapIndex {
     fn nn_shared(&self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
         self.nn_query_with_stats(query, stats)
@@ -315,20 +327,6 @@ impl SharedIndex for DynamicMapIndex {
 
     fn radius_shared(&self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
         self.radius_query_with_stats(query, radius, stats)
-    }
-
-    /// The trait's span-parallel batch inside a `core.radius_batch` span:
-    /// map fan-outs (the serving layer's per-submap reads) are the radius
-    /// batches worth attributing.
-    fn radius_batch_shared(
-        &self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        let _span = tigris_obs::span!("core.radius_batch", queries = queries.len());
-        parallel_queries(queries, cfg, stats, |q, s| self.radius_query_with_stats(q, radius, s))
     }
 }
 
@@ -460,29 +458,28 @@ mod tests {
 
     #[test]
     fn shared_batches_match_serial_queries_bitwise() {
-        // The &self batch path (what published map epochs use) must answer
-        // and meter exactly like serial queries, at any thread count.
+        // The batch paths (the &self radius batch published map epochs
+        // use, and the trait's nn batch) must answer and meter exactly
+        // like serial queries.
         let mut idx = DynamicMapIndex::with_fresh_capacity(32);
         idx.extend(&lcg_points(300, 11));
         idx.insert(Vec3::new(0.1, 0.2, 0.3)); // leave a fresh point in play
         let queries = lcg_points(64, 12);
-        for cfg in [BatchConfig::serial(), BatchConfig::with_threads(4)] {
-            let mut serial_stats = SearchStats::new();
-            let nn_serial: Vec<_> =
-                queries.iter().map(|&q| idx.nn_query_with_stats(q, &mut serial_stats)).collect();
-            let radius_serial: Vec<_> = queries
-                .iter()
-                .map(|&q| idx.radius_query_with_stats(q, 3.0, &mut serial_stats))
-                .collect();
+        let mut serial_stats = SearchStats::new();
+        let nn_serial: Vec<_> =
+            queries.iter().map(|&q| idx.nn_query_with_stats(q, &mut serial_stats)).collect();
+        let radius_serial: Vec<_> = queries
+            .iter()
+            .map(|&q| idx.radius_query_with_stats(q, 3.0, &mut serial_stats))
+            .collect();
 
-            let mut batch_stats = SearchStats::new();
-            assert_eq!(idx.nn_batch_shared(&queries, &cfg, &mut batch_stats), nn_serial);
-            assert_eq!(
-                idx.radius_batch_shared(&queries, 3.0, &cfg, &mut batch_stats),
-                radius_serial
-            );
-            assert_eq!(batch_stats, serial_stats, "stats must merge losslessly");
-        }
+        let mut batch_stats = SearchStats::new();
+        assert_eq!(idx.nn_batch(&queries, &mut batch_stats), nn_serial);
+        assert_eq!(
+            idx.radius_batch_query_with_stats(&queries, 3.0, &mut batch_stats),
+            radius_serial
+        );
+        assert_eq!(batch_stats, serial_stats, "stats must merge losslessly");
     }
 
     #[test]

@@ -12,19 +12,15 @@
 //!   backend (including stateful approximate ones) implements it, so the
 //!   pipeline's `Searcher3` can hold a `Box<dyn SearchIndex>` and new
 //!   backends plug in without touching the pipeline. The `*_batch`
-//!   defaults route through the backend's [`SharedIndex`] view when it
-//!   has one and run the serial loop otherwise; only backends with a
-//!   batching strategy of their own (the approximate index's leaf-grouped
-//!   leader books, the accelerator's one-hardware-run batches) override
+//!   defaults are the serial loop over the single-query methods (one
+//!   dynamic call per batch, static dispatch per query); only the
+//!   accelerator, which replays a batch as one hardware run, overrides
 //!   them.
 //! * [`SharedIndex`] — the `&self` query view of the stateless exact
-//!   backends, reachable through [`SearchIndex::as_shared`]. Its
-//!   `*_batch_shared` defaults are the one span-parallel batching body
-//!   ([`parallel_queries`] over the type's own single-query kernel).
-//!   Callers that hold the index borrowed shared (the pipeline's front
-//!   end querying the searcher's own point slice, a published map epoch
-//!   read by many sessions) call it directly; stateful backends simply
-//!   return `None` and keep the exclusive path.
+//!   backends, reachable through [`SearchIndex::as_shared`]. Callers that
+//!   hold the index borrowed shared (the pipeline's front end querying
+//!   the searcher's own point slice) call it directly; stateful backends
+//!   simply return `None` and keep the exclusive path.
 //! * [`register_backend`]/[`build_backend`]/[`backend_names`] — a
 //!   process-wide registry of named backend factories. The five built-in
 //!   backends are pre-registered; external crates (e.g. `tigris-accel`'s
@@ -54,7 +50,6 @@ use std::collections::BTreeMap;
 use std::sync::{OnceLock, RwLock};
 
 use crate::approx::ApproxIndex;
-use crate::batch::{parallel_queries, BatchConfig};
 use crate::bruteforce::BruteForceIndex;
 use crate::dynamic::DynamicMapIndex;
 use crate::twostage::default_top_height;
@@ -83,7 +78,7 @@ use tigris_geom::Vec3;
 ///
 /// Implementations must be `Send + Sync`: a built index may be moved
 /// into — and shared behind — structures served to many threads at once
-/// (the serving layer's resident map tiles). No builtin uses
+/// (the serving layer's per-submap indexes). No builtin uses
 /// interior mutability, so `Sync` is automatic; a custom backend that
 /// wants query-time interior state must synchronize it itself.
 ///
@@ -139,34 +134,21 @@ pub trait SearchIndex: Send + Sync {
 
     /// Nearest neighbor of every query; results in query order.
     ///
-    /// The default runs [`SharedIndex::nn_batch_shared`] when
-    /// [`SearchIndex::as_shared`] offers a view, else the serial loop;
-    /// either way one dynamic call per batch, never one per query.
-    fn nn_batch(
-        &mut self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        match self.as_shared() {
-            Some(shared) => shared.nn_batch_shared(queries, cfg, stats),
-            None => queries.iter().map(|&q| self.nn(q, stats)).collect(),
-        }
+    /// The default is the serial loop over [`SearchIndex::nn`]: one
+    /// dynamic call per batch, never one per query.
+    fn nn_batch(&mut self, queries: &[Vec3], stats: &mut SearchStats) -> Vec<Option<Neighbor>> {
+        queries.iter().map(|&q| self.nn(q, stats)).collect()
     }
 
     /// All neighbors within `radius` of every query; results in query
-    /// order. Routed like [`SearchIndex::nn_batch`].
+    /// order. The default is the serial loop over [`SearchIndex::radius`].
     fn radius_batch(
         &mut self,
         queries: &[Vec3],
         radius: f64,
-        cfg: &BatchConfig,
         stats: &mut SearchStats,
     ) -> Vec<Vec<Neighbor>> {
-        match self.as_shared() {
-            Some(shared) => shared.radius_batch_shared(queries, radius, cfg, stats),
-            None => queries.iter().map(|&q| self.radius(q, radius, stats)).collect(),
-        }
+        queries.iter().map(|&q| self.radius(q, radius, stats)).collect()
     }
 
     /// Clears any approximation state accumulated across queries (leader
@@ -215,30 +197,6 @@ pub trait SharedIndex: Sync {
     fn nn2_shared(&self, query: Vec3, stats: &mut SearchStats) -> [Option<Neighbor>; 2] {
         let two = self.knn_shared(query, 2, stats);
         [two.first().copied(), two.get(1).copied()]
-    }
-
-    /// Nearest neighbor of every query: [`parallel_queries`] over
-    /// [`SharedIndex::nn_shared`], so results (in query order) and merged
-    /// `stats` are bit-identical to the serial loop at any thread count.
-    fn nn_batch_shared(
-        &self,
-        queries: &[Vec3],
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Option<Neighbor>> {
-        parallel_queries(queries, cfg, stats, |q, s| self.nn_shared(q, s))
-    }
-
-    /// All neighbors within `radius` of every query; see
-    /// [`SharedIndex::nn_batch_shared`].
-    fn radius_batch_shared(
-        &self,
-        queries: &[Vec3],
-        radius: f64,
-        cfg: &BatchConfig,
-        stats: &mut SearchStats,
-    ) -> Vec<Vec<Neighbor>> {
-        parallel_queries(queries, cfg, stats, |q, s| self.radius_shared(q, radius, s))
     }
 
     /// Radius search for a group of co-located queries, one output row
@@ -643,7 +601,7 @@ mod tests {
         let mut sa = SearchStats::new();
         let mut sb = SearchStats::new();
         let serial: Vec<_> = queries.iter().map(|&q| a.nn(q, &mut sa)).collect();
-        let batched = b.nn_batch(&queries, &BatchConfig::with_threads(3), &mut sb);
+        let batched = b.nn_batch(&queries, &mut sb);
         assert_eq!(serial, batched);
         assert_eq!(sa, sb);
     }

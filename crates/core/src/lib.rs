@@ -26,11 +26,8 @@
 //!   public seam through which *every* backend (the trees above, the
 //!   [`BruteForceIndex`] oracle, and `tigris-accel`'s online accelerator
 //!   model) plugs into the registration pipeline interchangeably, serial
-//!   and batched queries alike.
-//! * [`batch`] — the thread fan-out behind those batches
-//!   ([`BatchConfig`], [`batch::parallel_queries`]): span-parallel over a
-//!   backend's [`SharedIndex`] view, leaf-grouped for the approximate
-//!   index, bit-identical to serial either way.
+//!   and batched queries alike. A batch is the serial loop on the calling
+//!   thread; only the accelerator model replays it as one hardware run.
 //!
 //! # Example
 //!
@@ -53,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod batch;
 pub mod bruteforce;
 pub mod dynamic;
 pub mod index;
@@ -66,7 +62,6 @@ pub mod stats;
 pub mod twostage;
 
 pub use approx::{ApproxConfig, ApproxIndex};
-pub use batch::BatchConfig;
 pub use bruteforce::{knn_brute_force, nn_brute_force, radius_brute_force, BruteForceIndex};
 pub use dynamic::DynamicMapIndex;
 pub use index::{backend_names, build_backend, register_backend, SearchIndex, SharedIndex};

@@ -85,18 +85,17 @@ impl SearchStats {
 
     /// Folds another counter set into this one (named form of `+=`).
     ///
-    /// Every field is a plain sum, so merging per-thread stats from a
-    /// batched search ([`crate::batch`]) in any order reproduces the
-    /// serial totals exactly — the merge is lossless and commutative.
-    /// `SearchStats` is `Copy + Send`, so workers move their local
-    /// counters out of `std::thread::scope` by value.
+    /// Every field is a plain sum, so merging the stats of any split of
+    /// a query stream (chunks, per-submap reads) in any order reproduces
+    /// the one-shot totals exactly — the merge is lossless and
+    /// commutative.
     pub fn merge(&mut self, other: &SearchStats) {
         *self += *other;
     }
 }
 
-// Batched search relies on per-thread stats crossing thread boundaries;
-// keep that guaranteed at compile time.
+// Counters are plain sums that callers may meter on any thread and hand
+// between threads; keep that guaranteed at compile time.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SearchStats>();

@@ -11,7 +11,9 @@
 //! * exact backends' 2-NN (`SharedIndex::nn2_shared`) is brute force's
 //!   `knn(q, 2)`, ties to the lower index included;
 //! * every `*_batch` entry point is equivalent to the serial loop —
-//!   results in query order and `SearchStats` merged losslessly;
+//!   results in query order and `SearchStats` metered identically;
+//! * exact backends' shared (`&self`) view answers and meters exactly
+//!   like the exclusive (`&mut self`) entry points;
 //! * the registry instantiates every built-in by name, and `name()`
 //!   round-trips;
 //! * points with a NaN or infinite coordinate are never indexed: exact
@@ -24,7 +26,7 @@
 use proptest::prelude::*;
 use tigris_core::index::{backend_names, build_backend, SearchIndex};
 use tigris_core::{
-    knn_brute_force, nn_brute_force, radius_brute_force, ApproxConfig, ApproxIndex, BatchConfig,
+    knn_brute_force, nn_brute_force, radius_brute_force, ApproxConfig, ApproxIndex,
     DynamicMapIndex, KdTree, Neighbor, SearchStats,
 };
 use tigris_geom::Vec3;
@@ -61,6 +63,7 @@ fn exact_backends_agree_with_brute_force_bit_for_bit() {
     for name in EXACT_BACKENDS {
         let mut index = build_backend(name, &pts).unwrap();
         let mut stats = SearchStats::new();
+        let mut answers = Vec::new();
         for &q in &queries {
             let nn = index.nn(q, &mut stats).unwrap();
             let oracle = nn_brute_force(&pts, q).unwrap();
@@ -75,8 +78,20 @@ fn exact_backends_agree_with_brute_force_bit_for_bit() {
 
             let ball = index.radius(q, 2.5, &mut stats);
             assert_eq!(ball, radius_brute_force(&pts, q, 2.5), "{name}: radius mismatch");
+            answers.push((nn, knn, ball));
         }
         assert_eq!(stats.queries, 3 * queries.len() as u64, "{name}: query accounting");
+
+        // The shared view repeats the exclusive answers and metering.
+        let shared = index.as_shared().unwrap_or_else(|| panic!("{name} must be shared"));
+        let mut shared_stats = SearchStats::new();
+        for (&q, (nn, knn, ball)) in queries.iter().zip(&answers) {
+            assert_eq!(shared.nn_shared(q, &mut shared_stats), Some(*nn), "{name}: nn_shared");
+            assert_eq!(shared.knn_shared(q, 7, &mut shared_stats), *knn, "{name}: knn_shared");
+            let shared_ball = shared.radius_shared(q, 2.5, &mut shared_stats);
+            assert_eq!(shared_ball, *ball, "{name}: radius_shared");
+        }
+        assert_eq!(shared_stats, stats, "{name}: shared metering");
     }
 }
 
@@ -121,7 +136,6 @@ fn nn2_is_brute_force_knn2_on_every_exact_backend() {
     let mut fixtures =
         vec![("lcg", lcg_cloud(1500, 12), lcg_cloud(120, 13)), ("doubled-grid", doubled, probes)];
     fixtures.extend(degenerate_fixtures());
-    let cfg = BatchConfig { threads: 3, min_chunk: 4 };
     for (fixture, pts, queries) in fixtures {
         for name in EXACT_BACKENDS {
             let index = build_backend(name, &pts).unwrap();
@@ -138,13 +152,6 @@ fn nn2_is_brute_force_knn2_on_every_exact_backend() {
                 );
             }
             assert_eq!(stats.queries, queries.len() as u64, "{name} on {fixture}: nn2 metering");
-            let mut b_stats = SearchStats::new();
-            let batched =
-                tigris_core::batch::parallel_queries(&queries, &cfg, &mut b_stats, |q, s| {
-                    shared.nn2_shared(q, s)
-                });
-            assert_eq!(serial, batched, "{name} on {fixture}: batched nn2 differs");
-            assert_eq!(stats, b_stats, "{name} on {fixture}: batched nn2 stats differ");
         }
     }
 }
@@ -240,31 +247,26 @@ fn exact_backends_survive_degenerate_geometry_bit_for_bit() {
 fn degenerate_geometry_batches_match_serial() {
     // The SoA leaf arenas see pathological layouts here (every point in
     // one leaf chain, duplicated coordinates across all lanes), and the
-    // approximate backend's leaf-grouped batches see probes whose top-tree
-    // descent dead-ends; batched execution must still be a pure
-    // reordering of the serial scan, leader books included. `min_chunk: 1`
-    // fans even the single-point fixture's two probes (whose descent
-    // always dead-ends) out across workers.
+    // approximate backend sees probes whose top-tree descent dead-ends
+    // (every probe of the single-point fixture); batched execution must
+    // still replay the serial scan, leader books included.
     for (fixture, pts, probes) in degenerate_fixtures() {
         for name in ALL_BACKENDS {
-            for min_chunk in [1, 2] {
-                let cfg = BatchConfig { threads: 3, min_chunk };
-                let at = format!("{name} on {fixture} (min_chunk {min_chunk})");
-                let mut serial = build_backend(name, &pts).unwrap();
-                let mut batched = build_backend(name, &pts).unwrap();
-                let mut s_stats = SearchStats::new();
-                let mut b_stats = SearchStats::new();
-                let s_nn: Vec<_> = probes.iter().map(|&q| serial.nn(q, &mut s_stats)).collect();
-                let b_nn = batched.nn_batch(&probes, &cfg, &mut b_stats);
-                assert_eq!(s_nn, b_nn, "{at}: batched nn differs");
-                for r in [0.0, 0.5, 3.0, 1000.0] {
-                    let s_rad: Vec<_> =
-                        probes.iter().map(|&q| serial.radius(q, r, &mut s_stats)).collect();
-                    let b_rad = batched.radius_batch(&probes, r, &cfg, &mut b_stats);
-                    assert_eq!(s_rad, b_rad, "{at}: batched radius differs at r={r}");
-                }
-                assert_eq!(s_stats, b_stats, "{at}: stats merge");
+            let at = format!("{name} on {fixture}");
+            let mut serial = build_backend(name, &pts).unwrap();
+            let mut batched = build_backend(name, &pts).unwrap();
+            let mut s_stats = SearchStats::new();
+            let mut b_stats = SearchStats::new();
+            let s_nn: Vec<_> = probes.iter().map(|&q| serial.nn(q, &mut s_stats)).collect();
+            let b_nn = batched.nn_batch(&probes, &mut b_stats);
+            assert_eq!(s_nn, b_nn, "{at}: batched nn differs");
+            for r in [0.0, 0.5, 3.0, 1000.0] {
+                let s_rad: Vec<_> =
+                    probes.iter().map(|&q| serial.radius(q, r, &mut s_stats)).collect();
+                let b_rad = batched.radius_batch(&probes, r, &mut b_stats);
+                assert_eq!(s_rad, b_rad, "{at}: batched radius differs at r={r}");
             }
+            assert_eq!(s_stats, b_stats, "{at}: stats merge");
         }
     }
 }
@@ -387,7 +389,6 @@ fn non_finite_points_are_never_indexed() {
     // Off-cloud probes plus probes sitting exactly on finite points.
     let mut probes = lcg_cloud(40, 31);
     probes.extend(salted.iter().filter(|p| p.is_finite()).step_by(40));
-    let cfg = BatchConfig { threads: 2, min_chunk: 4 };
     for (fixture, cloud) in [("salted", salted), ("non-finite only", bad)] {
         let oracle = FiniteOracle::new(&cloud);
         for name in ALL_BACKENDS {
@@ -415,8 +416,8 @@ fn non_finite_points_are_never_indexed() {
             }
             // The batched and shared entry points must not panic either;
             // on exact backends they repeat the serial answers.
-            let nn_batch = index.nn_batch(&probes, &cfg, &mut stats);
-            let radius_batch = index.radius_batch(&probes, 3.0, &cfg, &mut stats);
+            let nn_batch = index.nn_batch(&probes, &mut stats);
+            let radius_batch = index.radius_batch(&probes, 3.0, &mut stats);
             if !exact {
                 continue;
             }
@@ -472,7 +473,6 @@ fn approx_backend_stays_within_algorithm1_bound() {
 fn batched_equals_serial_for_every_backend() {
     let pts = lcg_cloud(2500, 6);
     let queries = lcg_cloud(333, 7);
-    let cfg = BatchConfig { threads: 4, min_chunk: 8 };
     for name in ALL_BACKENDS {
         // Fresh instances so stateful leader books start identical.
         let mut serial = build_backend(name, &pts).unwrap();
@@ -481,15 +481,14 @@ fn batched_equals_serial_for_every_backend() {
         let mut b_stats = SearchStats::new();
 
         let s_nn: Vec<_> = queries.iter().map(|&q| serial.nn(q, &mut s_stats)).collect();
-        let b_nn = batched.nn_batch(&queries, &cfg, &mut b_stats);
+        let b_nn = batched.nn_batch(&queries, &mut b_stats);
         assert_eq!(s_nn, b_nn, "{name}: batched nn differs from serial");
 
         let s_rad: Vec<_> = queries.iter().map(|&q| serial.radius(q, 1.5, &mut s_stats)).collect();
-        let b_rad = batched.radius_batch(&queries, 1.5, &cfg, &mut b_stats);
+        let b_rad = batched.radius_batch(&queries, 1.5, &mut b_stats);
         assert_eq!(s_rad, b_rad, "{name}: batched radius differs from serial");
 
-        // Lossless stats merge: per-worker counters must recombine into
-        // exactly the serial totals.
+        // The batch meters exactly the serial totals.
         assert_eq!(s_stats, b_stats, "{name}: batched stats differ from serial");
     }
 }
@@ -549,7 +548,7 @@ fn empty_index_behaves_uniformly() {
         assert!(index.nn(Vec3::ZERO, &mut stats).is_none(), "{name}");
         assert!(index.knn(Vec3::ZERO, 3, &mut stats).is_empty(), "{name}");
         assert!(index.radius(Vec3::ZERO, 1.0, &mut stats).is_empty(), "{name}");
-        let out = index.nn_batch(&[Vec3::ZERO], &BatchConfig::serial(), &mut stats);
+        let out = index.nn_batch(&[Vec3::ZERO], &mut stats);
         assert_eq!(out, vec![None], "{name}");
     }
 }

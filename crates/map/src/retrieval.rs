@@ -25,7 +25,7 @@
 //!    elevated geometry lands on stored submap structure under the
 //!    verified transform.
 
-use tigris_core::{BatchConfig, KdTreeN, Neighbor, SearchStats, SharedIndex};
+use tigris_core::{KdTreeN, Neighbor};
 use tigris_geom::{RigidTransform, Vec3};
 use tigris_pipeline::{
     register_prepared_with_prior, PreparedFrame, RegistrationConfig, RegistrationResult,
@@ -234,11 +234,10 @@ pub fn structure_overlap_indexed(
     if transformed.len() < OVERLAP_MIN_POINTS {
         return 0.0;
     }
-    let mut stats = SearchStats::new();
-    let answers = index.nn_batch_shared(&transformed, &BatchConfig::serial(), &mut stats);
-    let hits = answers
+    let r2 = OVERLAP_RADIUS * OVERLAP_RADIUS;
+    let hits = transformed
         .iter()
-        .filter(|n| matches!(n, Some(n) if n.distance_squared <= OVERLAP_RADIUS * OVERLAP_RADIUS))
+        .filter(|&&p| index.nn_query(p).is_some_and(|n| n.distance_squared <= r2))
         .count();
     hits as f64 / transformed.len() as f64
 }

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use tigris_core::index::build_backend;
 use tigris_core::{
-    ApproxConfig, ApproxIndex, BatchConfig, BruteForceIndex, KdTree, Neighbor, QueryRecord,
-    SearchIndex, SearchStats, SharedIndex, TwoStageKdTree,
+    ApproxConfig, ApproxIndex, BruteForceIndex, KdTree, Neighbor, QueryRecord, SearchIndex,
+    SearchStats, SharedIndex, TwoStageKdTree,
 };
 use tigris_geom::Vec3;
 
@@ -330,9 +330,9 @@ impl Searcher3 {
     //
     // Same results and stats as issuing the queries one by one through the
     // methods above (bit-identical, including the approximate searcher's
-    // leader books — see `tigris_core::batch`), run on the calling thread
-    // through the backend's batch methods. `search_time` accounts the
-    // batch's wall-clock.
+    // leader books), run on the calling thread through the backend's batch
+    // methods: the serial loop, or the accelerator's one hardware run.
+    // `search_time` accounts the batch's wall-clock.
 
     /// Nearest neighbor of every query (respecting any configured
     /// injection; injected batches fall back to the serial path, whose
@@ -342,8 +342,7 @@ impl Searcher3 {
             return queries.iter().map(|&q| self.nn(q)).collect();
         }
         let index = &mut self.index;
-        self.meters
-            .batch(queries, QueryRecord::nn, |s| index.nn_batch(queries, &BatchConfig::serial(), s))
+        self.meters.batch(queries, QueryRecord::nn, |s| index.nn_batch(queries, s))
     }
 
     /// `true` when a caller may skip a query whose answer it can prove:
@@ -384,7 +383,7 @@ impl Searcher3 {
         self.meters.batch(
             queries,
             |q| QueryRecord::radius(q, radius),
-            |s| index.radius_batch(queries, radius, &BatchConfig::serial(), s),
+            |s| index.radius_batch(queries, radius, s),
         )
     }
 

@@ -4,7 +4,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use tigris_core::{BatchConfig, DynamicMapIndex, SearchStats, SharedIndex};
+use tigris_core::{DynamicMapIndex, SearchStats};
 use tigris_geom::{RigidTransform, Vec3};
 use tigris_map::retrieval;
 use tigris_map::{sort_map_neighbors, MapNeighbor};
@@ -370,8 +370,7 @@ pub(crate) fn query_batch_view(
             continue;
         }
         let index = core.index(payload);
-        let answers =
-            index.radius_batch_shared(&local_queries, radius, &BatchConfig::serial(), &mut stats);
+        let answers = index.radius_batch_query_with_stats(&local_queries, radius, &mut stats);
         for (&qi, neighbors) in hit_ids.iter().zip(answers) {
             out[qi].extend(neighbors.into_iter().map(|n| MapNeighbor {
                 submap: id,

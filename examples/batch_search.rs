@@ -1,12 +1,12 @@
-//! Batched parallel neighbor search: the query-level parallelism of the
-//! two-stage KD-tree (paper Sec. 4.1), in software.
+//! Batched neighbor search through the `SearchIndex` seam: the two-stage
+//! KD-tree's redundant node visits (paper Sec. 4.1) and the approximate
+//! search's followers (Algorithm 1), counted on one query stream.
 //!
 //! Builds a dense synthetic frame, then runs the same RPCE-style NN query
-//! stream three ways — serial classic tree, batched two-stage tree at
-//! several thread counts, and the batched approximate index — printing
-//! wall-clock, node-visit counts and the follower rate. Results are
-//! bit-identical between serial and batched execution at any thread
-//! count; only the wall-clock moves.
+//! stream three ways — serial classic tree, one two-stage batch, and one
+//! approximate batch — printing wall-clock, node-visit counts and the
+//! follower rate. The two-stage batch must return exactly the classic
+//! tree's neighbors (same indices, same distance bits).
 //!
 //! ```text
 //! cargo run --release --example batch_search
@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use tigris::core::index::SearchIndex;
-use tigris::core::{ApproxConfig, ApproxIndex, BatchConfig, KdTree, SearchStats, TwoStageKdTree};
+use tigris::core::{ApproxConfig, ApproxIndex, KdTree, SearchStats, TwoStageKdTree};
 use tigris::data::{Sequence, SequenceConfig};
 
 fn main() {
@@ -36,33 +36,29 @@ fn main() {
         serial_stats.visits_per_query()
     );
 
-    // Batched two-stage tree across thread counts.
+    // One batch on the two-stage tree: more node visits, same answers.
     let mut two_stage = TwoStageKdTree::build(&target, 7);
-    for threads in [1usize, 2, 4, 0] {
-        let cfg = BatchConfig { threads, min_chunk: 64 };
-        let mut stats = SearchStats::new();
-        let t0 = Instant::now();
-        let batched = two_stage.nn_batch(&queries, &cfg, &mut stats);
-        let elapsed = t0.elapsed();
-        let label = if threads == 0 { "auto".into() } else { format!("{threads}") };
-        // Exact search: identical answers, counted identically.
-        assert_eq!(batched.len(), serial.len());
-        assert!(batched
-            .iter()
-            .zip(&serial)
-            .all(|(a, b)| a.map(|n| n.distance_squared) == b.map(|n| n.distance_squared)));
-        println!(
-            "two-stage batched   {elapsed:>10.2?}  threads={label:<4} ({:.0} visits/query)",
-            stats.visits_per_query()
-        );
-    }
-
-    // The approximate leader/follower search, batched by leaf.
-    let mut approx = ApproxIndex::from_tree(two_stage, ApproxConfig::default());
-    let cfg = BatchConfig::auto();
     let mut stats = SearchStats::new();
     let t0 = Instant::now();
-    approx.nn_batch(&queries, &cfg, &mut stats);
+    let batched = two_stage.nn_batch(&queries, &mut stats);
+    let elapsed = t0.elapsed();
+    // Exact search: the same neighbor for every query, bit for bit, and
+    // every query counted once.
+    let bits =
+        |n: &Option<tigris::core::Neighbor>| n.map(|n| (n.index, n.distance_squared.to_bits()));
+    assert_eq!(batched.len(), serial.len());
+    assert!(batched.iter().zip(&serial).all(|(a, b)| bits(a) == bits(b)));
+    assert_eq!(stats.queries, serial_stats.queries);
+    println!(
+        "two-stage batched   {elapsed:>10.2?}  ({:.0} visits/query)",
+        stats.visits_per_query()
+    );
+
+    // The approximate leader/follower search over the same tree.
+    let mut approx = ApproxIndex::from_tree(two_stage, ApproxConfig::default());
+    let mut stats = SearchStats::new();
+    let t0 = Instant::now();
+    approx.nn_batch(&queries, &mut stats);
     let elapsed = t0.elapsed();
     println!(
         "approx batched      {elapsed:>10.2?}  followers={:.0}% ({:.0} visits/query)",
