@@ -1,13 +1,16 @@
-//! The accelerator as an **online search backend**: `AccelBackend`
-//! implements `tigris_core::SearchIndex`, so the simulated machine can
-//! *serve* the registration pipeline's queries (through `Searcher3`,
-//! `register()`, the odometer and the DSE sweeps) instead of only
-//! replaying logs after the fact.
+//! [`AccelBackend`]: the simulated accelerator, the one type that drives
+//! the cycle-level model ([`crate::sim`]).
 //!
-//! Every query batch runs through the same cycle-level engine as
-//! [`crate::AcceleratorSim`] — per-query top-tree traversal with pop-time
-//! pruning, SU leaf scans, optional leader/follower approximation — and
-//! the hardware cost (cycles, simulated seconds, energy) accumulates in an
+//! Offline it simulates query batches ([`AccelBackend::run`],
+//! [`AccelBackend::run_nn`], [`AccelBackend::run_radius`]) and replays
+//! logged query streams ([`AccelBackend::replay`]). Online it implements
+//! `tigris_core::SearchIndex`, so the simulated machine can *serve* the
+//! registration pipeline's queries (through `Searcher3`, `register()`,
+//! the odometer and the DSE sweeps).
+//!
+//! Every batch runs per-query top-tree traversal with pop-time pruning,
+//! SU leaf scans and optional leader/follower approximation, and the
+//! hardware cost (cycles, simulated seconds, energy) accumulates in an
 //! [`AccelMeter`] alongside the answers. In exact mode the answers are
 //! bit-identical to the software two-stage search, so swapping
 //! `SearchBackendConfig::TwoStage` for the accelerator changes *when* the
@@ -32,12 +35,14 @@
 //! ```
 
 use tigris_core::twostage::default_top_height;
-use tigris_core::{register_backend, Neighbor, SearchIndex, SearchStats, TwoStageKdTree};
+use tigris_core::{
+    register_backend, LeaderBook, Neighbor, SearchIndex, SearchStats, TwoStageKdTree,
+};
 use tigris_geom::Vec3;
 
 use crate::config::AcceleratorConfig;
 use crate::energy::EnergyModel;
-use crate::sim::{Engine, LeaderBooks, SearchKind, SimReport};
+use crate::sim::{SearchKind, SimReport};
 
 /// Accumulated hardware cost of the searches an [`AccelBackend`] served.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -67,49 +72,31 @@ impl AccelMeter {
     }
 }
 
-/// Cached handles into the global obs registry for the accelerator's
-/// cycle accounting, resolved once per process.
-struct AccelMetrics {
-    batches: std::sync::Arc<tigris_obs::Counter>,
-    queries: std::sync::Arc<tigris_obs::Counter>,
-    cycles: std::sync::Arc<tigris_obs::Counter>,
-    energy_uj: std::sync::Arc<tigris_obs::Counter>,
-    follower_hits: std::sync::Arc<tigris_obs::Counter>,
-}
-
-fn accel_metrics() -> &'static AccelMetrics {
-    static METRICS: std::sync::OnceLock<AccelMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = tigris_obs::global();
-        AccelMetrics {
-            batches: registry.counter("accel.batches"),
-            queries: registry.counter("accel.queries"),
-            cycles: registry.counter("accel.cycles"),
-            energy_uj: registry.counter("accel.energy_uj"),
-            follower_hits: registry.counter("accel.follower_hits"),
-        }
-    })
-}
-
-/// The simulated Tigris accelerator as a pluggable search backend.
+/// The simulated Tigris accelerator: offline simulator and pluggable
+/// search backend in one.
 ///
 /// Owns its two-stage tree and per-leaf leader buffers (no borrowed tree,
 /// no self-reference), implements `SearchIndex`, and registers under the
 /// name `"accelerator"` via [`register_accelerator_backend`]. With
 /// `config.approx = None` (the default) every search is exact and
-/// bit-identical to [`TwoStageKdTree`]; with approximation enabled it
-/// follows Algorithm 1 exactly as the hardware leader buffers would.
+/// bit-identical to [`TwoStageKdTree`]; with approximation enabled its
+/// leader buffers are core's [`LeaderBook`]s, so it answers exactly like
+/// `tigris_core::ApproxIndex` over the same tree. Leader buffers persist
+/// across runs until [`SearchIndex::reset`] (between frames).
 ///
 /// k-NN queries are served by the exact top-tree path (the hardware treats
 /// k-NN as an NN search retaining k results; Algorithm 1 covers only NN
 /// and radius), so they are always exact.
 #[derive(Debug)]
 pub struct AccelBackend {
-    tree: TwoStageKdTree,
-    config: AcceleratorConfig,
-    energy_model: EnergyModel,
-    books: LeaderBooks,
-    meter: AccelMeter,
+    pub(crate) tree: TwoStageKdTree,
+    pub(crate) config: AcceleratorConfig,
+    pub(crate) energy_model: EnergyModel,
+    /// NN Leader Buffer per top-tree leaf.
+    pub(crate) nn_books: Vec<LeaderBook>,
+    /// Radius Leader Buffer per top-tree leaf.
+    pub(crate) radius_books: Vec<LeaderBook>,
+    pub(crate) meter: AccelMeter,
 }
 
 impl AccelBackend {
@@ -121,12 +108,13 @@ impl AccelBackend {
 
     /// Wraps an already-built tree, taking ownership.
     pub fn from_tree(tree: TwoStageKdTree, config: AcceleratorConfig) -> Self {
-        let books = LeaderBooks::new(tree.leaves().len());
+        let n_leaves = tree.leaves().len();
         AccelBackend {
             tree,
             config,
             energy_model: EnergyModel::default(),
-            books,
+            nn_books: vec![LeaderBook::default(); n_leaves],
+            radius_books: vec![LeaderBook::default(); n_leaves],
             meter: AccelMeter::default(),
         }
     }
@@ -150,44 +138,6 @@ impl AccelBackend {
     /// frame, to attribute simulated cycles to pipeline stages.
     pub fn take_meter(&mut self) -> AccelMeter {
         std::mem::take(&mut self.meter)
-    }
-
-    /// Runs one batch through the cycle-level engine, folds its hardware
-    /// cost into the meter — and, when tracing is enabled, mirrors the
-    /// cycle accounting into the global obs registry (`accel.*`) with a
-    /// span per batch — and returns the report (with results).
-    fn run(&mut self, queries: &[Vec3], kind: SearchKind, collect: bool) -> SimReport {
-        let span = tigris_obs::span!("accel.batch", queries = queries.len());
-        let report = Engine {
-            tree: &self.tree,
-            config: &self.config,
-            energy_model: &self.energy_model,
-            books: &mut self.books,
-            collect_radius_results: collect,
-        }
-        .run(queries, kind);
-        drop(span);
-        self.meter.batches += 1;
-        self.meter.queries += queries.len() as u64;
-        self.meter.cycles += report.cycles;
-        self.meter.seconds += report.seconds;
-        self.meter.energy_joules += report.energy.total_joules();
-        self.meter.follower_hits += report.follower_hits;
-        if tigris_obs::enabled() {
-            tigris_obs::event!(
-                "accel.cycles",
-                cycles = report.cycles,
-                energy_uj = report.energy.total_joules() * 1e6,
-                follower_hits = report.follower_hits,
-            );
-            let m = accel_metrics();
-            m.batches.inc();
-            m.queries.add(queries.len() as u64);
-            m.cycles.add(report.cycles);
-            m.energy_uj.add((report.energy.total_joules() * 1e6) as u64);
-            m.follower_hits.add(report.follower_hits);
-        }
-        report
     }
 
     /// Folds a report's work counters into software-visible search stats.
@@ -219,7 +169,7 @@ impl SearchIndex for AccelBackend {
     }
 
     fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        let report = self.run(&[query], SearchKind::Nn, false);
+        let report = self.execute(&[query], SearchKind::Nn, false);
         Self::absorb_stats(stats, &report, 1);
         report.nn_results.into_iter().next().flatten()
     }
@@ -230,7 +180,7 @@ impl SearchIndex for AccelBackend {
 
     fn radius(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
         assert!(radius >= 0.0, "radius must be non-negative");
-        let mut report = self.run(&[query], SearchKind::Radius(radius), true);
+        let mut report = self.execute(&[query], SearchKind::Radius(radius), true);
         Self::absorb_stats(stats, &report, 1);
         report.radius_results.pop().unwrap_or_default()
     }
@@ -241,7 +191,7 @@ impl SearchIndex for AccelBackend {
     /// loop. Results are identical to that loop: the engine traces
     /// queries in order and the leader buffers evolve identically.
     fn nn_batch(&mut self, queries: &[Vec3], stats: &mut SearchStats) -> Vec<Option<Neighbor>> {
-        let report = self.run(queries, SearchKind::Nn, false);
+        let report = self.execute(queries, SearchKind::Nn, false);
         Self::absorb_stats(stats, &report, queries.len() as u64);
         report.nn_results
     }
@@ -254,13 +204,14 @@ impl SearchIndex for AccelBackend {
         stats: &mut SearchStats,
     ) -> Vec<Vec<Neighbor>> {
         assert!(radius >= 0.0, "radius must be non-negative");
-        let report = self.run(queries, SearchKind::Radius(radius), true);
+        let report = self.execute(queries, SearchKind::Radius(radius), true);
         Self::absorb_stats(stats, &report, queries.len() as u64);
         report.radius_results
     }
 
+    /// Clears the Leader Buffers (between frames).
     fn reset(&mut self) {
-        self.books.reset();
+        self.nn_books.iter_mut().chain(&mut self.radius_books).for_each(LeaderBook::clear);
     }
 }
 

@@ -22,21 +22,24 @@
 //! * [`sim`] — ties both together into end-to-end search simulation,
 //!   returning cycles, per-buffer memory traffic, energy and the actual
 //!   search results (bit-identical to the software two-stage search in
-//!   exact mode).
+//!   exact mode). Its leader check runs core's [`tigris_core::LeaderBook`],
+//!   the same Algorithm 1 kernel as the software `ApproxIndex`.
 //! * [`energy`]/[`area`] — the analytic energy and area models substituting
 //!   for the paper's synthesis flow (constants calibrated to the published
 //!   breakdowns; see DESIGN.md).
 //! * [`baseline`] — CPU/GPU cost models for the comparison systems.
-//! * [`backend`] — the accelerator as an **online** search backend:
-//!   [`AccelBackend`] implements `tigris_core::SearchIndex` and registers
-//!   as `"accelerator"`, so the registration pipeline, odometer and DSE
-//!   sweeps can run end-to-end *on* the simulated machine (not just replay
-//!   its logs), accumulating cycles/energy in an [`AccelMeter`].
+//! * [`backend`] — [`AccelBackend`], the one type that drives the model.
+//!   Offline it runs query batches and replays query logs
+//!   ([`AccelBackend::run`], [`AccelBackend::replay`]); online it
+//!   implements `tigris_core::SearchIndex` and registers as
+//!   `"accelerator"`, so the registration pipeline, odometer and DSE
+//!   sweeps can run end-to-end *on* the simulated machine. Either way it
+//!   accumulates cycles/energy in an [`AccelMeter`].
 //!
 //! # Example
 //!
 //! ```
-//! use tigris_accel::{AcceleratorConfig, AcceleratorSim, SearchKind};
+//! use tigris_accel::{AccelBackend, AcceleratorConfig};
 //! use tigris_core::TwoStageKdTree;
 //! use tigris_geom::Vec3;
 //!
@@ -46,8 +49,8 @@
 //! let tree = TwoStageKdTree::build(&pts, 6);
 //! let queries: Vec<Vec3> = (0..256).map(|i| Vec3::new(i as f64 * 0.2, 3.0, 0.5)).collect();
 //!
-//! let mut sim = AcceleratorSim::new(&tree, AcceleratorConfig::default());
-//! let report = sim.run_nn(&queries);
+//! let mut accel = AccelBackend::from_tree(tree.clone(), AcceleratorConfig::default());
+//! let report = accel.run_nn(&queries);
 //! assert!(report.cycles > 0);
 //! // Results are exact: identical to the software search.
 //! assert_eq!(report.nn_results[0].unwrap().index, tree.nn(queries[0]).unwrap().index);
@@ -74,4 +77,4 @@ pub use baseline::{BaselineModel, BaselineReport};
 pub use config::{AcceleratorConfig, BackendPolicy, MappingPolicy};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use memory::TrafficReport;
-pub use sim::{AcceleratorSim, SearchKind, SimReport};
+pub use sim::{SearchKind, SimReport};

@@ -1,6 +1,6 @@
-//! Whole-accelerator simulation: drives batches of queries through the
-//! front-end and back-end models, producing cycle counts, memory traffic,
-//! energy, and the actual search results.
+//! Whole-accelerator simulation: [`AccelBackend`]'s batch runs drive
+//! queries through the front-end and back-end models, producing cycle
+//! counts, memory traffic, energy, and the actual search results.
 //!
 //! The simulator executes each query's traversal exactly as the hardware
 //! does — an explicit per-query stack over the top-tree with *pop-time*
@@ -8,14 +8,16 @@
 //! query's current best), leaf scans interleaved with traversal (the BE
 //! returns refined bounds to the FE), and optional leader/follower
 //! approximation in the SUs. Results are therefore bit-identical to the
-//! software two-stage search in exact mode.
+//! software two-stage search in exact mode. The leader check and leader
+//! recording are core's [`tigris_core::LeaderBook`], so approximate
+//! results are bit-identical to `tigris_core::ApproxIndex`'s.
 
-use tigris_core::{Neighbor, TopChild, TwoStageKdTree};
+use tigris_core::{follower_nn, follower_radius, Neighbor, TopChild};
 use tigris_geom::Vec3;
 
+use crate::backend::AccelBackend;
 use crate::cache::NodeCache;
-use crate::config::AcceleratorConfig;
-use crate::energy::{EnergyBreakdown, EnergyModel};
+use crate::energy::EnergyBreakdown;
 use crate::memory::{TrafficReport, POINT_BYTES, RESULT_BYTES, STACK_ENTRY_BYTES};
 use crate::ru::{fe_makespan, RuCost};
 use crate::su::{run_backend, LeafTask};
@@ -78,83 +80,7 @@ impl SimReport {
     }
 }
 
-/// A leader recorded in an SU's Leader Buffer.
-#[derive(Debug, Clone)]
-struct Leader {
-    query: Vec3,
-    results: Vec<u32>,
-}
-
-/// Per-leaf Leader Buffer contents for both query kinds, decoupled from
-/// tree ownership so the borrowing [`AcceleratorSim`] and the owning
-/// online backend (`crate::backend::AccelBackend`) share one engine.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LeaderBooks {
-    nn: Vec<Vec<Leader>>,
-    radius: Vec<Vec<Leader>>,
-}
-
-impl LeaderBooks {
-    pub(crate) fn new(n_leaves: usize) -> Self {
-        LeaderBooks { nn: vec![Vec::new(); n_leaves], radius: vec![Vec::new(); n_leaves] }
-    }
-
-    pub(crate) fn reset(&mut self) {
-        for l in &mut self.nn {
-            l.clear();
-        }
-        for l in &mut self.radius {
-            l.clear();
-        }
-    }
-}
-
-/// The cycle-level execution engine: one batch of queries through the
-/// front-end and back-end models against caller-provided tree, config and
-/// leader state. [`AcceleratorSim`] (borrowed tree, offline runs/replay)
-/// and `AccelBackend` (owned tree, online pipeline backend) both drive
-/// this.
-pub(crate) struct Engine<'a> {
-    pub(crate) tree: &'a TwoStageKdTree,
-    pub(crate) config: &'a AcceleratorConfig,
-    pub(crate) energy_model: &'a EnergyModel,
-    pub(crate) books: &'a mut LeaderBooks,
-    /// Collect full radius results (index + distance) per query, not just
-    /// counts — required when the engine *serves* searches online.
-    pub(crate) collect_radius_results: bool,
-}
-
-/// The accelerator simulator. Holds per-leaf leader books across calls
-/// (reset per frame via [`AcceleratorSim::reset_leaders`]).
-#[derive(Debug)]
-pub struct AcceleratorSim<'t> {
-    tree: &'t TwoStageKdTree,
-    config: AcceleratorConfig,
-    energy_model: EnergyModel,
-    books: LeaderBooks,
-}
-
-impl<'t> AcceleratorSim<'t> {
-    /// Creates a simulator over `tree` with the given configuration.
-    pub fn new(tree: &'t TwoStageKdTree, config: AcceleratorConfig) -> Self {
-        AcceleratorSim {
-            tree,
-            config,
-            energy_model: EnergyModel::default(),
-            books: LeaderBooks::new(tree.leaves().len()),
-        }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
-    /// Clears the leader buffers (between frames).
-    pub fn reset_leaders(&mut self) {
-        self.books.reset();
-    }
-
+impl AccelBackend {
     /// Simulates a batch of NN queries.
     pub fn run_nn(&mut self, queries: &[Vec3]) -> SimReport {
         self.run(queries, SearchKind::Nn)
@@ -195,23 +121,24 @@ impl<'t> AcceleratorSim<'t> {
         total.unwrap_or_else(|| self.run(&[], SearchKind::Nn))
     }
 
-    /// Simulates a batch of queries of the given kind.
+    /// Simulates a batch of queries of the given kind. Radius reports
+    /// carry per-query counts only ([`SimReport::radius_results`] stays
+    /// empty).
     pub fn run(&mut self, queries: &[Vec3], kind: SearchKind) -> SimReport {
-        Engine {
-            tree: self.tree,
-            config: &self.config,
-            energy_model: &self.energy_model,
-            books: &mut self.books,
-            collect_radius_results: false,
-        }
-        .run(queries, kind)
+        self.execute(queries, kind, false)
     }
-}
 
-impl Engine<'_> {
     /// Executes a batch of queries of the given kind, exactly as the
-    /// hardware would, and reports cycles, traffic, energy and results.
-    pub(crate) fn run(&mut self, queries: &[Vec3], kind: SearchKind) -> SimReport {
+    /// hardware would, folds its cost into the meter and reports cycles,
+    /// traffic, energy and results. `collect` keeps each radius query's
+    /// full hits, not just their count — what serving a search needs.
+    pub(crate) fn execute(
+        &mut self,
+        queries: &[Vec3],
+        kind: SearchKind,
+        collect: bool,
+    ) -> SimReport {
+        let span = tigris_obs::span!("accel.batch", queries = queries.len());
         let mut traffic = TrafficReport::default();
         let mut tasks: Vec<LeafTask> = Vec::new();
         let mut fe_costs = Vec::with_capacity(queries.len());
@@ -225,7 +152,7 @@ impl Engine<'_> {
         let mut radius_results = Vec::new();
 
         for (qi, &q) in queries.iter().enumerate() {
-            let mut trace = self.trace_query(qi as u32, q, kind, &mut tasks);
+            let mut trace = self.trace_query(qi as u32, q, kind, collect, &mut tasks);
             nodes_expanded += trace.expanded;
             nodes_bypassed += trace.bypassed;
             follower_hits += trace.follower_hits;
@@ -249,7 +176,7 @@ impl Engine<'_> {
                     traffic.result_buffer += n * RESULT_BYTES;
                     traffic.dram += n * RESULT_BYTES;
                     radius_result_counts.push(trace.radius_count);
-                    if self.collect_radius_results {
+                    if collect {
                         // Match the software contract: ascending by
                         // (distance, index).
                         trace.radius_hits.sort();
@@ -265,7 +192,7 @@ impl Engine<'_> {
         // Back-end makespan.
         let leaf_sizes: Vec<usize> = self.tree.leaves().iter().map(|l| l.points.len()).collect();
         let mut cache = NodeCache::new(self.config.node_cache_points);
-        let be = run_backend(&tasks, &leaf_sizes, self.config, &mut cache);
+        let be = run_backend(&tasks, &leaf_sizes, &self.config, &mut cache);
         traffic += be.traffic;
 
         // FE and BE overlap (queries stream through); the slower side
@@ -278,6 +205,20 @@ impl Engine<'_> {
             be.pe_busy_cycles + nodes_expanded, // distance datapath ops
             &traffic,
             seconds,
+        );
+        drop(span);
+
+        self.meter.batches += 1;
+        self.meter.queries += queries.len() as u64;
+        self.meter.cycles += cycles;
+        self.meter.seconds += seconds;
+        self.meter.energy_joules += energy.total_joules();
+        self.meter.follower_hits += follower_hits;
+        tigris_obs::event!(
+            "accel.cycles",
+            cycles = cycles,
+            energy_uj = energy.total_joules() * 1e6,
+            follower_hits = follower_hits,
         );
 
         SimReport {
@@ -303,46 +244,68 @@ impl Engine<'_> {
     /// back-end leaf tasks to `tasks` and returning its trace.
     ///
     /// With approximation enabled, the Leader Check fires at the query's
-    /// *primary* leaf (the first one the descent reaches): a follower's
-    /// whole search terminates there, inheriting the closest leader's
-    /// recorded full result; non-followers complete the exact search and —
-    /// buffer space permitting — record their final result as a new leader
-    /// (Algorithm 1).
+    /// *primary* leaf ([`tigris_core::TwoStageKdTree::primary_leaf`], the
+    /// leaf the front-end's descent reaches first) against core's
+    /// [`tigris_core::LeaderBook`]: a follower's whole search terminates
+    /// there, inheriting the closest leader's recorded full result;
+    /// non-followers complete the exact search and — buffer space
+    /// permitting — record their final result as a new leader
+    /// (Algorithm 1). A query whose descent dead-ends in an empty child
+    /// has no primary leaf and runs exact.
     fn trace_query(
         &mut self,
         qi: u32,
         q: Vec3,
         kind: SearchKind,
+        collect: bool,
         tasks: &mut Vec<LeafTask>,
     ) -> QueryTrace {
         let mut trace = QueryTrace::default();
-        let tree = self.tree;
+        let tree = &self.tree;
         if tree.is_empty() {
             return trace;
         }
         let points = tree.points();
-        let mut best = Neighbor::new(usize::MAX, f64::INFINITY);
-        let mut radius_results: Vec<u32> = Vec::new();
-        let mut radius_count = 0usize;
-        let r = match kind {
-            SearchKind::Radius(r) => r,
-            SearchKind::Nn => 0.0,
+        let (r, is_radius) = match kind {
+            SearchKind::Radius(r) => (r, true),
+            SearchKind::Nn => (0.0, false),
         };
         let r2 = r * r;
-        let record_radius = self.config.approx.is_some() && matches!(kind, SearchKind::Radius(_));
-        let collect = self.collect_radius_results && matches!(kind, SearchKind::Radius(_));
-        let mut primary_leaf: Option<usize> = None;
+        let approx = self.config.approx;
+        let primary = approx.and_then(|_| tree.primary_leaf(q));
+        let mut best = Neighbor::new(usize::MAX, f64::INFINITY);
+        // A radius query's hit indices, kept for its leader record.
+        let mut record: Vec<u32> = Vec::new();
+        let keep_record = is_radius && primary.is_some();
+        let collect = is_radius && collect;
+        // One datapath distance: updates the running NN best, or counts
+        // (and keeps, as asked) a radius hit.
+        let mut visit = |trace: &mut QueryTrace, best: &mut Neighbor, i: u32| {
+            let d2 = q.distance_squared(points[i as usize]);
+            if !is_radius {
+                if d2 < best.distance_squared
+                    || (d2 == best.distance_squared && (i as usize) < best.index)
+                {
+                    *best = Neighbor::new(i as usize, d2);
+                }
+            } else if d2 <= r2 {
+                trace.radius_count += 1;
+                if keep_record {
+                    record.push(i);
+                }
+                if collect {
+                    trace.radius_hits.push(Neighbor::new(i as usize, d2));
+                }
+            }
+        };
 
         // Explicit stack of (child, bound²): bound is the squared distance
         // from the query to the splitting plane that guards this subtree.
         let mut stack: Vec<(TopChild, f64)> = vec![(tree.root(), 0.0)];
-        'search: while let Some((child, bound2)) = stack.pop() {
+        while let Some((child, bound2)) = stack.pop() {
             // Pop-time prune check (the RU bypass test).
-            let prunable = match kind {
-                SearchKind::Nn => bound2 > best.distance_squared,
-                SearchKind::Radius(_) => bound2 > r2,
-            };
-            if prunable {
+            let reach = if is_radius { r2 } else { best.distance_squared };
+            if bound2 > reach {
                 trace.bypassed += 1;
                 continue;
             }
@@ -351,29 +314,7 @@ impl Engine<'_> {
                 TopChild::Node(n) => {
                     trace.expanded += 1;
                     let node = tree.top_nodes()[n as usize];
-                    let p = points[node.point as usize];
-                    let d2 = q.distance_squared(p);
-                    match kind {
-                        SearchKind::Nn => {
-                            if d2 < best.distance_squared
-                                || (d2 == best.distance_squared
-                                    && (node.point as usize) < best.index)
-                            {
-                                best = Neighbor::new(node.point as usize, d2);
-                            }
-                        }
-                        SearchKind::Radius(_) => {
-                            if d2 <= r2 {
-                                radius_count += 1;
-                                if record_radius {
-                                    radius_results.push(node.point);
-                                }
-                                if collect {
-                                    trace.radius_hits.push(Neighbor::new(node.point as usize, d2));
-                                }
-                            }
-                        }
-                    }
+                    visit(&mut trace, &mut best, node.point);
                     let delta = q.axis(node.axis as usize) - node.split;
                     let (near, far) =
                         if delta < 0.0 { (node.left, node.right) } else { (node.right, node.left) };
@@ -387,110 +328,46 @@ impl Engine<'_> {
                 }
                 TopChild::Leaf(l) => {
                     let leaf = l as usize;
-                    let is_primary = primary_leaf.is_none();
-                    if is_primary {
-                        primary_leaf = Some(leaf);
-                        // Leader Check at the primary leaf only.
-                        if let Some(cfg) = self.config.approx {
-                            let book = match kind {
-                                SearchKind::Nn => &self.books.nn[leaf],
-                                SearchKind::Radius(_) => &self.books.radius[leaf],
-                            };
-                            let leader_checks = book.len() as u32;
-                            let threshold = match kind {
-                                SearchKind::Nn => cfg.nn_threshold,
-                                SearchKind::Radius(_) => cfg.radius_threshold_frac * r,
-                            };
-                            let closest = book
-                                .iter()
-                                .enumerate()
-                                .min_by(|(_, a), (_, b)| {
-                                    q.distance_squared(a.query)
-                                        .partial_cmp(&q.distance_squared(b.query))
-                                        .unwrap()
-                                })
-                                .map(|(i, l)| (i, q.distance(l.query)));
-                            if let Some((li, dist)) = closest {
-                                if dist < threshold {
-                                    // Follower: the whole search resolves
-                                    // from the leader's recorded results.
-                                    let leader = match kind {
-                                        SearchKind::Nn => &self.books.nn[leaf][li],
-                                        SearchKind::Radius(_) => &self.books.radius[leaf][li],
-                                    };
-                                    trace.follower_hits += 1;
-                                    best = Neighbor::new(usize::MAX, f64::INFINITY);
-                                    radius_count = 0;
-                                    trace.radius_hits.clear();
-                                    for &i in &leader.results {
-                                        let d2 = q.distance_squared(points[i as usize]);
-                                        match kind {
-                                            SearchKind::Nn => {
-                                                if d2 < best.distance_squared {
-                                                    best = Neighbor::new(i as usize, d2);
-                                                }
-                                            }
-                                            SearchKind::Radius(_) => {
-                                                if d2 <= r2 {
-                                                    radius_count += 1;
-                                                    if collect {
-                                                        trace
-                                                            .radius_hits
-                                                            .push(Neighbor::new(i as usize, d2));
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                    tasks.push(LeafTask {
-                                        query: qi,
-                                        leaf: leaf as u32,
-                                        scan_points: leader.results.len() as u32,
-                                        leader_checks,
-                                        follower: true,
-                                    });
-                                    break 'search;
-                                }
+                    let mut leader_checks = 0;
+                    // Leader Check at the primary leaf only.
+                    if let (Some(cfg), true) = (approx, primary == Some(leaf)) {
+                        let (book, threshold) = match kind {
+                            SearchKind::Nn => (&self.nn_books[leaf], cfg.nn_threshold),
+                            SearchKind::Radius(_) => {
+                                (&self.radius_books[leaf], cfg.radius_threshold_frac * r)
                             }
+                        };
+                        leader_checks = book.len() as u32;
+                        if let Some(results) = book.follow(q, threshold) {
+                            // Follower: the whole search resolves from the
+                            // leader's recorded results.
+                            trace.follower_hits += 1;
+                            if is_radius {
+                                let hits = follower_radius(points, results, q, r);
+                                trace.radius_count = hits.len();
+                                trace.radius_hits = if collect { hits } else { Vec::new() };
+                            } else {
+                                trace.nn_best = follower_nn(points, results, q);
+                            }
+                            tasks.push(LeafTask {
+                                query: qi,
+                                leaf: l,
+                                scan_points: results.len() as u32,
+                                leader_checks,
+                                follower: true,
+                            });
+                            return trace;
                         }
                     }
 
                     // Precise path: exhaustive scan of the leaf set.
                     let set = &tree.leaves()[leaf];
                     for &i in &set.points {
-                        let d2 = q.distance_squared(points[i as usize]);
-                        match kind {
-                            SearchKind::Nn => {
-                                if d2 < best.distance_squared
-                                    || (d2 == best.distance_squared && (i as usize) < best.index)
-                                {
-                                    best = Neighbor::new(i as usize, d2);
-                                }
-                            }
-                            SearchKind::Radius(_) => {
-                                if d2 <= r2 {
-                                    radius_count += 1;
-                                    if record_radius {
-                                        radius_results.push(i);
-                                    }
-                                    if collect {
-                                        trace.radius_hits.push(Neighbor::new(i as usize, d2));
-                                    }
-                                }
-                            }
-                        }
+                        visit(&mut trace, &mut best, i);
                     }
-                    let leader_checks = if self.config.approx.is_some() && is_primary {
-                        match kind {
-                            SearchKind::Nn => self.books.nn[leaf].len() as u32,
-                            SearchKind::Radius(_) => self.books.radius[leaf].len() as u32,
-                        }
-                    } else {
-                        0
-                    };
                     tasks.push(LeafTask {
                         query: qi,
-                        leaf: leaf as u32,
+                        leaf: l,
                         scan_points: set.points.len() as u32,
                         leader_checks,
                         follower: false,
@@ -501,27 +378,18 @@ impl Engine<'_> {
 
         // Non-followers may become leaders at their primary leaf,
         // recording their *final* (complete) result.
-        if let (Some(cfg), Some(leaf)) = (self.config.approx, primary_leaf) {
-            if trace.follower_hits == 0 {
-                match kind {
-                    SearchKind::Nn => {
-                        if best.index != usize::MAX && self.books.nn[leaf].len() < cfg.leader_cap {
-                            self.books.nn[leaf]
-                                .push(Leader { query: q, results: vec![best.index as u32] });
-                        }
-                    }
-                    SearchKind::Radius(_) => {
-                        if self.books.radius[leaf].len() < cfg.leader_cap {
-                            self.books.radius[leaf]
-                                .push(Leader { query: q, results: radius_results });
-                        }
-                    }
+        trace.nn_best = (best.index != usize::MAX).then_some(best);
+        if let (Some(cfg), Some(leaf)) = (approx, primary) {
+            match (kind, trace.nn_best) {
+                (SearchKind::Nn, Some(nn)) => {
+                    self.nn_books[leaf].record(q, [nn.index as u32], cfg.leader_cap);
+                }
+                (SearchKind::Nn, None) => {}
+                (SearchKind::Radius(_), _) => {
+                    self.radius_books[leaf].record(q, record, cfg.leader_cap);
                 }
             }
         }
-
-        trace.nn_best = (best.index != usize::MAX).then_some(best);
-        trace.radius_count = radius_count;
         trace
     }
 }
@@ -581,8 +449,8 @@ struct QueryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BackendPolicy;
-    use tigris_core::ApproxConfig;
+    use crate::config::{AcceleratorConfig, BackendPolicy};
+    use tigris_core::{ApproxConfig, SearchIndex, TwoStageKdTree};
 
     fn lcg_cloud(n: usize, seed: u64) -> Vec<Vec3> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -602,7 +470,7 @@ mod tests {
         let pts = lcg_cloud(4000, 1);
         let tree = TwoStageKdTree::build(&pts, 5);
         let queries = lcg_cloud(300, 2);
-        let mut sim = AcceleratorSim::new(&tree, small_config());
+        let mut sim = AccelBackend::from_tree(tree.clone(), small_config());
         let report = sim.run_nn(&queries);
         for (q, r) in queries.iter().zip(&report.nn_results) {
             let sw = tree.nn(*q).unwrap();
@@ -617,7 +485,7 @@ mod tests {
         let pts = lcg_cloud(3000, 3);
         let tree = TwoStageKdTree::build(&pts, 4);
         let queries = lcg_cloud(100, 4);
-        let mut sim = AcceleratorSim::new(&tree, small_config());
+        let mut sim = AccelBackend::from_tree(tree.clone(), small_config());
         let report = sim.run_radius(&queries, 3.0);
         for (q, &count) in queries.iter().zip(&report.radius_result_counts) {
             assert_eq!(count, tree.radius(*q, 3.0).len());
@@ -627,8 +495,7 @@ mod tests {
     #[test]
     fn cycles_are_positive_and_composed() {
         let pts = lcg_cloud(2000, 5);
-        let tree = TwoStageKdTree::build(&pts, 4);
-        let mut sim = AcceleratorSim::new(&tree, small_config());
+        let mut sim = AccelBackend::build(&pts, 4, small_config());
         let report = sim.run_nn(&lcg_cloud(200, 6));
         assert!(report.cycles > 0);
         assert_eq!(report.cycles, report.fe_cycles.max(report.be_cycles));
@@ -646,8 +513,7 @@ mod tests {
 
         let run_with = |fwd: bool, byp: bool| {
             let cfg = AcceleratorConfig { forwarding: fwd, bypassing: byp, ..small_config() };
-            let mut sim = AcceleratorSim::new(&tree, cfg);
-            sim.run_nn(&queries).fe_cycles
+            AccelBackend::from_tree(tree.clone(), cfg).run_nn(&queries).fe_cycles
         };
         let no_opt = run_with(false, false);
         let bypass = run_with(false, true);
@@ -661,14 +527,9 @@ mod tests {
         // A very deep top-tree (≈ classic KD-tree, leaf sets ~1) keeps the
         // SUs idle — paper's Acc-KD observation.
         let pts = lcg_cloud(4000, 9);
-        let deep = TwoStageKdTree::build(&pts, 12);
-        let shallow = TwoStageKdTree::build(&pts, 5);
         let queries = lcg_cloud(200, 10);
-
-        let mut sim_deep = AcceleratorSim::new(&deep, small_config());
-        let deep_report = sim_deep.run_nn(&queries);
-        let mut sim_shallow = AcceleratorSim::new(&shallow, small_config());
-        let shallow_report = sim_shallow.run_nn(&queries);
+        let deep_report = AccelBackend::build(&pts, 12, small_config()).run_nn(&queries);
+        let shallow_report = AccelBackend::build(&pts, 5, small_config()).run_nn(&queries);
 
         assert!(deep_report.fe_cycles >= deep_report.be_cycles);
         assert!(
@@ -682,19 +543,18 @@ mod tests {
     #[test]
     fn approximate_search_reduces_work() {
         let pts = lcg_cloud(8000, 11);
-        let tree = TwoStageKdTree::build(&pts, 4);
         // Clustered queries so followers appear.
         let queries: Vec<Vec3> = (0..300)
             .map(|i| Vec3::new((i % 10) as f64 * 0.05, (i / 10) as f64 * 0.05, 1.0))
             .collect();
 
-        let mut exact_sim = AcceleratorSim::new(&tree, small_config());
+        let mut exact_sim = AccelBackend::build(&pts, 4, small_config());
         let exact = exact_sim.run_nn(&queries);
         let approx_cfg = AcceleratorConfig {
             approx: Some(ApproxConfig { nn_threshold: 2.0, ..Default::default() }),
             ..small_config()
         };
-        let mut approx_sim = AcceleratorSim::new(&tree, approx_cfg);
+        let mut approx_sim = AccelBackend::build(&pts, 4, approx_cfg);
         let approx = approx_sim.run_nn(&queries);
 
         assert!(approx.follower_hits > 0);
@@ -709,19 +569,18 @@ mod tests {
     #[test]
     fn mqmn_streams_more_bytes_than_mqsn() {
         let pts = lcg_cloud(4000, 13);
-        let tree = TwoStageKdTree::build(&pts, 4);
         // Clustered queries → same-leaf batching is possible.
         let queries: Vec<Vec3> =
             (0..200).map(|i| Vec3::new((i % 20) as f64 * 0.1, 0.5, 0.5)).collect();
         let mqsn_cfg = AcceleratorConfig { node_cache_points: 0, ..small_config() };
-        let mut s1 = AcceleratorSim::new(&tree, mqsn_cfg);
+        let mut s1 = AccelBackend::build(&pts, 4, mqsn_cfg);
         let mqsn = s1.run_nn(&queries);
         let mqmn_cfg = AcceleratorConfig {
             backend: BackendPolicy::Mqmn,
             node_cache_points: 0,
             ..small_config()
         };
-        let mut s2 = AcceleratorSim::new(&tree, mqmn_cfg);
+        let mut s2 = AccelBackend::build(&pts, 4, mqmn_cfg);
         let mqmn = s2.run_nn(&queries);
 
         assert!(mqmn.traffic.points_buffer > mqsn.traffic.points_buffer);
@@ -735,14 +594,13 @@ mod tests {
     #[test]
     fn node_cache_moves_traffic_off_points_buffer() {
         let pts = lcg_cloud(4000, 15);
-        let tree = TwoStageKdTree::build(&pts, 4);
         let queries: Vec<Vec3> =
             (0..300).map(|i| Vec3::new((i % 3) as f64, (i % 7) as f64, 0.0)).collect();
         let no_cache = AcceleratorConfig { node_cache_points: 0, pes_per_su: 1, ..small_config() };
-        let mut s1 = AcceleratorSim::new(&tree, no_cache);
+        let mut s1 = AccelBackend::build(&pts, 4, no_cache);
         let cold = s1.run_nn(&queries);
         let cached = AcceleratorConfig { node_cache_points: 8192, pes_per_su: 1, ..small_config() };
-        let mut s2 = AcceleratorSim::new(&tree, cached);
+        let mut s2 = AccelBackend::build(&pts, 4, cached);
         let warm = s2.run_nn(&queries);
         assert!(warm.cache_hits > 0);
         assert!(warm.traffic.points_buffer < cold.traffic.points_buffer);
@@ -756,30 +614,25 @@ mod tests {
     #[test]
     fn leader_reset_restores_exactness() {
         let pts = lcg_cloud(2000, 17);
-        let tree = TwoStageKdTree::build(&pts, 3);
         let cfg = AcceleratorConfig {
             approx: Some(ApproxConfig { nn_threshold: 5.0, ..Default::default() }),
             ..small_config()
         };
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::build(&pts, 3, cfg);
         let q = vec![Vec3::new(0.1, 0.1, 0.1); 10];
         let first = sim.run_nn(&q);
         assert!(first.follower_hits > 0);
-        sim.reset_leaders();
+        sim.reset();
         let second = sim.run_nn(&q[..1]);
         assert_eq!(second.follower_hits, 0, "first query after reset must be a leader");
     }
 
     #[test]
     fn empty_inputs() {
-        let tree = TwoStageKdTree::build(&[], 3);
-        let mut sim = AcceleratorSim::new(&tree, small_config());
-        let r = sim.run_nn(&[]);
+        let r = AccelBackend::build(&[], 3, small_config()).run_nn(&[]);
         assert_eq!(r.cycles, 0);
         let pts = lcg_cloud(100, 19);
-        let tree = TwoStageKdTree::build(&pts, 2);
-        let mut sim = AcceleratorSim::new(&tree, small_config());
-        let r = sim.run_nn(&[]);
+        let r = AccelBackend::build(&pts, 2, small_config()).run_nn(&[]);
         assert_eq!(r.nn_results.len(), 0);
     }
 
@@ -787,7 +640,6 @@ mod tests {
     fn replay_matches_equivalent_direct_runs() {
         use tigris_core::QueryRecord;
         let pts = lcg_cloud(2000, 23);
-        let tree = TwoStageKdTree::build(&pts, 4);
         let nn_queries = lcg_cloud(50, 24);
         let rad_queries = lcg_cloud(30, 25);
 
@@ -795,10 +647,10 @@ mod tests {
         log.extend(nn_queries.iter().map(|&q| QueryRecord::nn(q)));
         log.extend(rad_queries.iter().map(|&q| QueryRecord::radius(q, 2.0)));
 
-        let mut replay_sim = AcceleratorSim::new(&tree, small_config());
+        let mut replay_sim = AccelBackend::build(&pts, 4, small_config());
         let replayed = replay_sim.replay(&log);
 
-        let mut direct_sim = AcceleratorSim::new(&tree, small_config());
+        let mut direct_sim = AccelBackend::build(&pts, 4, small_config());
         let nn = direct_sim.run(&nn_queries, SearchKind::Nn);
         let rad = direct_sim.run(&rad_queries, SearchKind::Radius(2.0));
 
@@ -817,8 +669,7 @@ mod tests {
     #[test]
     fn replay_empty_log() {
         let pts = lcg_cloud(100, 26);
-        let tree = TwoStageKdTree::build(&pts, 3);
-        let mut sim = AcceleratorSim::new(&tree, small_config());
+        let mut sim = AccelBackend::build(&pts, 3, small_config());
         let report = sim.replay(&[]);
         assert_eq!(report.cycles, 0);
     }
@@ -826,8 +677,7 @@ mod tests {
     #[test]
     fn traffic_is_nonzero_everywhere_expected() {
         let pts = lcg_cloud(2000, 21);
-        let tree = TwoStageKdTree::build(&pts, 4);
-        let mut sim = AcceleratorSim::new(&tree, small_config());
+        let mut sim = AccelBackend::build(&pts, 4, small_config());
         let r = sim.run_nn(&lcg_cloud(100, 22));
         assert!(r.traffic.fe_query_queue > 0);
         assert!(r.traffic.query_buffer > 0);

@@ -4,7 +4,7 @@
 //! monotonically to resources.
 
 use proptest::prelude::*;
-use tigris_accel::{AcceleratorConfig, AcceleratorSim, BackendPolicy, MappingPolicy, SearchKind};
+use tigris_accel::{AccelBackend, AcceleratorConfig, BackendPolicy, MappingPolicy, SearchKind};
 use tigris_core::{ApproxConfig, TwoStageKdTree};
 use tigris_geom::Vec3;
 
@@ -52,7 +52,7 @@ proptest! {
         pts in cloud(), qs in queries(), h in 0usize..8, cfg in config(),
     ) {
         let tree = TwoStageKdTree::build(&pts, h);
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
         let report = sim.run(&qs, SearchKind::Nn);
         for (q, hw) in qs.iter().zip(&report.nn_results) {
             let sw = tree.nn(*q).unwrap();
@@ -65,7 +65,7 @@ proptest! {
         pts in cloud(), qs in queries(), h in 0usize..6, r in 0.1f64..10.0, cfg in config(),
     ) {
         let tree = TwoStageKdTree::build(&pts, h);
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
         let report = sim.run(&qs, SearchKind::Radius(r));
         for (q, &count) in qs.iter().zip(&report.radius_result_counts) {
             prop_assert_eq!(count, tree.radius(*q, r).len());
@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn cycles_bound_both_ends(pts in cloud(), qs in queries(), h in 0usize..6, cfg in config()) {
         let tree = TwoStageKdTree::build(&pts, h);
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
         let report = sim.run(&qs, SearchKind::Nn);
         prop_assert_eq!(report.cycles, report.fe_cycles.max(report.be_cycles));
         prop_assert!(report.pe_utilization >= 0.0 && report.pe_utilization <= 1.0 + 1e-12);
@@ -92,7 +92,7 @@ proptest! {
         let mut prev = u64::MAX;
         for rus in [1usize, 2, 4, 8, 32] {
             let cfg = AcceleratorConfig { num_rus: rus, ..AcceleratorConfig::default() };
-            let mut sim = AcceleratorSim::new(&tree, cfg);
+            let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
             let fe = sim.run(&qs, SearchKind::Nn).fe_cycles;
             prop_assert!(fe <= prev, "{rus} RUs: {fe} > {prev}");
             prev = fe;
@@ -111,7 +111,7 @@ proptest! {
                 num_rus: 4,
                 ..AcceleratorConfig::default()
             };
-            let mut sim = AcceleratorSim::new(&tree, cfg);
+            let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
             sim.run(&qs, SearchKind::Nn).fe_cycles
         };
         let no_opt = fe(false, false);
@@ -131,7 +131,7 @@ proptest! {
                 node_cache_points: cache,
                 ..AcceleratorConfig::default()
             };
-            let mut sim = AcceleratorSim::new(&tree, cfg);
+            let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
             sim.run(&qs, SearchKind::Nn).traffic
         };
         let cold = run(0);
@@ -158,7 +158,7 @@ proptest! {
             approx: Some(ApproxConfig { nn_threshold: thd, ..Default::default() }),
             ..AcceleratorConfig::default()
         };
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
         let report = sim.run(&qs, SearchKind::Nn);
         for (q, hw) in qs.iter().zip(&report.nn_results) {
             let sw = tree.nn(*q).unwrap();
@@ -178,7 +178,7 @@ proptest! {
             approx: Some(ApproxConfig::default()),
             ..AcceleratorConfig::default()
         };
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
         let report = sim.run(&qs, SearchKind::Radius(r));
         for (q, &count) in qs.iter().zip(&report.radius_result_counts) {
             // Followers can only miss points, never invent them.
@@ -189,7 +189,7 @@ proptest! {
     #[test]
     fn energy_is_positive_and_finite(pts in cloud(), qs in queries(), cfg in config()) {
         let tree = TwoStageKdTree::build(&pts, 3);
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
         let report = sim.run(&qs, SearchKind::Nn);
         let e = report.energy.total_joules();
         prop_assert!(e.is_finite() && e >= 0.0);
@@ -206,7 +206,7 @@ proptest! {
         let tree = TwoStageKdTree::build(&pts, h);
         let run = |backend| {
             let cfg = AcceleratorConfig { backend, ..AcceleratorConfig::default() };
-            let mut sim = AcceleratorSim::new(&tree, cfg);
+            let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
             sim.run(&qs, SearchKind::Nn).nn_results
         };
         let mqsn = run(BackendPolicy::Mqsn);

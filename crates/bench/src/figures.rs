@@ -10,9 +10,9 @@ use std::time::Instant;
 use tigris_accel::area::SramSizing;
 use tigris_accel::baseline::Workload;
 use tigris_accel::{
-    area_report, AcceleratorConfig, AcceleratorSim, BackendPolicy, BaselineModel, SearchKind,
+    area_report, AccelBackend, AcceleratorConfig, BackendPolicy, BaselineModel, SearchKind,
 };
-use tigris_core::{ApproxConfig, KdTree, SearchStats, TwoStageKdTree};
+use tigris_core::{ApproxConfig, KdTree, SearchIndex, SearchStats, TwoStageKdTree};
 use tigris_geom::{PointCloud, RigidTransform, Vec3};
 use tigris_pipeline::dse::{evaluate_design_points, pareto_frontier, DsePoint};
 use tigris_pipeline::{DesignPoint, Injection, RegistrationConfig, Stage};
@@ -397,10 +397,7 @@ pub fn fig11_for(dp: DesignPoint, seed: u64) -> Vec<Fig11Row> {
     let deep_h = height_for_leaf_size(w.points.len(), 1);
     let deep_tree = TwoStageKdTree::build(&w.points, deep_h);
     let acc = |tree: &TwoStageKdTree| -> (f64, f64) {
-        let mut sim = AcceleratorSim::new(tree, AcceleratorConfig::paper());
-        let nn = sim.run(&w.nn_queries, SearchKind::Nn);
-        sim.reset_leaders();
-        let rad = sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
+        let (_, SimPair { nn, rad }) = run_sim_pair(AcceleratorConfig::paper(), &w, tree);
         let secs = nn.seconds + rad.seconds;
         let energy = nn.energy.total_joules() + rad.energy.total_joules();
         (secs, energy / secs)
@@ -501,17 +498,11 @@ pub fn approx(seed: u64) -> ApproxRow {
     let h = height_for_leaf_size(w.points.len(), 128);
     let tree = TwoStageKdTree::build(&w.points, h);
 
-    let mut exact_sim = AcceleratorSim::new(&tree, AcceleratorConfig::paper());
-    let exact_nn = exact_sim.run(&w.nn_queries, SearchKind::Nn);
-    exact_sim.reset_leaders();
-    let exact_rad = exact_sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
-
+    let (_, SimPair { nn: exact_nn, rad: exact_rad }) =
+        run_sim_pair(AcceleratorConfig::paper(), &w, &tree);
     let approx_cfg =
         AcceleratorConfig { approx: Some(ApproxConfig::default()), ..AcceleratorConfig::paper() };
-    let mut approx_sim = AcceleratorSim::new(&tree, approx_cfg);
-    let approx_nn = approx_sim.run(&w.nn_queries, SearchKind::Nn);
-    approx_sim.reset_leaders();
-    let approx_rad = approx_sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
+    let (_, SimPair { nn: approx_nn, rad: approx_rad }) = run_sim_pair(approx_cfg, &w, &tree);
 
     let exact_s = exact_nn.seconds + exact_rad.seconds;
     let approx_s = approx_nn.seconds + approx_rad.seconds;
@@ -601,10 +592,7 @@ pub fn fig12(seed: u64) -> Vec<Fig12Row> {
     println!("{:<10} {:>10} {:>12}", "variant", "speedup", "power red.");
     let mut rows = Vec::new();
     for (name, cfg) in variants {
-        let mut sim = AcceleratorSim::new(&tree, cfg);
-        let nn = sim.run(&w.nn_queries, SearchKind::Nn);
-        sim.reset_leaders();
-        let rad = sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
+        let (_, SimPair { nn, rad }) = run_sim_pair(cfg, &w, &tree);
         let secs = nn.seconds + rad.seconds;
         let power = (nn.energy.total_joules() + rad.energy.total_joules()) / secs;
         let row = Fig12Row {
@@ -639,10 +627,7 @@ pub fn fig13(seed: u64) -> Vec<Fig13Row> {
     for (label, leaf) in [("ACC-2SKD", 128usize), ("ACC-KD", 1usize)] {
         let h = height_for_leaf_size(w.points.len(), leaf);
         let tree = TwoStageKdTree::build(&w.points, h);
-        let mut sim = AcceleratorSim::new(&tree, AcceleratorConfig::paper());
-        let nn = sim.run(&w.nn_queries, SearchKind::Nn);
-        sim.reset_leaders();
-        let rad = sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
+        let (_, SimPair { nn, rad }) = run_sim_pair(AcceleratorConfig::paper(), &w, &tree);
         let traffic = nn.traffic + rad.traffic;
         let total = traffic.total_sram().max(1) as f64;
         let fractions: Vec<(&'static str, f64)> =
@@ -693,10 +678,7 @@ pub fn fig14(seed: u64) -> Vec<Fig14Row> {
                     pes_per_su: pes,
                     ..AcceleratorConfig::paper()
                 };
-                let mut sim = AcceleratorSim::new(&tree, cfg);
-                let nn = sim.run(&w.nn_queries, SearchKind::Nn);
-                sim.reset_leaders();
-                let rad = sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
+                let (_, SimPair { nn, rad }) = run_sim_pair(cfg, &w, &tree);
                 let secs = nn.seconds + rad.seconds;
                 let power = (nn.energy.total_joules() + rad.energy.total_joules()) / secs;
                 let row = Fig14Row { rus, sus, pes, time_ms: secs * 1e3, power_w: power };
@@ -734,13 +716,10 @@ pub fn fig15(seed: u64) -> Vec<Fig15Row> {
     let mut rows = Vec::new();
     for height in 4..=15usize {
         let tree = TwoStageKdTree::build(&w.points, height);
-        let mut sim = AcceleratorSim::new(&tree, AcceleratorConfig::paper());
-        let nn = sim.run(&w.nn_queries, SearchKind::Nn);
-        sim.reset_leaders();
-        let rad = sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
+        let (time_ms, SimPair { nn, rad }) = run_sim_pair(AcceleratorConfig::paper(), &w, &tree);
         let row = Fig15Row {
             height,
-            time_ms: (nn.seconds + rad.seconds) * 1e3,
+            time_ms,
             energy_j: nn.energy.total_joules() + rad.energy.total_joules(),
         };
         println!("{:>7} {:>12.3} {:>12.4}", row.height, row.time_ms, row.energy_j * 1e3);
@@ -792,12 +771,10 @@ pub fn end_to_end(seed: u64) -> (f64, f64) {
         // Replay each frame's exact query stream on its own accelerator.
         let h_src = height_for_leaf_size(src_pts.len(), 128);
         let h_tgt = height_for_leaf_size(tgt_pts.len(), 128);
-        let src_tree = TwoStageKdTree::build(&src_pts, h_src);
-        let tgt_tree = TwoStageKdTree::build(&tgt_pts, h_tgt);
         let src_log = src.searcher_mut().take_query_log().unwrap();
         let tgt_log = tgt.searcher_mut().take_query_log().unwrap();
-        let mut src_sim = AcceleratorSim::new(&src_tree, AcceleratorConfig::paper());
-        let mut tgt_sim = AcceleratorSim::new(&tgt_tree, AcceleratorConfig::paper());
+        let mut src_sim = AccelBackend::build(&src_pts, h_src, AcceleratorConfig::paper());
+        let mut tgt_sim = AccelBackend::build(&tgt_pts, h_tgt, AcceleratorConfig::paper());
         let kd_acc = src_sim.replay(&src_log).seconds + tgt_sim.replay(&tgt_log).seconds;
 
         // GPU baseline on the same measured workload.
@@ -913,14 +890,17 @@ pub struct AblationRow {
     pub metric: f64,
 }
 
-fn run_dp7_sim(
+/// Runs a workload's NN batch and then, leader buffers reset, its radius
+/// batch on an accelerator over a copy of `tree`; returns the KD-search
+/// time in milliseconds and both reports.
+fn run_sim_pair(
     cfg: AcceleratorConfig,
     w: &DpSearchWorkload,
     tree: &TwoStageKdTree,
-) -> (f64, crate::figures::SimPair) {
-    let mut sim = AcceleratorSim::new(tree, cfg);
+) -> (f64, SimPair) {
+    let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
     let nn = sim.run(&w.nn_queries, SearchKind::Nn);
-    sim.reset_leaders();
+    sim.reset();
     let rad = sim.run(&w.radius_queries, SearchKind::Radius(w.radius));
     ((nn.seconds + rad.seconds) * 1e3, SimPair { nn, rad })
 }
@@ -947,7 +927,7 @@ pub fn ablation_leader_cap(seed: u64) -> Vec<AblationRow> {
             approx: Some(ApproxConfig { leader_cap: cap, ..Default::default() }),
             ..AcceleratorConfig::paper()
         };
-        let (time_ms, pair) = run_dp7_sim(cfg, &w, &tree);
+        let (time_ms, pair) = run_sim_pair(cfg, &w, &tree);
         let followers = pair.nn.follower_hits + pair.rad.follower_hits;
         let rate = followers as f64 / (w.nn_queries.len() + w.radius_queries.len()) as f64;
         println!("{:>5} {:>12.3} {:>13.1}%", cap, time_ms, rate * 100.0);
@@ -967,7 +947,7 @@ pub fn ablation_node_cache(seed: u64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for points in [0usize, 1024, 4096, 8192, 32768, 131072] {
         let cfg = AcceleratorConfig { node_cache_points: points, ..AcceleratorConfig::paper() };
-        let (time_ms, pair) = run_dp7_sim(cfg, &w, &tree);
+        let (time_ms, pair) = run_sim_pair(cfg, &w, &tree);
         let traffic = pair.nn.traffic + pair.rad.traffic;
         let node_bytes = traffic.node_cache + traffic.points_buffer;
         let hit_rate =
@@ -995,7 +975,7 @@ pub fn ablation_issue_window(seed: u64) -> Vec<AblationRow> {
     let mut rows = Vec::new();
     for window in [1usize, 8, 32, 128, 512] {
         let cfg = AcceleratorConfig { issue_window: window, ..AcceleratorConfig::paper() };
-        let (time_ms, pair) = run_dp7_sim(cfg, &w, &tree);
+        let (time_ms, pair) = run_sim_pair(cfg, &w, &tree);
         let util = (pair.nn.pe_utilization + pair.rad.pe_utilization) / 2.0;
         println!("{:>7} {:>12.3} {:>13.1}%", window, time_ms, util * 100.0);
         rows.push(AblationRow { value: window as f64, time_ms, metric: util });
@@ -1010,7 +990,7 @@ pub fn ablation_mapping(seed: u64) -> (f64, f64) {
     let h = height_for_leaf_size(w.points.len(), 128);
     let tree = TwoStageKdTree::build(&w.points, h);
     println!("== Ablation: leaf-to-SU mapping policy ==");
-    let (low, _) = run_dp7_sim(
+    let (low, _) = run_sim_pair(
         AcceleratorConfig {
             mapping: tigris_accel::MappingPolicy::LowOrderBits,
             ..AcceleratorConfig::paper()
@@ -1018,7 +998,7 @@ pub fn ablation_mapping(seed: u64) -> (f64, f64) {
         &w,
         &tree,
     );
-    let (hash, _) = run_dp7_sim(
+    let (hash, _) = run_sim_pair(
         AcceleratorConfig {
             mapping: tigris_accel::MappingPolicy::Hash,
             ..AcceleratorConfig::paper()

@@ -17,6 +17,11 @@
 //! precise path without being recorded — which, as the paper notes, only
 //! *improves* accuracy.
 //!
+//! [`LeaderBook`], [`follower_nn`] and [`follower_radius`] are the one
+//! leader-book kernel: [`ApproxIndex`] runs it here, and `tigris-accel`'s
+//! accelerator model runs the same kernel in its search units, so the
+//! simulated hardware and the software follow the same leaders.
+//!
 //! The precise path is the exact two-stage search, so it inherits the
 //! [`crate::soa`] leaf banking and [`crate::simd`] kernels for free: a
 //! leader's recorded result set is produced by the same SoA scans as any
@@ -56,98 +61,99 @@ struct Leader {
     results: Vec<u32>,
 }
 
-/// Finds the closest leader to `q` in `leaders`, counting the distance
-/// checks; returns `(index, distance)`.
-fn closest_leader(leaders: &[Leader], q: Vec3, stats: &mut SearchStats) -> Option<(usize, f64)> {
-    stats.leader_checks += leaders.len() as u64;
-    leaders
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            q.distance_squared(a.query).partial_cmp(&q.distance_squared(b.query)).unwrap()
-        })
-        .map(|(i, l)| (i, q.distance(l.query)))
-}
-
-/// The NN kernel of Algorithm 1 against a *single leaf's* leader book.
+/// One top-tree leaf's leader book — the per-leaf Leader Buffer of
+/// Algorithm 1, in arrival order.
 ///
-/// All approximate-search state is per-leaf: a query reads and extends
-/// only the book of its primary leaf, in arrival order.
-fn nn_in_book(
-    tree: &TwoStageKdTree,
-    cfg: &ApproxConfig,
-    book: &mut Vec<Leader>,
-    query: Vec3,
-    stats: &mut SearchStats,
-) -> Option<Neighbor> {
-    // Follower path: inherit the closest leader's result.
-    stats.queries += 1;
-    if let Some((li, dist)) = closest_leader(book, query, stats) {
-        if dist < cfg.nn_threshold {
-            let leader = &book[li];
-            stats.follower_hits += 1;
-            stats.leader_result_points_scanned += leader.results.len() as u64;
-            let mut best = Neighbor::new(usize::MAX, f64::INFINITY);
-            for &i in &leader.results {
-                let d2 = query.distance_squared(tree.points()[i as usize]);
-                if d2 < best.distance_squared {
-                    best = Neighbor::new(i as usize, d2);
-                }
-            }
-            return (best.index != usize::MAX).then_some(best);
-        }
-    }
-    // Precise path: the stats from the full search below also bump
-    // `queries`; compensate so each logical query counts once.
-    stats.queries -= 1;
-
-    let result = tree.nn_with_stats(query, stats);
-    if let Some(best) = result {
-        if book.len() < cfg.leader_cap {
-            stats.leader_promotions += 1;
-            book.push(Leader { query, results: vec![best.index as u32] });
-        }
-    }
-    result
+/// This is the one implementation of the Leader Check and of leader
+/// recording: [`ApproxIndex`] runs it in software and `tigris-accel`'s
+/// accelerator model runs it in its search units, so both follow the
+/// same leaders and return the same follower answers.
+#[derive(Debug, Clone, Default)]
+pub struct LeaderBook {
+    leaders: Vec<Leader>,
 }
 
-/// The radius kernel of Algorithm 1 against a single leaf's leader book;
-/// see [`nn_in_book`].
-fn radius_in_book(
-    tree: &TwoStageKdTree,
-    cfg: &ApproxConfig,
-    book: &mut Vec<Leader>,
+impl LeaderBook {
+    /// Leaders recorded — the distance checks a Leader Check costs.
+    pub fn len(&self) -> usize {
+        self.leaders.len()
+    }
+
+    /// `true` when no leader is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.leaders.is_empty()
+    }
+
+    /// Forgets every leader (between frames).
+    pub fn clear(&mut self) {
+        self.leaders.clear();
+    }
+
+    /// The Leader Check: the recorded result of the leader closest to
+    /// `query` (the first one on a tie), when it lies strictly within
+    /// `threshold`; `None` sends the query down the precise path.
+    pub fn follow(&self, query: Vec3, threshold: f64) -> Option<&[u32]> {
+        let closest = self.leaders.iter().min_by(|a, b| {
+            query.distance_squared(a.query).partial_cmp(&query.distance_squared(b.query)).unwrap()
+        })?;
+        (query.distance(closest.query) < threshold).then_some(closest.results.as_slice())
+    }
+
+    /// Records a completed precise search of `query` as a leader while
+    /// the book holds fewer than `leader_cap`; returns whether it did.
+    /// Past the cap the result is dropped unread.
+    pub fn record(
+        &mut self,
+        query: Vec3,
+        results: impl IntoIterator<Item = u32>,
+        leader_cap: usize,
+    ) -> bool {
+        let room = self.leaders.len() < leader_cap;
+        if room {
+            self.leaders.push(Leader { query, results: results.into_iter().collect() });
+        }
+        room
+    }
+}
+
+/// A follower's NN answer: the point of its leader's recorded `results`
+/// nearest to `query` (the first one on a tie).
+pub fn follower_nn(points: &[Vec3], results: &[u32], query: Vec3) -> Option<Neighbor> {
+    let mut best = Neighbor::new(usize::MAX, f64::INFINITY);
+    for &i in results {
+        let d2 = query.distance_squared(points[i as usize]);
+        if d2 < best.distance_squared {
+            best = Neighbor::new(i as usize, d2);
+        }
+    }
+    (best.index != usize::MAX).then_some(best)
+}
+
+/// A follower's radius answer: the points of its leader's recorded
+/// `results` within `radius` of `query`, ascending by distance.
+pub fn follower_radius(
+    points: &[Vec3],
+    results: &[u32],
     query: Vec3,
     radius: f64,
-    stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    stats.queries += 1;
-    if let Some((li, dist)) = closest_leader(book, query, stats) {
-        if dist < cfg.radius_threshold_frac * radius {
-            let leader = &book[li];
-            stats.follower_hits += 1;
-            stats.leader_result_points_scanned += leader.results.len() as u64;
-            let r2 = radius * radius;
-            let mut out: Vec<Neighbor> = leader
-                .results
-                .iter()
-                .filter_map(|&i| {
-                    let d2 = query.distance_squared(tree.points()[i as usize]);
-                    (d2 <= r2).then(|| Neighbor::new(i as usize, d2))
-                })
-                .collect();
-            out.sort();
-            return out;
-        }
-    }
-    stats.queries -= 1;
+    let r2 = radius * radius;
+    let mut out: Vec<Neighbor> = results
+        .iter()
+        .filter_map(|&i| {
+            let d2 = query.distance_squared(points[i as usize]);
+            (d2 <= r2).then(|| Neighbor::new(i as usize, d2))
+        })
+        .collect();
+    out.sort();
+    out
+}
 
-    let result = tree.radius_with_stats(query, radius, stats);
-    if book.len() < cfg.leader_cap {
-        stats.leader_promotions += 1;
-        book.push(Leader { query, results: result.iter().map(|n| n.index as u32).collect() });
-    }
-    result
+/// Counts a follower's work: one query served from `results`.
+fn count_follower(stats: &mut SearchStats, results: &[u32]) {
+    stats.queries += 1;
+    stats.follower_hits += 1;
+    stats.leader_result_points_scanned += results.len() as u64;
 }
 
 /// Stateful approximate-search backend: a [`TwoStageKdTree`] and the
@@ -161,7 +167,7 @@ fn radius_in_book(
 ///
 /// Owning the tree keeps the index free of borrowed lifetimes, so it can
 /// sit behind the [`SearchIndex`] trait object the pipeline's searcher
-/// holds; the kernels take the tree and the books as disjoint fields.
+/// holds; the searches borrow the tree and the books as disjoint fields.
 /// This is the type behind the `"two-stage-approx"` entry of the backend
 /// registry. Its batches are the trait's serial loop, so leader books
 /// evolve exactly as under one-by-one queries.
@@ -188,9 +194,9 @@ pub struct ApproxIndex {
     tree: TwoStageKdTree,
     cfg: ApproxConfig,
     /// NN leader book per top-tree leaf.
-    nn_books: Vec<Vec<Leader>>,
+    nn_books: Vec<LeaderBook>,
     /// Radius leader book per top-tree leaf.
-    radius_books: Vec<Vec<Leader>>,
+    radius_books: Vec<LeaderBook>,
 }
 
 impl ApproxIndex {
@@ -206,8 +212,8 @@ impl ApproxIndex {
         ApproxIndex {
             tree,
             cfg,
-            nn_books: vec![Vec::new(); n_leaves],
-            radius_books: vec![Vec::new(); n_leaves],
+            nn_books: vec![LeaderBook::default(); n_leaves],
+            radius_books: vec![LeaderBook::default(); n_leaves],
         }
     }
 
@@ -223,22 +229,37 @@ impl ApproxIndex {
 
     /// Clears all leader books (call between frames).
     pub fn reset(&mut self) {
-        self.nn_books.iter_mut().chain(&mut self.radius_books).for_each(Vec::clear);
+        self.nn_books.iter_mut().chain(&mut self.radius_books).for_each(LeaderBook::clear);
     }
 
     /// Total leaders currently recorded across all leaves (both books).
     pub fn leader_count(&self) -> usize {
-        self.nn_books.iter().chain(&self.radius_books).map(Vec::len).sum()
+        self.nn_books.iter().chain(&self.radius_books).map(LeaderBook::len).sum()
     }
 
     /// Approximate nearest-neighbor search with visit accounting.
+    ///
+    /// All approximate-search state is per-leaf: a query reads and
+    /// extends only the book of its primary leaf, in arrival order.
     pub fn nn_with_stats(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
-        match self.tree.primary_leaf(query) {
-            Some(leaf) => nn_in_book(&self.tree, &self.cfg, &mut self.nn_books[leaf], query, stats),
-            // Dead-end descent (or empty tree): no book to consult or
-            // extend; exact search.
-            None => self.tree.nn_with_stats(query, stats),
+        // Dead-end descent (or empty tree): no book to consult or
+        // extend; exact search.
+        let Some(leaf) = self.tree.primary_leaf(query) else {
+            return self.tree.nn_with_stats(query, stats);
+        };
+        let book = &mut self.nn_books[leaf];
+        stats.leader_checks += book.len() as u64;
+        if let Some(results) = book.follow(query, self.cfg.nn_threshold) {
+            count_follower(stats, results);
+            return follower_nn(self.tree.points(), results, query);
         }
+        let result = self.tree.nn_with_stats(query, stats);
+        if let Some(best) = result {
+            if book.record(query, [best.index as u32], self.cfg.leader_cap) {
+                stats.leader_promotions += 1;
+            }
+        }
+        result
     }
 
     /// Approximate radius search with visit accounting. Results are
@@ -259,17 +280,20 @@ impl ApproxIndex {
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
         assert!(radius >= 0.0, "radius must be non-negative");
-        match self.tree.primary_leaf(query) {
-            Some(leaf) => radius_in_book(
-                &self.tree,
-                &self.cfg,
-                &mut self.radius_books[leaf],
-                query,
-                radius,
-                stats,
-            ),
-            None => self.tree.radius_with_stats(query, radius, stats),
+        let Some(leaf) = self.tree.primary_leaf(query) else {
+            return self.tree.radius_with_stats(query, radius, stats);
+        };
+        let book = &mut self.radius_books[leaf];
+        stats.leader_checks += book.len() as u64;
+        if let Some(results) = book.follow(query, self.cfg.radius_threshold_frac * radius) {
+            count_follower(stats, results);
+            return follower_radius(self.tree.points(), results, query, radius);
         }
+        let result = self.tree.radius_with_stats(query, radius, stats);
+        if book.record(query, result.iter().map(|n| n.index as u32), self.cfg.leader_cap) {
+            stats.leader_promotions += 1;
+        }
+        result
     }
 }
 

@@ -61,7 +61,7 @@ pub mod soa;
 pub mod stats;
 pub mod twostage;
 
-pub use approx::{ApproxConfig, ApproxIndex};
+pub use approx::{follower_nn, follower_radius, ApproxConfig, ApproxIndex, LeaderBook};
 pub use bruteforce::{knn_brute_force, nn_brute_force, radius_brute_force, BruteForceIndex};
 pub use dynamic::DynamicMapIndex;
 pub use index::{backend_names, build_backend, register_backend, SearchIndex, SharedIndex};

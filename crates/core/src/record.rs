@@ -3,7 +3,7 @@
 //! The registration pipeline can log every KD-tree query it makes
 //! (`tigris-pipeline`'s `Searcher3::enable_query_logging`), and the
 //! accelerator model can *replay* the exact stream
-//! (`tigris-accel`'s `AcceleratorSim::replay`) — giving the end-to-end
+//! (`tigris-accel`'s `AccelBackend::replay`) — giving the end-to-end
 //! evaluation the accelerator's simulated time for precisely the searches
 //! the software actually performed.
 

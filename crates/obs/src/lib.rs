@@ -2,13 +2,14 @@
 //! spans and structured events, a metrics registry, and trace
 //! exporters, with zero external dependencies.
 //!
-//! Every other subsystem's telemetry reports through this crate:
-//! the pipeline's stage timings, the mapper's counters, the serving
-//! layer's latency distribution and tile residency, and the
-//! accelerator model's cycle accounting all live in (or mirror into)
-//! obs registries, and the full request path is instrumented with
-//! [`span!`]/[`event!`] so one serve request yields one connected
-//! trace tree from the service entry point down to the KD-tree.
+//! Every other subsystem's telemetry reports through this crate: the
+//! mapper's counters and the serving layer's latency distribution and
+//! tile residency live in their instances' obs registries, the
+//! pipeline's stage timings and the accelerator model's cycle
+//! accounting are spans and events, and the full request path is
+//! instrumented with [`span!`]/[`event!`] so one serve request yields
+//! one connected trace tree from the service entry point down to the
+//! KD-tree.
 //!
 //! # The three pieces
 //!
@@ -80,7 +81,7 @@ pub use collector::{
 };
 pub use config::{init_from_env, trace_file, trace_mode, TraceMode};
 pub use hist::{Histogram, HistogramConfig, HistogramSnapshot};
-pub use registry::{global, Counter, Gauge, MetricSnapshot, Registry};
+pub use registry::{Counter, Gauge, MetricSnapshot, Registry};
 
 /// The sink mask every instrumentation site branches on. Bit 0 is the
 /// drain-trace sink (`TIGRIS_TRACE`, [`drain`]); bit 1 is the always-on
@@ -206,7 +207,7 @@ pub fn flush() -> std::io::Result<Option<std::path::PathBuf>> {
             Ok(Some(path))
         }
         _ => {
-            eprint!("{}", export::summary(&trace, Some(global())));
+            eprint!("{}", export::summary(&trace, None));
             Ok(None)
         }
     }

@@ -2,14 +2,9 @@
 //! get-or-registered by dot-namespaced name and snapshotted in sorted
 //! order.
 //!
-//! Two scopes exist deliberately:
-//!
-//! * [`global()`] — one process-wide registry for subsystems that are
-//!   themselves process-wide (the pipeline's stage timings, the
-//!   accelerator model's cycle accounting).
-//! * [`Registry::new`] — instantiable registries owned by a service or
-//!   mapper instance, so many services in one process (the normal case
-//!   in tests and multi-tenant serving) meter independently.
+//! Every registry is an instance ([`Registry::new`]) owned by a service
+//! or mapper, so many services in one process (the normal case in tests
+//! and multi-tenant serving) meter independently.
 //!
 //! Handles are `Arc`s: register once, cache the handle, update with a
 //! single atomic op on the hot path — name lookup never happens per
@@ -17,7 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::hist::{Histogram, HistogramConfig, HistogramSnapshot};
 
@@ -98,8 +93,8 @@ pub enum MetricSnapshot {
     Histogram(HistogramSnapshot),
 }
 
-/// A named collection of metrics; see the module docs above for the
-/// global-vs-instance scoping.
+/// A named collection of metrics, owned by the service or mapper it
+/// meters.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -207,13 +202,6 @@ impl Registry {
             })
             .collect()
     }
-}
-
-/// The process-wide registry; see the module docs above for when to
-/// use it versus an instance registry.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]

@@ -578,9 +578,6 @@ fn run_match(
 }
 
 fn assemble_result(summary: MatchSummary, profile: StageProfile) -> RegistrationResult {
-    // Mirror the completed registration's accounting into the global
-    // metrics registry (no-op with tracing disabled).
-    profile.publish_to_obs();
     RegistrationResult {
         transform: summary.icp.transform,
         initial_transform: summary.initial,

@@ -49,20 +49,6 @@ impl Stage {
             Stage::ErrorMinimization => "Error Minimization",
         }
     }
-
-    /// Snake-case metric key: the stage's latency histogram registers as
-    /// `pipeline.stage.<key>_us` in the global obs registry.
-    pub fn metric_key(self) -> &'static str {
-        match self {
-            Stage::NormalEstimation => "normal_estimation",
-            Stage::KeypointDetection => "keypoint_detection",
-            Stage::DescriptorCalculation => "descriptor_calculation",
-            Stage::Kpce => "kpce",
-            Stage::CorrespondenceRejection => "correspondence_rejection",
-            Stage::Rpce => "rpce",
-            Stage::ErrorMinimization => "error_minimization",
-        }
-    }
 }
 
 impl fmt::Display for Stage {
@@ -194,66 +180,6 @@ impl StageProfile {
             self.prepare_time.as_secs_f64() / total
         }
     }
-
-    /// Mirrors this profile into the global obs registry
-    /// ([`tigris_obs::global`]) under `pipeline.*` names: per-stage and
-    /// per-layer latency histograms in microseconds, ICP-iteration
-    /// distribution, and the frame prepared/reused counters. No-op when
-    /// tracing is disabled, so the hot path pays one relaxed atomic
-    /// load; zero-valued layers/stages are skipped so prepare-only and
-    /// match-only profiles don't skew each other's distributions.
-    pub fn publish_to_obs(&self) {
-        if !tigris_obs::enabled() {
-            return;
-        }
-        let m = obs_metrics();
-        for (stage, hist) in Stage::ALL.iter().zip(&m.stage_us) {
-            let t = self.time(*stage);
-            if !t.is_zero() {
-                hist.record(t.as_micros() as u64);
-            }
-        }
-        if !self.prepare_time.is_zero() {
-            m.prepare_us.record(self.prepare_time.as_micros() as u64);
-        }
-        if !self.match_time.is_zero() {
-            m.match_us.record(self.match_time.as_micros() as u64);
-        }
-        if self.icp_iterations > 0 {
-            m.icp_iterations.record(self.icp_iterations as u64);
-        }
-        m.frames_prepared.add(self.frames_prepared as u64);
-        m.frames_reused.add(self.frames_reused as u64);
-    }
-}
-
-/// Cached handles into the global registry, resolved once per process so
-/// publishing a profile never takes the registry lock after warm-up.
-struct ObsMetrics {
-    stage_us: Vec<std::sync::Arc<tigris_obs::Histogram>>,
-    prepare_us: std::sync::Arc<tigris_obs::Histogram>,
-    match_us: std::sync::Arc<tigris_obs::Histogram>,
-    icp_iterations: std::sync::Arc<tigris_obs::Histogram>,
-    frames_prepared: std::sync::Arc<tigris_obs::Counter>,
-    frames_reused: std::sync::Arc<tigris_obs::Counter>,
-}
-
-fn obs_metrics() -> &'static ObsMetrics {
-    static METRICS: std::sync::OnceLock<ObsMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = tigris_obs::global();
-        ObsMetrics {
-            stage_us: Stage::ALL
-                .iter()
-                .map(|s| registry.histogram(&format!("pipeline.stage.{}_us", s.metric_key())))
-                .collect(),
-            prepare_us: registry.histogram("pipeline.prepare_us"),
-            match_us: registry.histogram("pipeline.match_us"),
-            icp_iterations: registry.histogram("pipeline.icp_iterations"),
-            frames_prepared: registry.counter("pipeline.frames_prepared"),
-            frames_reused: registry.counter("pipeline.frames_reused"),
-        }
-    })
 }
 
 impl fmt::Display for StageProfile {

@@ -227,7 +227,7 @@ impl Searcher3 {
     }
 
     /// Starts logging every query (for accelerator replay via
-    /// `tigris-accel`'s `AcceleratorSim::replay`). Idempotent.
+    /// `tigris-accel`'s `AccelBackend::replay`). Idempotent.
     pub fn enable_query_logging(&mut self) {
         if self.meters.query_log.is_none() {
             self.meters.query_log = Some(Vec::new());
@@ -404,9 +404,10 @@ impl Searcher3 {
     // order, and the traversal-visit counters (`leaves_scanned`,
     // `tree_nodes_visited`, `subtrees_pruned`) reflect the shared walk,
     // not per-query walks. Injected or stateful-backend searches fall
-    // back to the serial metered path, which injection semantics are
-    // defined on (rows then land in query order, and the mapping says
-    // so).
+    // back to `radius_batch`: one backend batch (the accelerator's is
+    // one hardware run), or one query at a time under injection, which
+    // injection semantics are defined on. Rows then land in query order,
+    // and the mapping says so.
 
     /// All neighbors within `radius` of every query, appended as table
     /// rows with co-located queries grouped into shared traversals
@@ -453,8 +454,7 @@ impl Searcher3 {
             let base = table.rows() as u32;
             groups.inv.clear();
             groups.inv.extend(base..base + queries.len() as u32);
-            for &q in queries {
-                let row = self.radius(q, radius);
+            for row in self.radius_batch(queries, radius) {
                 table.push_row_from(&row);
             }
             return;
@@ -488,14 +488,9 @@ impl Searcher3 {
         groups: &mut GroupScratch,
     ) {
         if self.injection.is_some() || self.index.as_shared().is_none() {
-            let base = table.rows() as u32;
-            groups.inv.clear();
-            groups.inv.extend(base..base + range.len() as u32);
-            for i in range {
-                let q = self.index.points()[i];
-                let row = self.radius(q, radius);
-                table.push_row_from(&row);
-            }
+            // No shared view to borrow the points through: batch a copy.
+            let queries = self.index.points()[range].to_vec();
+            self.radius_batch_into(&queries, radius, table, groups);
             return;
         }
         let queries = &self.index.points()[range];
@@ -834,6 +829,85 @@ mod tests {
             assert_eq!(table.row(groups.table_row(i)), row.as_slice(), "row of query {i}");
         }
         assert_eq!(a.stats().queries, b.stats().queries);
+    }
+
+    /// A stateful backend with no shared view that counts how the
+    /// searcher reaches it: per-query `radius` calls vs `radius_batch`
+    /// runs.
+    struct CountingIndex {
+        tree: KdTree,
+        radius_calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        batch_calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl SearchIndex for CountingIndex {
+        fn from_points(points: &[Vec3]) -> Self {
+            CountingIndex {
+                tree: KdTree::build(points),
+                radius_calls: Default::default(),
+                batch_calls: Default::default(),
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn points(&self) -> &[Vec3] {
+            self.tree.points()
+        }
+
+        fn nn(&mut self, query: Vec3, stats: &mut SearchStats) -> Option<Neighbor> {
+            self.tree.nn_with_stats(query, stats)
+        }
+
+        fn knn(&mut self, query: Vec3, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
+            self.tree.knn_with_stats(query, k, stats)
+        }
+
+        fn radius(&mut self, query: Vec3, radius: f64, stats: &mut SearchStats) -> Vec<Neighbor> {
+            self.radius_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.tree.radius_with_stats(query, radius, stats)
+        }
+
+        fn radius_batch(
+            &mut self,
+            queries: &[Vec3],
+            radius: f64,
+            stats: &mut SearchStats,
+        ) -> Vec<Vec<Neighbor>> {
+            self.batch_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            queries.iter().map(|&q| self.tree.radius_with_stats(q, radius, stats)).collect()
+        }
+    }
+
+    #[test]
+    fn table_entry_points_batch_on_a_backend_without_shared_view() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let pts = cloud();
+        let index = CountingIndex::from_points(&pts);
+        let (radius_calls, batch_calls) = (index.radius_calls.clone(), index.batch_calls.clone());
+        let mut s = Searcher3::from_index(Box::new(index), Duration::ZERO);
+        let queries: Vec<Vec3> = pts.iter().step_by(7).copied().collect();
+        let per_query: Vec<Vec<Neighbor>> = queries.iter().map(|&q| s.radius(q, 1.5)).collect();
+        let per_point: Vec<Vec<Neighbor>> =
+            pts[100..400].iter().map(|&q| s.radius(q, 1.2)).collect();
+        let per_query_calls = radius_calls.load(Relaxed);
+        assert_eq!(per_query_calls, queries.len() + 300);
+
+        let mut table = NeighborTable::new();
+        let mut groups = GroupScratch::default();
+        s.radius_batch_into(&queries, 1.5, &mut table, &mut groups);
+        for (i, row) in per_query.iter().enumerate() {
+            assert_eq!(table.row(groups.table_row(i)), row.as_slice(), "row of query {i}");
+        }
+        s.self_radius_range_into(100..400, 1.2, &mut table, &mut groups);
+        for (i, row) in per_point.iter().enumerate() {
+            assert_eq!(table.row(groups.table_row(i)), row.as_slice(), "row of point {}", 100 + i);
+        }
+        assert_eq!(batch_calls.load(Relaxed), 2, "one backend batch per table call");
+        assert_eq!(radius_calls.load(Relaxed), per_query_calls, "no per-query fallback");
+        assert_eq!(s.stats().queries, 2 * (queries.len() + 300) as u64);
     }
 
     #[test]

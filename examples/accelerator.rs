@@ -8,7 +8,7 @@
 //! ```
 
 use tigris::accel::baseline::Workload;
-use tigris::accel::{AcceleratorConfig, AcceleratorSim, BaselineModel, SearchKind};
+use tigris::accel::{AccelBackend, AcceleratorConfig, BaselineModel, SearchKind};
 use tigris::core::{KdTree, SearchStats, TwoStageKdTree};
 use tigris::data::{Sequence, SequenceConfig};
 
@@ -41,7 +41,7 @@ fn main() {
     let cpu = baseline.cpu(&Workload::from_stats(&classic_stats));
 
     // The accelerator runs the same queries, cycle by cycle.
-    let mut sim = AcceleratorSim::new(&two_stage, AcceleratorConfig::paper());
+    let mut sim = AccelBackend::from_tree(two_stage.clone(), AcceleratorConfig::paper());
     let acc = sim.run(queries, SearchKind::Nn);
 
     // Sanity: accelerator results are exact.

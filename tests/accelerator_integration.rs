@@ -3,8 +3,8 @@
 //! software searches, and the paper's qualitative architecture claims must
 //! hold on realistic LiDAR workloads.
 
-use tigris::accel::{AcceleratorConfig, AcceleratorSim, BackendPolicy, SearchKind};
-use tigris::core::{ApproxConfig, TwoStageKdTree};
+use tigris::accel::{AccelBackend, AcceleratorConfig, BackendPolicy, SearchKind};
+use tigris::core::{ApproxConfig, SearchIndex, TwoStageKdTree};
 use tigris::data::{Lidar, LidarConfig, Scene, SceneConfig};
 use tigris::geom::{RigidTransform, Vec3};
 
@@ -26,7 +26,7 @@ fn lidar_workload() -> (Vec<Vec3>, Vec<Vec3>) {
 fn accelerator_results_are_bit_identical_to_software() {
     let (target, queries) = lidar_workload();
     let tree = TwoStageKdTree::build(&target, 6);
-    let mut sim = AcceleratorSim::new(&tree, AcceleratorConfig::paper());
+    let mut sim = AccelBackend::from_tree(tree.clone(), AcceleratorConfig::paper());
 
     let nn_report = sim.run(&queries, SearchKind::Nn);
     for (q, hw) in queries.iter().zip(&nn_report.nn_results) {
@@ -36,7 +36,7 @@ fn accelerator_results_are_bit_identical_to_software() {
         assert_eq!(hw.distance_squared, sw.distance_squared);
     }
 
-    sim.reset_leaders();
+    sim.reset();
     let rad_report = sim.run(&queries, SearchKind::Radius(0.8));
     for (q, &count) in queries.iter().zip(&rad_report.radius_result_counts) {
         assert_eq!(count, tree.radius(*q, 0.8).len());
@@ -52,9 +52,9 @@ fn two_stage_beats_classic_tree_on_the_accelerator() {
     let co_designed = TwoStageKdTree::build(&target, 7);
     let deep = TwoStageKdTree::build(&target, 14); // ≈ classic
 
-    let mut sim_good = AcceleratorSim::new(&co_designed, AcceleratorConfig::paper());
+    let mut sim_good = AccelBackend::from_tree(co_designed.clone(), AcceleratorConfig::paper());
     let good = sim_good.run(&queries, SearchKind::Nn);
-    let mut sim_deep = AcceleratorSim::new(&deep, AcceleratorConfig::paper());
+    let mut sim_deep = AccelBackend::from_tree(deep.clone(), AcceleratorConfig::paper());
     let acc_kd = sim_deep.run(&queries, SearchKind::Nn);
 
     assert!(good.cycles < acc_kd.cycles, "Acc-2SKD {} !< Acc-KD {}", good.cycles, acc_kd.cycles);
@@ -66,7 +66,7 @@ fn ru_optimizations_and_backend_policies_order_correctly() {
     let (target, queries) = lidar_workload();
     let tree = TwoStageKdTree::build(&target, 9);
     let run = |cfg: AcceleratorConfig| {
-        let mut sim = AcceleratorSim::new(&tree, cfg);
+        let mut sim = AccelBackend::from_tree(tree.clone(), cfg);
         sim.run(&queries, SearchKind::Nn)
     };
 
@@ -94,12 +94,12 @@ fn approximation_reduces_work_and_stays_sound() {
     let (target, queries) = lidar_workload();
     let tree = TwoStageKdTree::build(&target, 6);
 
-    let mut exact_sim = AcceleratorSim::new(&tree, AcceleratorConfig::paper());
+    let mut exact_sim = AccelBackend::from_tree(tree.clone(), AcceleratorConfig::paper());
     let exact = exact_sim.run(&queries, SearchKind::Nn);
 
     let cfg =
         AcceleratorConfig { approx: Some(ApproxConfig::default()), ..AcceleratorConfig::paper() };
-    let mut approx_sim = AcceleratorSim::new(&tree, cfg);
+    let mut approx_sim = AccelBackend::from_tree(tree.clone(), cfg);
     // Two passes: the second models an ICP iteration re-querying the frame.
     let _first = approx_sim.run(&queries, SearchKind::Nn);
     let second = approx_sim.run(&queries, SearchKind::Nn);
@@ -122,7 +122,7 @@ fn approximation_reduces_work_and_stays_sound() {
 fn energy_and_traffic_are_consistent() {
     let (target, queries) = lidar_workload();
     let tree = TwoStageKdTree::build(&target, 6);
-    let mut sim = AcceleratorSim::new(&tree, AcceleratorConfig::paper());
+    let mut sim = AccelBackend::from_tree(tree.clone(), AcceleratorConfig::paper());
     let report = sim.run(&queries, SearchKind::Nn);
 
     // Energy categories all populated, power in a sane hardware envelope.

@@ -142,13 +142,13 @@ fn tiny_leaf_budget_two_stage() {
 
 #[test]
 fn accelerator_on_degenerate_trees() {
-    use tigris::accel::{AcceleratorConfig, AcceleratorSim, SearchKind};
+    use tigris::accel::{AccelBackend, AcceleratorConfig, SearchKind};
     // Single-leaf tree (height 0) and single-point tree.
     for pts in
         [vec![Vec3::ZERO], (0..64).map(|i| Vec3::new(i as f64, 0.0, 0.0)).collect::<Vec<_>>()]
     {
         let tree = TwoStageKdTree::build(&pts, 0);
-        let mut sim = AcceleratorSim::new(&tree, AcceleratorConfig::paper());
+        let mut sim = AccelBackend::from_tree(tree.clone(), AcceleratorConfig::paper());
         let queries = vec![Vec3::new(0.4, 0.0, 0.0); 8];
         let report = sim.run(&queries, SearchKind::Nn);
         for r in &report.nn_results {
